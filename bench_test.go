@@ -303,7 +303,8 @@ func BenchmarkCompaction(b *testing.B) {
 // pre-decoded threaded-code engine behind interp.Run (decoded), on
 // both an unscheduled build and a scheduled P4 binary of the same
 // benchmark. The decoded/reference Minstr/s ratio is the speedup the
-// decode buys; cmd/benchinterp records it in BENCH_interp.json.
+// decode buys; cmd/bench reports decoded throughput end to end as
+// interp.minstr_per_s.
 func BenchmarkInterpDispatch(b *testing.B) {
 	bm := bench.ByName("wc")
 	unsched := bm.Build(bm.Train)

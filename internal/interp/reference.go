@@ -15,8 +15,8 @@ import (
 // pre-decoded engine behind Run must produce byte-identical Results,
 // and the differential tests in decode_test.go gate every engine
 // change against this implementation. It is exported for those tests
-// and for the cmd/benchinterp speedup harness; production callers
-// should use Run.
+// and for the BenchmarkInterpDispatch speedup microbenchmark;
+// production callers should use Run.
 func ReferenceRun(prog *ir.Program, cfg Config) (*Result, error) {
 	if cfg.Batch != nil {
 		// The reference engine has no native batch path: adapt the

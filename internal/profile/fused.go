@@ -80,33 +80,7 @@ type TrainingProfiles struct {
 // back to the legacy per-event observers on the reference engine. Both
 // modes produce identical profiles.
 func Train(prog *ir.Program, cfg PathConfig) (*TrainingProfiles, error) {
-	pp := NewPathProfiler(prog, cfg)
-	eng := interp.EngineFor(prog)
-	if eng.Fallback() {
-		ep := NewEdgeProfiler(prog)
-		cg := NewCallGraphProfiler()
-		if _, err := interp.Run(prog, interp.Config{Observer: Multi{ep, pp, cg}}); err != nil {
-			return nil, err
-		}
-		tp := &TrainingProfiles{Edge: ep.Profile(), Path: pp.Profile(), Calls: cg.Counts()}
-		tp.Stats.Scheme = TrainSchemeWindow
-		tp.Stats.Automaton = pp.AutomatonStats()
-		return tp, nil
-	}
-	_, ec, err := eng.RunCounted(interp.Config{Batch: pp})
-	if err != nil {
-		return nil, err
-	}
-	tp := &TrainingProfiles{
-		Edge:  EdgeProfilerFromCounts(prog, ec).Profile(),
-		Path:  pp.Profile(),
-		Calls: CallCountsFromCounts(ec),
-	}
-	tp.Stats.Scheme = TrainSchemeWindow
-	tp.Stats.Fused, tp.Stats.Batched = true, true
-	tp.Stats.Batches, tp.Stats.Records = pp.BatchStats()
-	tp.Stats.Automaton = pp.AutomatonStats()
-	return tp, nil
+	return train(prog, NewPathProfiler(prog, cfg), TrainSchemeWindow)
 }
 
 // TrainBL is Train with the Ball–Larus numbered path profiler in place
@@ -117,32 +91,47 @@ func Train(prog *ir.Program, cfg PathConfig) (*TrainingProfiles, error) {
 // k-iteration profile; BL keeps the raw numbered counters.
 func TrainBL(prog *ir.Program, cfg BLConfig) (*TrainingProfiles, error) {
 	bl := NewBLProfiler(prog, cfg)
+	tp, err := train(prog, bl, TrainSchemeBallLarus)
+	if err != nil {
+		return nil, err
+	}
+	tp.BL = bl
+	return tp, nil
+}
+
+// pathTrainer is the path-profiling half of a training run. The window
+// and Ball–Larus profilers both observe per-event or batched runs and
+// report the same statistics.
+type pathTrainer interface {
+	interp.Observer
+	interp.BatchObserver
+	Profile() *PathProfile
+	BatchStats() (batches, records int64)
+	AutomatonStats() []ProcAutomatonStats
+}
+
+// train is the one training driver behind Train and TrainBL.
+func train(prog *ir.Program, pp pathTrainer, scheme string) (*TrainingProfiles, error) {
+	tp := &TrainingProfiles{Stats: TrainStats{Scheme: scheme}}
 	eng := interp.EngineFor(prog)
 	if eng.Fallback() {
 		ep := NewEdgeProfiler(prog)
 		cg := NewCallGraphProfiler()
-		if _, err := interp.Run(prog, interp.Config{Observer: Multi{ep, bl, cg}}); err != nil {
+		if _, err := interp.Run(prog, interp.Config{Observer: Multi{ep, pp, cg}}); err != nil {
 			return nil, err
 		}
-		tp := &TrainingProfiles{Edge: ep.Profile(), Path: bl.Profile(), Calls: cg.Counts(), BL: bl}
-		tp.Stats.Scheme = TrainSchemeBallLarus
-		tp.Stats.Automaton = bl.AutomatonStats()
-		return tp, nil
+		tp.Edge, tp.Calls = ep.Profile(), cg.Counts()
+	} else {
+		_, ec, err := eng.RunCounted(interp.Config{Batch: pp})
+		if err != nil {
+			return nil, err
+		}
+		tp.Edge, tp.Calls = EdgeProfilerFromCounts(prog, ec).Profile(), CallCountsFromCounts(ec)
+		tp.Stats.Fused, tp.Stats.Batched = true, true
+		tp.Stats.Batches, tp.Stats.Records = pp.BatchStats()
 	}
-	_, ec, err := eng.RunCounted(interp.Config{Batch: bl})
-	if err != nil {
-		return nil, err
-	}
-	tp := &TrainingProfiles{
-		Edge:  EdgeProfilerFromCounts(prog, ec).Profile(),
-		Path:  bl.Profile(),
-		Calls: CallCountsFromCounts(ec),
-		BL:    bl,
-	}
-	tp.Stats.Scheme = TrainSchemeBallLarus
-	tp.Stats.Fused, tp.Stats.Batched = true, true
-	tp.Stats.Batches, tp.Stats.Records = bl.BatchStats()
-	tp.Stats.Automaton = bl.AutomatonStats()
+	tp.Path = pp.Profile()
+	tp.Stats.Automaton = pp.AutomatonStats()
 	return tp, nil
 }
 

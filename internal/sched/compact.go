@@ -56,11 +56,6 @@ type Options struct {
 	// workers join; callers must not share it across concurrent
 	// Compact calls.
 	RecordDeps BlockDeps
-	// Reference selects the seed compaction implementation
-	// (reference.go) — the differential baseline for tests and
-	// cmd/benchcompile. Output is byte-identical to the default path.
-	// Incompatible with Exact (the seed path has no search backend).
-	Reference bool
 	// Exact switches scheduling to the branch-and-bound exact search
 	// (exact.go), falling back to the list schedule above its budgets.
 	Exact ExactConfig
@@ -94,9 +89,6 @@ type blockDeps struct {
 // if any) is identical at every worker count.
 func Compact(res *core.Result, opts Options) error {
 	opts = opts.withDefaults()
-	if opts.Reference && opts.Exact.Enabled {
-		return fmt.Errorf("sched: Options.Reference and Options.Exact are mutually exclusive")
-	}
 	prog := res.Prog
 	n := len(prog.Procs)
 	errs := make([]error, n)
@@ -156,13 +148,7 @@ func compactProc(p *ir.Proc, sbs []*core.Superblock, opts Options, s *scratch, g
 	record := opts.RecordDeps != nil
 	var rec []blockDeps
 	for _, sb := range sbs {
-		var edges []DepEdge
-		var err error
-		if opts.Reference {
-			edges, err = refCompactSuperblock(p, sb, live, pool, opts, record)
-		} else {
-			edges, err = compactSuperblock(p, sb, live, pool, opts, s, record, gs)
-		}
+		edges, err := compactSuperblock(p, sb, live, pool, opts, s, record, gs)
 		if err != nil {
 			return nil, fmt.Errorf("sched: %s sb%d: %w", p.Name, sb.ID, err)
 		}
@@ -223,6 +209,12 @@ func forEachProc(n, parallelism int, fn func(int, *scratch)) {
 // "basic-block scheduled" configuration (Table 1). Each block becomes
 // a singleton superblock.
 func CompactBasicBlocks(prog *ir.Program, opts Options) error {
+	return Compact(basicBlockSuperblocks(prog), opts)
+}
+
+// basicBlockSuperblocks wraps each reachable block of prog as a
+// singleton superblock.
+func basicBlockSuperblocks(prog *ir.Program) *core.Result {
 	res := &core.Result{Prog: prog, Superblocks: map[ir.ProcID][]*core.Superblock{}}
 	for _, p := range prog.Procs {
 		g := ir.NewCFG(p)
@@ -239,7 +231,7 @@ func CompactBasicBlocks(prog *ir.Program, opts Options) error {
 		}
 		res.Superblocks[p.ID] = sbs
 	}
-	return Compact(res, opts)
+	return res
 }
 
 func compactSuperblock(p *ir.Proc, sb *core.Superblock, live []RegSet, pool []ir.Reg, opts Options, s *scratch, record bool, gs *GapStats) ([]DepEdge, error) {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -294,13 +295,28 @@ func TestExactGapStatsAccounting(t *testing.T) {
 }
 
 // Exact compaction end to end: semantics preserved, output and gap
-// counters byte-identical across worker counts 1/2/8, and never slower
-// than the list schedule on the measured program.
+// counters byte-identical across worker counts 1/2/8, and every region
+// either proved or bounded. Random programs run at the default budgets;
+// wc and alt run under budgets tight enough to force Bounded fallbacks.
 func TestExactCompactDeterminismAndSemantics(t *testing.T) {
-	ecfg := ExactConfig{Enabled: true}
+	type exactCase struct {
+		formCase
+		ecfg ExactConfig
+	}
+	var cases []exactCase
 	for _, seed := range []int64{3, 17} {
 		prog := randProg(seed)
-		orig, err := interp.Run(prog, interp.Config{})
+		fc := formCase{fmt.Sprintf("seed%d", seed), prog, trainedConfig(t, prog, core.PathBased)}
+		cases = append(cases, exactCase{fc, ExactConfig{Enabled: true}})
+	}
+	tight := ExactConfig{Enabled: true, NodeBudget: 16, SearchBudget: 50000}
+	for _, name := range []string{"wc", "alt"} {
+		for _, fc := range benchCases(t, name) {
+			cases = append(cases, exactCase{fc, tight})
+		}
+	}
+	for _, c := range cases {
+		orig, err := interp.Run(c.prog, interp.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,25 +324,31 @@ func TestExactCompactDeterminismAndSemantics(t *testing.T) {
 		var wantGap GapStats
 		for _, workers := range []int{1, 2, 8} {
 			var gap GapStats
-			res := compile(t, prog, core.PathBased, Options{Parallelism: workers, Exact: ecfg, GapStats: &gap}, nil)
+			res := formAndCompact(t, c.prog, c.cfg, Options{Parallelism: workers, Exact: c.ecfg, GapStats: &gap})
 			got, err := interp.Run(res.Prog, interp.Config{})
 			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
 			}
-			mustMatch(t, orig, got, "exact-compact")
+			mustMatch(t, orig, got, c.name+" exact-compact")
+			if gap.Blocks != gap.Proved+gap.Bounded {
+				t.Fatalf("%s workers=%d: gap partition broken: %+v", c.name, workers, gap)
+			}
 			fp := ir.Fingerprint(res.Prog)
 			if workers == 1 {
 				wantFP, wantGap = fp, gap
 				if gap.Blocks == 0 || gap.Proved == 0 {
-					t.Fatalf("seed %d: no gap data recorded: %+v", seed, gap)
+					t.Fatalf("%s: no gap data recorded: %+v", c.name, gap)
+				}
+				if c.ecfg == tight && gap.Bounded == 0 {
+					t.Fatalf("%s: tight budgets forced no Bounded fallback: %+v", c.name, gap)
 				}
 				continue
 			}
 			if fp != wantFP {
-				t.Fatalf("seed %d: workers=%d fingerprint diverges from serial exact", seed, workers)
+				t.Fatalf("%s: workers=%d fingerprint diverges from serial exact", c.name, workers)
 			}
 			if gap != wantGap {
-				t.Fatalf("seed %d: workers=%d gap stats diverge: %+v vs %+v", seed, workers, gap, wantGap)
+				t.Fatalf("%s: workers=%d gap stats diverge: %+v vs %+v", c.name, workers, gap, wantGap)
 			}
 		}
 	}
@@ -354,15 +376,5 @@ func TestExactNeverWorseThanList(t *testing.T) {
 	}
 	if gap.Blocks != gap.Proved+gap.Bounded {
 		t.Fatalf("gap partition broken: %+v", gap)
-	}
-}
-
-// Reference compaction has no exact backend; asking for both must be a
-// configuration error, not a silent wrong answer.
-func TestExactRejectsReference(t *testing.T) {
-	prog := hotTrace(10)
-	err := CompactBasicBlocks(ir.CloneProgram(prog), Options{Reference: true, Exact: ExactConfig{Enabled: true}})
-	if err == nil {
-		t.Fatal("Reference+Exact accepted")
 	}
 }

@@ -5,64 +5,98 @@ import (
 	"strings"
 	"testing"
 
+	"pathsched/internal/bench"
 	"pathsched/internal/core"
-	"pathsched/internal/interp"
 	"pathsched/internal/ir"
 	"pathsched/internal/ir/irtest"
 	"pathsched/internal/profile"
 )
 
+// compactArm is one way to compact a formed program. Every arm must
+// produce byte-identical output.
+type compactArm struct {
+	name    string
+	compact func(*core.Result) error
+}
+
+// compactArms is Compact at worker counts 1/2/8 and with dependence
+// recording, plus the serial seed oracle (reference_test.go).
+func compactArms() []compactArm {
+	withOpts := func(opts Options) func(*core.Result) error {
+		return func(res *core.Result) error { return Compact(res, opts) }
+	}
+	return []compactArm{
+		{"workers=1", withOpts(Options{Parallelism: 1})},
+		{"workers=2", withOpts(Options{Parallelism: 2})},
+		{"workers=8", withOpts(Options{Parallelism: 8})},
+		{"recorddeps", func(res *core.Result) error {
+			return Compact(res, Options{Parallelism: 2, RecordDeps: BlockDeps{}})
+		}},
+		{"reference", func(res *core.Result) error { return refCompact(res, Options{}) }},
+	}
+}
+
+// formCase is one formation input: a program and the resolved config
+// core.Form builds its superblocks with.
+type formCase struct {
+	name string
+	prog *ir.Program
+	cfg  core.Config
+}
+
+// benchCases forms a suite benchmark's test build under M4 and P4, as
+// the pipeline does: profiles come from profile.Train on its training
+// build.
+func benchCases(t *testing.T, name string) []formCase {
+	t.Helper()
+	b := bench.ByName(name)
+	tp, err := profile.Train(b.Build(b.Train), profile.PathConfig{})
+	if err != nil {
+		t.Fatalf("%s: training: %v", name, err)
+	}
+	prog := b.Build(b.Test)
+	m4, p4 := core.DefaultConfig(), core.DefaultConfig()
+	m4.Method, m4.UnrollFactor = core.EdgeBased, 4
+	p4.Method = core.PathBased
+	for _, cfg := range []*core.Config{&m4, &p4} {
+		cfg.Edge, cfg.Path = tp.Edge, tp.Path
+	}
+	return []formCase{{name + "/M4", prog, m4}, {name + "/P4", prog, p4}}
+}
+
 // Compact's output must be byte-identical — pinned by the structural
 // fingerprint — at every worker count and against the preserved
-// reference compaction path. Run under -race this also proves the
-// worker pool shares nothing it shouldn't.
+// reference compaction path, on random programs and on the suite's wc
+// and alt. Run under -race this also proves the worker pool shares
+// nothing it shouldn't.
 func TestCompactWorkerDeterminism(t *testing.T) {
-	progs := map[string]*ir.Program{
-		"hot": hotTrace(300),
-	}
+	progs := map[string]*ir.Program{"hot": hotTrace(300)}
 	for _, seed := range []int64{1, 2, 5, 9} {
 		progs[fmt.Sprintf("rand%d", seed)] = irtest.RandExecProg(seed, 16)
 	}
-	configs := []Options{
-		{Parallelism: 1},
-		{Parallelism: 2},
-		{Parallelism: 8},
-		{Parallelism: 2, RecordDeps: BlockDeps{}},
-		{Reference: true},
-		{Reference: true, Parallelism: 4},
-	}
+	var cases []formCase
 	for name, prog := range progs {
 		for _, method := range []core.Method{core.EdgeBased, core.PathBased} {
-			ep := profile.NewEdgeProfiler(prog)
-			pp := profile.NewPathProfiler(prog, profile.PathConfig{})
-			if _, err := interp.Run(prog, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
-				t.Fatalf("%s: training run: %v", name, err)
+			cases = append(cases, formCase{fmt.Sprintf("%s/%v", name, method), prog, trainedConfig(t, prog, method)})
+		}
+	}
+	cases = append(cases, benchCases(t, "wc")...)
+	cases = append(cases, benchCases(t, "alt")...)
+	for _, c := range cases {
+		var base ir.Digest
+		for ai, arm := range compactArms() {
+			res, err := core.Form(c.prog, c.cfg)
+			if err != nil {
+				t.Fatalf("%s: Form: %v", c.name, err)
 			}
-			cfg := core.DefaultConfig()
-			cfg.Method = method
-			cfg.Edge, cfg.Path = ep.Profile(), pp.Profile()
-			cfg.MinExecFreq = 2
-			var base ir.Digest
-			for ci, opts := range configs {
-				if opts.RecordDeps != nil {
-					opts.RecordDeps = BlockDeps{} // fresh map per run
-				}
-				res, err := core.Form(prog, cfg)
-				if err != nil {
-					t.Fatalf("%s/%v: Form: %v", name, method, err)
-				}
-				if err := Compact(res, opts); err != nil {
-					t.Fatalf("%s/%v config %d: Compact: %v", name, method, ci, err)
-				}
-				fp := ir.Fingerprint(res.Prog)
-				if ci == 0 {
-					base = fp
-					continue
-				}
-				if fp != base {
-					t.Fatalf("%s/%v: config %+v fingerprint %x differs from workers=1 baseline %x",
-						name, method, opts, fp, base)
-				}
+			if err := arm.compact(res); err != nil {
+				t.Fatalf("%s %s: %v", c.name, arm.name, err)
+			}
+			fp := ir.Fingerprint(res.Prog)
+			if ai == 0 {
+				base = fp
+			} else if fp != base {
+				t.Fatalf("%s: %s fingerprint %x differs from workers=1 baseline %x", c.name, arm.name, fp, base)
 			}
 		}
 	}
@@ -75,17 +109,16 @@ func TestCompactBasicBlocksWorkerDeterminism(t *testing.T) {
 	for _, seed := range []int64{3, 4, 8} {
 		prog := irtest.RandExecProg(seed, 20)
 		var base ir.Digest
-		configs := []Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 8}, {Reference: true}}
-		for ci, opts := range configs {
+		for ai, arm := range compactArms() {
 			clone := ir.CloneProgram(prog)
-			if err := CompactBasicBlocks(clone, opts); err != nil {
-				t.Fatalf("seed %d config %d: %v", seed, ci, err)
+			if err := arm.compact(basicBlockSuperblocks(clone)); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, arm.name, err)
 			}
 			fp := ir.Fingerprint(clone)
-			if ci == 0 {
+			if ai == 0 {
 				base = fp
 			} else if fp != base {
-				t.Fatalf("seed %d: config %+v fingerprint differs from workers=1", seed, opts)
+				t.Fatalf("seed %d: %s fingerprint differs from workers=1", seed, arm.name)
 			}
 		}
 	}

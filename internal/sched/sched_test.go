@@ -11,8 +11,9 @@ import (
 	"pathsched/internal/profile"
 )
 
-// compile profiles, forms, and compacts prog with the given method.
-func compile(t *testing.T, prog *ir.Program, method core.Method, opts Options, mut func(*core.Config)) *core.Result {
+// trainedConfig profiles prog on itself and returns the formation
+// config for method.
+func trainedConfig(t *testing.T, prog *ir.Program, method core.Method) core.Config {
 	t.Helper()
 	ep := profile.NewEdgeProfiler(prog)
 	pp := profile.NewPathProfiler(prog, profile.PathConfig{})
@@ -23,9 +24,22 @@ func compile(t *testing.T, prog *ir.Program, method core.Method, opts Options, m
 	cfg.Method = method
 	cfg.Edge, cfg.Path = ep.Profile(), pp.Profile()
 	cfg.MinExecFreq = 2
+	return cfg
+}
+
+// compile profiles, forms, and compacts prog with the given method.
+func compile(t *testing.T, prog *ir.Program, method core.Method, opts Options, mut func(*core.Config)) *core.Result {
+	t.Helper()
+	cfg := trainedConfig(t, prog, method)
 	if mut != nil {
 		mut(&cfg)
 	}
+	return formAndCompact(t, prog, cfg, opts)
+}
+
+// formAndCompact forms prog under cfg and compacts the result.
+func formAndCompact(t *testing.T, prog *ir.Program, cfg core.Config, opts Options) *core.Result {
+	t.Helper()
 	res, err := core.Form(prog, cfg)
 	if err != nil {
 		t.Fatalf("Form: %v", err)

@@ -248,7 +248,9 @@ func BenchmarkBLProfiler(b *testing.B) {
 	})
 }
 
-// BenchmarkFormation measures the form pass alone under both methods.
+// BenchmarkFormation measures the form pass alone under both methods,
+// and the freeze that turns gcc's path automaton into the trie the
+// path-based pass queries (about 2.4M indexed sequences).
 func BenchmarkFormation(b *testing.B) {
 	bm := bench.ByName("gcc")
 	prog := bm.Build(bm.Train)
@@ -258,6 +260,11 @@ func BenchmarkFormation(b *testing.B) {
 		b.Fatal(err)
 	}
 	eprof, pprof := ep.Profile(), pp.Profile()
+	b.Run("freeze", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pp.Profile()
+		}
+	})
 	for _, method := range []core.Method{core.EdgeBased, core.PathBased} {
 		b.Run(method.String(), func(b *testing.B) {
 			cfg := core.DefaultConfig()

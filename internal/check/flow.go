@@ -8,116 +8,6 @@ import (
 	"pathsched/internal/profile"
 )
 
-// seqEnt is one indexed path-profile entry as PathFlow sweeps it:
-// hashes of the key with and without its last block, the key's first
-// eight bytes (its first block pair) and length, and its frequency.
-// Deliberately no pointer to the key itself — the snapshot of a large
-// benchmark's index runs to millions of entries, and keeping it
-// pointer-free makes it invisible to the garbage collector's mark
-// phase. The rare entry that needs its key back (a bound violation)
-// is resolved by hash in a second index sweep.
-type seqEnt struct {
-	hPrefix, hFull uint64
-	pair           uint64
-	n              int64
-	ln             int32
-}
-
-// prefixHashes returns FNV-1a hashes (with a final avalanche mix, so
-// low bits index a table well) of the key minus its last block and of
-// the whole key, folding one four-byte block-id word per multiply.
-// The fold schedule is a pure function of byte position, so the
-// prefix hash of a key equals the full hash of that prefix as its own
-// key — the identity the extension-sum accumulator relies on.
-func prefixHashes(s string) (hPrefix, hFull uint64) {
-	const offset64 = 14695981039346656037
-	const prime64 = 1099511628211
-	h := uint64(offset64)
-	for len(s) > 4 {
-		w := uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
-		h = (h ^ uint64(w)) * prime64
-		s = s[4:]
-	}
-	hPrefix = mix64(h)
-	if len(s) == 4 {
-		w := uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
-		h = (h ^ uint64(w)) * prime64
-	}
-	return hPrefix, mix64(h)
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	if h == 0 { // 0 marks an empty sumTable slot
-		h = 1
-	}
-	return h
-}
-
-// sumTable is an open-addressed hash accumulator: add groups values
-// under a 64-bit key, get reads a group's total. Slots hold the full
-// hash, so two groups merge only on a genuine 64-bit collision — and
-// merging only inflates totals, which PathFlow's exact recheck
-// filters back out. One flat array keeps a probe to about one cache
-// line, where a map[uint64]int64 of millions of entries costs several.
-type sumTable struct {
-	slots []sumSlot
-	mask  uint64
-}
-
-type sumSlot struct {
-	h uint64 // 0 = empty
-	v int64
-}
-
-// reset prepares the table for n groups, reusing the backing array
-// when it is big enough (one sweep serves every procedure of a
-// program with a single allocation sized for the largest).
-func (t *sumTable) reset(n int) {
-	sz := 16
-	for sz < 2*n {
-		sz <<= 1
-	}
-	if sz <= cap(t.slots) {
-		t.slots = t.slots[:sz]
-		clear(t.slots)
-	} else {
-		t.slots = make([]sumSlot, sz)
-	}
-	t.mask = uint64(sz - 1)
-}
-
-func (t *sumTable) add(h uint64, v int64) {
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		if s.h == h {
-			s.v += v
-			return
-		}
-		if s.h == 0 {
-			s.h, s.v = h, v
-			return
-		}
-	}
-}
-
-func (t *sumTable) get(h uint64) int64 {
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		if s.h == h {
-			return s.v
-		}
-		if s.h == 0 {
-			return 0
-		}
-	}
-}
-
 // EdgeFlow verifies Kirchhoff's law over an edge profile gathered from
 // a completed run of prog: for every block, executions equal the edge
 // traversals into it (plus procedure entries for the entry block);
@@ -187,26 +77,12 @@ func EdgeFlow(prog *ir.Program, ep *profile.EdgeProfile) []Violation {
 // suffix index gives Freq(seq) ≤ Freq(seq[i:]) by construction (every
 // window counting toward seq also counts toward its suffixes), and
 // seq[i:] is itself indexed, so its own first-pair check bounds
-// Freq(seq[i:]) by Freq(seq[i], seq[i+1]).
-//
-// The sweep itself avoids per-entry probes of the (huge, long-keyed)
-// index maps. Pair frequencies are exactly the two-block entries, so
-// one pass collects them into a table small enough to stay in cache.
-// The extension-sum bound groups every entry under its
-// all-but-last-block prefix via an open-addressed accumulator keyed
-// by full 64-bit hashes: a hash collision (a ~2^-64 event) can only
-// merge sums upward, so a clean profile can at worst produce a false
-// candidate, and every candidate is re-verified with exact probes
-// before it becomes a violation — the fast path loses no soundness
-// and no detection power. Both hashes an entry needs (its own and its
-// prefix's) fall out of one pass over its key bytes. gcc's training
-// profile (2.4M indexed sequences, 120-byte average key) checks in
-// under a second this way; per-entry string probes took several.
+// Freq(seq[i:]) by Freq(seq[i], seq[i+1]). The frozen profile hands
+// each sequence over with its extension sum already linked, so the
+// whole check is one sweep plus one two-block probe per sequence.
 func PathFlow(prog *ir.Program, pp *profile.PathProfile, ep *profile.EdgeProfile) []Violation {
 	var out []Violation
 	crossCheck := ep != nil && !pp.CrossActivation()
-	var ents []seqEnt // reused across procs
-	var acc sumTable  // likewise
 	for pid, p := range prog.Procs {
 		pid := ir.ProcID(pid)
 		if int(pid) >= pp.NumProcs() {
@@ -218,86 +94,24 @@ func PathFlow(prog *ir.Program, pp *profile.PathProfile, ep *profile.EdgeProfile
 				Msg: fmt.Sprintf(format, args...),
 			})
 		}
-		const kb = 4 // key bytes per block id
-		// One pass over the index: snapshot the entries with their
-		// hashes, and collect the two-block entries keyed by their raw
-		// bytes — the exact pair frequencies every longer entry is
-		// bounded by.
-		if n := pp.NumSeqs(pid); cap(ents) < n {
-			ents = make([]seqEnt, 0, n)
-		}
-		ents = ents[:0]
-		pairF := map[uint64]int64{}
-		pp.ForEachSeqKey(pid, func(key string, n int64) {
-			hp, hf := prefixHashes(key)
-			e := seqEnt{hPrefix: hp, hFull: hf, n: n, ln: int32(len(key))}
-			if len(key) >= 2*kb {
-				e.pair = uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
-					uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
+		pp.ForEachSeq(pid, func(seq []ir.BlockID, n, ext int64) {
+			if len(seq) >= 2 {
+				if pn := pp.Freq(pid, seq[:2]); n > pn {
+					bad(seq[0], "path %s ran %d times, but its edge %s only %d",
+						profile.FmtSeq(seq), n, profile.FmtSeq(seq[:2]), pn)
+				}
 			}
-			ents = append(ents, e)
-			if len(key) == 2*kb {
-				pairF[e.pair] = n
+			if ext > n {
+				bad(seq[0], "path %s ran %d times but its extensions sum to %d",
+					profile.FmtSeq(seq), n, ext)
+			}
+			if crossCheck && len(seq) == 2 && pp.Depth() >= 2 {
+				if en := ep.EdgeFreq(pid, seq[0], seq[1]); en != n {
+					bad(seq[0], "edge %s: path profile says %d, edge profile says %d",
+						profile.FmtSeq(seq), n, en)
+				}
 			}
 		})
-		if len(ents) == 0 {
-			continue
-		}
-		// First-pair bound (exact: pairF is keyed by raw bytes), edge
-		// agreement for the two-block entries, and child sums grouped
-		// under each entry's all-but-last-block prefix (the extensions
-		// of H are exactly the entries H+x, so acc.add(hash(H))
-		// accumulates their total). Violating entries are only known by
-		// hash here; collect them and recover their keys below.
-		acc.reset(len(ents))
-		candidates := map[uint64]bool{}
-		for _, e := range ents {
-			if e.ln < 2*kb {
-				continue
-			}
-			if e.n > pairF[e.pair] {
-				candidates[e.hFull] = true
-			}
-			acc.add(e.hPrefix, e.n)
-			if crossCheck && e.ln == 2*kb && pp.Depth() >= 2 {
-				from, to := ir.BlockID(uint32(e.pair)), ir.BlockID(uint32(e.pair>>32))
-				if en := ep.EdgeFreq(pid, from, to); en != e.n {
-					bad(from, "edge %s: path profile says %d, edge profile says %d",
-						profile.FmtSeq([]ir.BlockID{from, to}), e.n, en)
-				}
-			}
-		}
-		// Extension-sum bound. The accumulated sum is exact up to hash
-		// collisions, which can only merge groups and inflate it — so
-		// every true violation lands in candidates, and the exact
-		// recheck below discards any impostors.
-		for _, e := range ents {
-			if acc.get(e.hFull) > e.n {
-				candidates[e.hFull] = true
-			}
-		}
-		// Candidate resolution: a second index sweep maps the offending
-		// hashes back to their keys (none on a clean profile) and
-		// re-runs both bounds with exact probes.
-		if len(candidates) > 0 {
-			pp.ForEachSeqKey(pid, func(key string, n int64) {
-				if _, hf := prefixHashes(key); !candidates[hf] {
-					return
-				}
-				if len(key) >= 2*kb {
-					if pn := pp.FreqKey(pid, key[:2*kb]); n > pn {
-						seq := profile.DecodeKey(key)
-						bad(seq[0], "path %s ran %d times, but its edge %s only %d",
-							profile.FmtSeq(seq), n, profile.FmtSeq(seq[:2]), pn)
-					}
-				}
-				if succSum := pp.SuccTotalKey(pid, key); succSum > n {
-					seq := profile.DecodeKey(key)
-					bad(seq[0], "path %s ran %d times but its extensions sum to %d",
-						profile.FmtSeq(seq), n, succSum)
-				}
-			})
-		}
 		if crossCheck {
 			for _, b := range p.Blocks {
 				if pn, en := pp.BlockFreq(pid, b.ID), ep.BlockFreq(pid, b.ID); pn != en {
@@ -313,8 +127,7 @@ func PathFlow(prog *ir.Program, pp *profile.PathProfile, ep *profile.EdgeProfile
 			}
 		}
 	}
-	// ForEachSeq iterates a map; order the findings for deterministic
-	// diagnostics.
+	// Order the findings for deterministic diagnostics.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Proc != out[j].Proc {
 			return out[i].Proc < out[j].Proc

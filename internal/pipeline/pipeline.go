@@ -450,13 +450,16 @@ func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, sc
 		return nil, err
 	}
 
+	// A copy of the statistics, not a pointer into tp: the result must
+	// not keep the training profiles alive once the schemes are done.
+	profStats := tp.Stats
 	res := &Result{
 		Name:          b.Name,
 		Description:   b.Description,
 		Category:      b.Category,
 		OrigCodeBytes: testProg.CodeBytes(),
 		ByScheme:      map[Scheme]*Measurement{},
-		ProfStats:     &tp.Stats,
+		ProfStats:     &profStats,
 	}
 	for i, s := range schemes {
 		res.ByScheme[s] = ms[i]

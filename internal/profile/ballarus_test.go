@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"reflect"
 	"testing"
 
 	"pathsched/internal/interp"
@@ -119,11 +120,14 @@ func requireSameProfiles(t *testing.T, ctx string, a, b *PathProfile) {
 		if an, bn := a.NumSeqs(p), b.NumSeqs(p); an != bn {
 			t.Errorf("%s: proc %d: %d vs %d indexed sequences", ctx, pid, an, bn)
 		}
-		a.ForEachSeqKey(p, func(key string, n int64) {
-			if got := b.FreqKey(p, key); got != n {
-				t.Errorf("%s: proc %d seq %s: %d vs %d", ctx, pid, FmtSeq(DecodeKey(key)), n, got)
+		a.ForEachSeq(p, func(seq []ir.BlockID, n, _ int64) {
+			if got := b.Freq(p, seq); got != n {
+				t.Errorf("%s: proc %d seq %s: %d vs %d", ctx, pid, FmtSeq(seq), n, got)
 			}
 		})
+		if !reflect.DeepEqual(a.procs[p], b.procs[p]) {
+			t.Errorf("%s: proc %d: frozen tries differ", ctx, pid)
+		}
 		wa, da := a.Windows(p)
 		wb, db := b.Windows(p)
 		if wa != wb || da != db {

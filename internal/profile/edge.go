@@ -206,7 +206,7 @@ func (e *EdgeProfile) ForEachPred(p ir.ProcID, b ir.BlockID, fn func(from ir.Blo
 
 // listArgmax returns the id with the largest positive count (ties
 // toward the smallest id), or (NoBlock, 0) when every count is zero:
-// the same contract as the map-based argmax used for path queries.
+// the same contract as PathProfile.MostLikelyPathSuccessor.
 func listArgmax(ids []ir.BlockID, ns []int64) (ir.BlockID, int64) {
 	best, bestN := ir.NoBlock, int64(0)
 	for k, id := range ids {
@@ -257,16 +257,4 @@ func (e *EdgeProfile) BlocksByFreq(p ir.ProcID) []ir.BlockID {
 		return out[i] < out[j]
 	})
 	return out
-}
-
-// sortBlocksByCount orders ids by (count desc, id asc), the
-// deterministic seed order used everywhere in formation.
-func sortBlocksByCount(ids []ir.BlockID, count map[ir.BlockID]int64) {
-	sort.Slice(ids, func(i, j int) bool {
-		ci, cj := count[ids[i]], count[ids[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		return ids[i] < ids[j]
-	})
 }

@@ -132,7 +132,7 @@ func diffTrain(t *testing.T, name string, prog *ir.Program, cfg PathConfig) {
 	lpf := lpp.Profile()
 	for p := 0; p < tp.Path.NumProcs(); p++ {
 		pid := ir.ProcID(p)
-		if !reflect.DeepEqual(tp.Path.procs[p].freq, lpf.procs[p].freq) {
+		if !reflect.DeepEqual(tp.Path.procs[p], lpf.procs[p]) {
 			t.Fatalf("%s: proc %d: Train path index differs from legacy", name, p)
 		}
 		gw, gd := tp.Path.Windows(pid)

@@ -1,8 +1,9 @@
 package profile
 
 import (
+	"cmp"
+	"slices"
 	"sort"
-	"sync"
 
 	"pathsched/internal/interp"
 	"pathsched/internal/ir"
@@ -81,8 +82,8 @@ type procPaths struct {
 	rootsM  map[ir.BlockID]*pathNode // fallback mode
 	intern  map[uint64][]*pathNode   // seqHash → bucket
 	// nodesList holds every interned node in creation order; freezing
-	// and serialization sort it by seqKey to preserve the exact
-	// iteration order of the historical string-keyed intern table.
+	// reads it in any order, and serialization sorts it by seqKey to
+	// keep the historical string-keyed intern table's byte order.
 	nodesList []*pathNode
 	nodes     int // total distinct nodes, for overhead statistics
 }
@@ -365,8 +366,8 @@ func (pp *PathProfiler) extend(st *procPaths, cur *pathNode, b ir.BlockID) []ir.
 // internNode returns the unique node for the given window, creating it
 // on first sight. The table is keyed by a 64-bit FNV-1a hash of the
 // sequence with exact comparison inside the bucket — node creation no
-// longer materializes a key string; seqKey strings are regenerated
-// only when freezing or serializing (see sortedNodes).
+// longer materializes a key string; seqKey strings are built only when
+// serializing (see sortedNodes).
 func (st *procPaths) internNode(seq []ir.BlockID) *pathNode {
 	h := seqHash(seq)
 	for _, nd := range st.intern[h] {
@@ -410,7 +411,7 @@ func seqEqual(a, b []ir.BlockID) bool {
 }
 
 // keyedNode pairs an interned node with its seqKey string for
-// freeze-time sorting.
+// serialization order.
 type keyedNode struct {
 	key string
 	nd  *pathNode
@@ -418,8 +419,8 @@ type keyedNode struct {
 
 // sortedNodes returns every interned node with its seqKey, sorted by
 // key — exactly the iteration order the historical string-keyed intern
-// table gave Profile and WriteText, preserved so frozen profiles and
-// serialized bytes are unchanged by the hashed intern table.
+// table gave WriteText, preserved so serialized bytes are unchanged by
+// the hashed intern table.
 func (st *procPaths) sortedNodes() []keyedNode {
 	out := make([]keyedNode, len(st.nodesList))
 	for i, nd := range st.nodesList {
@@ -464,89 +465,20 @@ func (pp *PathProfiler) BatchStats() (batches, records int64) {
 	return pp.batches, pp.batchRecs
 }
 
-// Profile freezes the gathered data into a queryable PathProfile,
-// building the per-procedure suffix index: every recorded window
-// contributes its count to each of its suffixes, so Freq answers exact
-// dynamic occurrence counts for any sequence within the profiled depth.
+// Profile freezes the gathered windows into a queryable PathProfile
+// (see trie.go): every recorded window contributes its count to each of
+// its suffixes, so Freq answers exact dynamic occurrence counts for any
+// sequence within the profiled depth.
 func (pp *PathProfiler) Profile() *PathProfile {
 	out := &PathProfile{cfg: pp.cfg, procs: make([]*procPathIndex, len(pp.procs))}
 	for i, st := range pp.procs {
-		// Presize the suffix index: counted nodes contribute one freq
-		// entry per suffix (suffixes of distinct windows collide, so
-		// this is an upper bound that avoids growth rehashing).
-		var nsuf int
+		tb := &trieBuilder{condBr: st.condBr}
 		for _, nd := range st.nodesList {
-			if nd.count != 0 {
-				nsuf += len(nd.seq)
-			}
+			tb.add(nd.seq, nd.count)
 		}
-		idx := &procPathIndex{
-			condBr: st.condBr,
-			freq:   make(map[string]int64, nsuf),
-		}
-		// A suffix's key is a substring of the whole window's key (4
-		// fixed bytes per block), so each node's key is built once and
-		// sliced — freezing allocates no per-suffix key strings. Node
-		// order doesn't matter: the index is a pair of maps whose final
-		// contents are order-independent sums.
-		for _, n := range st.nodesList {
-			if n.count == 0 {
-				continue
-			}
-			key := seqKey(n.seq)
-			for s := 0; s < len(key); s += 4 {
-				idx.freq[key[s:]] += n.count
-			}
-			idx.windows += n.count
-			idx.distinct++
-		}
-		out.procs[i] = idx
+		out.procs[i] = tb.freeze()
 	}
 	return out
-}
-
-// procPathIndex is the frozen per-procedure query structure. succs is
-// derived lazily from freq on the first successor query (succIndex):
-// training runs freeze profiles they may never ask successor queries
-// of, and the derivation is pure, so deferring it keeps the profiling
-// phase lean without changing any query result.
-type procPathIndex struct {
-	condBr   []bool
-	freq     map[string]int64
-	succOnce sync.Once
-	succs    map[string]map[ir.BlockID]int64
-	windows  int64 // total windows recorded (= dynamic blocks observed)
-	distinct int   // distinct windows
-}
-
-// succIndex builds (once) and returns the successor index: for each
-// sequence head, the frequency of every observed one-block extension.
-// It is fully determined by freq — every indexed sequence of length
-// ≥ 2 extends its own head by its own last block with exactly its own
-// frequency — so the build touches each distinct suffix once. The
-// sync.Once keeps frozen profiles safe for concurrent queries (the
-// parallel pipeline shares them across goroutines).
-func (idx *procPathIndex) succIndex() map[string]map[ir.BlockID]int64 {
-	idx.succOnce.Do(func() {
-		succs := make(map[string]map[ir.BlockID]int64, len(idx.freq))
-		// Map-to-map += accumulation: any visit order builds the same index.
-		for k, n := range idx.freq { //lint:ordered
-			if len(k) < 8 {
-				continue
-			}
-			hk := k[:len(k)-4]
-			last := ir.BlockID(uint32(k[len(k)-4]) | uint32(k[len(k)-3])<<8 |
-				uint32(k[len(k)-2])<<16 | uint32(k[len(k)-1])<<24)
-			sm := succs[hk]
-			if sm == nil {
-				sm = map[ir.BlockID]int64{}
-				succs[hk] = sm
-			}
-			sm[last] = n
-		}
-		idx.succs = succs
-	})
-	return idx.succs
 }
 
 // PathProfile answers exact path-frequency queries (paper §2.2). A
@@ -577,60 +509,52 @@ func (pf *PathProfile) CrossActivation() bool { return pf.cfg.CrossActivation }
 func (pf *PathProfile) NumProcs() int { return len(pf.procs) }
 
 // ForEachSeq calls fn for every indexed block sequence of procedure p
-// with its exact occurrence count, in unspecified order. The slice
-// passed to fn is freshly allocated per call and may be retained.
-func (pf *PathProfile) ForEachSeq(p ir.ProcID, fn func(seq []ir.BlockID, n int64)) {
+// with its exact occurrence count n and the summed count ext of its
+// observed one-block extensions, in a fixed order. seq is only valid
+// during the call. Bulk consumers (the profile-consistency checker
+// sweeps every indexed sequence of every procedure) use this instead of
+// one query per sequence.
+func (pf *PathProfile) ForEachSeq(p ir.ProcID, fn func(seq []ir.BlockID, n, ext int64)) {
 	if int(p) >= len(pf.procs) {
 		return
 	}
-	for k, n := range pf.procs[p].freq { //lint:ordered — unordered sweep is the documented contract
-		fn(decodeSeqKey(k), n)
-	}
-}
-
-// ForEachSeqKey is ForEachSeq over the raw interned keys: no decoding,
-// no per-call allocation. A key encodes its sequence as 4 bytes per
-// block, so key[i*4:(i+2)*4] is the key of the i-th adjacent pair and
-// FreqKey answers subsequence queries with zero-allocation substrings.
-// Bulk consumers (the profile-consistency checker sweeps every indexed
-// sequence of every procedure) need this; everything else should stay
-// on the decoded API.
-func (pf *PathProfile) ForEachSeqKey(p ir.ProcID, fn func(key string, n int64)) {
-	if int(p) >= len(pf.procs) {
-		return
-	}
-	for k, n := range pf.procs[p].freq { //lint:ordered — unordered sweep is the documented contract
-		fn(k, n)
+	idx := pf.procs[p]
+	// Depth-first from the root: a node's sequence is its label followed
+	// by its parent's, so writing labels right to left into buf keeps the
+	// current sequence at buf[len(buf)-depth:]. A zero-count node is a
+	// bare head, and so is everything below it.
+	buf := make([]ir.BlockID, idx.maxLen)
+	type frame struct{ node, depth int32 }
+	stack := []frame{{0, 0}}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if idx.count[f.node] == 0 {
+			continue
+		}
+		if f.node != 0 {
+			seq := buf[len(buf)-int(f.depth):]
+			seq[0] = idx.label[f.node]
+			var ext int64
+			for j := idx.succ[f.node]; j < idx.succ[f.node+1]; j++ {
+				ext += idx.count[idx.succNode[j]]
+			}
+			fn(seq, idx.count[f.node], ext)
+		}
+		for k := idx.kids[f.node+1] - 1; k >= idx.kids[f.node]; k-- {
+			stack = append(stack, frame{k, f.depth + 1})
+		}
 	}
 }
 
 // NumSeqs returns the number of distinct indexed sequences of
-// procedure p — the number of calls a ForEachSeqKey sweep will make.
+// procedure p — the number of calls a ForEachSeq sweep will make.
 func (pf *PathProfile) NumSeqs(p ir.ProcID) int {
 	if int(p) >= len(pf.procs) {
 		return 0
 	}
-	return len(pf.procs[p].freq)
+	return pf.procs[p].seqs
 }
-
-// FreqKey is Freq for a raw key (see ForEachSeqKey).
-func (pf *PathProfile) FreqKey(p ir.ProcID, key string) int64 {
-	return pf.procs[p].freq[key]
-}
-
-// SuccTotalKey returns the summed frequency of all one-block
-// extensions of the sequence encoded by key.
-func (pf *PathProfile) SuccTotalKey(p ir.ProcID, key string) int64 {
-	var total int64
-	for _, n := range pf.procs[p].succIndex()[key] { //lint:ordered — commutative sum
-		total += n
-	}
-	return total
-}
-
-// DecodeKey decodes a raw key (see ForEachSeqKey) back into its block
-// sequence.
-func DecodeKey(key string) []ir.BlockID { return decodeSeqKey(key) }
 
 // Freq returns the exact number of times the contiguous block sequence
 // seq executed in procedure p, provided seq fits within the profiling
@@ -640,7 +564,11 @@ func (pf *PathProfile) Freq(p ir.ProcID, seq []ir.BlockID) int64 {
 	if len(seq) == 0 {
 		return 0
 	}
-	return pf.procs[p].freq[seqKey(seq)]
+	idx := pf.procs[p]
+	if i := idx.find(seq); i > 0 {
+		return idx.count[i]
+	}
+	return 0
 }
 
 // BlockFreq returns the execution count of a single block.
@@ -659,7 +587,16 @@ func (pf *PathProfile) EdgeFreq(p ir.ProcID, from, to ir.BlockID) int64 {
 // after seq, the count of seq·s. The caller must pass a sequence
 // already within depth.
 func (pf *PathProfile) SuccFreqs(p ir.ProcID, seq []ir.BlockID) map[ir.BlockID]int64 {
-	return pf.procs[p].succIndex()[seqKey(seq)]
+	idx := pf.procs[p]
+	i := idx.find(seq)
+	if i < 0 || idx.succ[i] == idx.succ[i+1] {
+		return nil
+	}
+	out := make(map[ir.BlockID]int64, idx.succ[i+1]-idx.succ[i])
+	for j := idx.succ[i]; j < idx.succ[i+1]; j++ {
+		out[idx.succBlock[j]] = idx.count[idx.succNode[j]]
+	}
+	return out
 }
 
 // MostLikelyPathSuccessor implements the paper's Figure 2 primitive:
@@ -667,7 +604,17 @@ func (pf *PathProfile) SuccFreqs(p ir.ProcID, seq []ir.BlockID) map[ir.BlockID]i
 // Returns (NoBlock, 0) when seq was never extended. Ties break toward
 // the smallest block id for determinism.
 func (pf *PathProfile) MostLikelyPathSuccessor(p ir.ProcID, seq []ir.BlockID) (ir.BlockID, int64) {
-	return argmax(pf.SuccFreqs(p, seq))
+	idx := pf.procs[p]
+	best, bestN := ir.NoBlock, int64(0)
+	if i := idx.find(seq); i >= 0 {
+		// Successor lists are sorted by block, so the first maximum wins.
+		for j := idx.succ[i]; j < idx.succ[i+1]; j++ {
+			if n := idx.count[idx.succNode[j]]; n > bestN {
+				best, bestN = idx.succBlock[j], n
+			}
+		}
+	}
+	return best, bestN
 }
 
 // TrimToDepth returns the longest suffix of seq whose conditional
@@ -704,19 +651,21 @@ func (pf *PathProfile) Windows(p ir.ProcID) (int64, int) {
 }
 
 // BlocksByFreq returns p's executed blocks in decreasing frequency
-// order, the seed order for path-based trace selection.
+// order (ties toward smaller ids), the seed order for path-based trace
+// selection: the root's children are exactly the executed blocks.
 func (pf *PathProfile) BlocksByFreq(p ir.ProcID) []ir.BlockID {
 	idx := pf.procs[p]
-	count := map[ir.BlockID]int64{}
-	for b := range idx.condBr {
-		if f := pf.BlockFreq(p, ir.BlockID(b)); f > 0 {
-			count[ir.BlockID(b)] = f
+	var kids []int32
+	for k := idx.kids[0]; k < idx.kids[1]; k++ {
+		if idx.count[k] != 0 {
+			kids = append(kids, k)
 		}
 	}
-	out := make([]ir.BlockID, 0, len(count))
-	for b := range count {
-		out = append(out, b)
+	// Children are sorted by block, so a stable sort keeps ties in id order.
+	slices.SortStableFunc(kids, func(a, b int32) int { return cmp.Compare(idx.count[b], idx.count[a]) })
+	out := make([]ir.BlockID, len(kids))
+	for i, k := range kids {
+		out[i] = idx.label[k]
 	}
-	sortBlocksByCount(out, count)
 	return out
 }

@@ -21,7 +21,7 @@ import (
 //	edge b<i>->b<j>: <count>
 //
 // Path profiles serialize the distinct windows the profiler recorded
-// (not the derived suffix index, which is reconstructed on load):
+// (not the derived suffix trie, which is rebuilt on load):
 //
 //	pathprofile depth=<d> maxblocks=<m> [crossact=1]
 //	proc <id>

@@ -14,7 +14,8 @@ package pathsched
 //	BenchmarkMissRates  — I-cache miss rates (the §4 gcc/go discussion)
 //
 // Component benchmarks at the bottom measure the infrastructure
-// itself (profiling overhead, formation, compaction, interpretation).
+// itself (profiling overhead, formation, compaction); the interpreter's
+// dispatch benchmark, BenchmarkInterpDispatch, lives in internal/interp.
 
 import (
 	"testing"
@@ -304,56 +305,6 @@ func BenchmarkCompaction(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpDispatch races the two dispatch engines on the
-// no-observer fast path (a measurement run): the preserved seed engine
-// (reference, per-instruction switch over ir.Instr) against the
-// pre-decoded threaded-code engine behind interp.Run (decoded), on
-// both an unscheduled build and a scheduled P4 binary of the same
-// benchmark. The decoded/reference Minstr/s ratio is the speedup the
-// decode buys; cmd/bench reports decoded throughput end to end as
-// interp.minstr_per_s.
-func BenchmarkInterpDispatch(b *testing.B) {
-	bm := bench.ByName("wc")
-	unsched := bm.Build(bm.Train)
-	profs, err := ProfileProgram(bm.Build(bm.Train))
-	if err != nil {
-		b.Fatal(err)
-	}
-	scheduled, err := Compile(bm.Build(bm.Train), profs, SchemeP4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engines := []struct {
-		name string
-		run  func(*Program, interp.Config) (*interp.Result, error)
-	}{
-		{"reference", interp.ReferenceRun},
-		{"decoded", interp.Run},
-	}
-	progs := []struct {
-		name string
-		prog *Program
-	}{
-		{"unscheduled", unsched},
-		{"scheduled", scheduled},
-	}
-	for _, p := range progs {
-		for _, e := range engines {
-			b.Run(p.name+"/"+e.name, func(b *testing.B) {
-				var instrs int64
-				for i := 0; i < b.N; i++ {
-					res, err := e.run(p.prog, interp.Config{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					instrs = res.DynInstrs
-				}
-				b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-			})
-		}
-	}
-}
-
 // event is one captured observer callback, for profiler replay.
 type event struct {
 	kind byte // 0 enter, 1 exit, 2 edge, 3 block
@@ -431,7 +382,6 @@ func BenchmarkProfilerHotPath(b *testing.B) {
 			replay(profile.Multi{
 				profile.NewEdgeProfiler(prog),
 				profile.NewPathProfiler(prog, profile.PathConfig{}),
-				profile.NewCallGraphProfiler(),
 			})
 		}
 		b.ReportMetric(float64(len(rec.events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")

@@ -1,13 +1,13 @@
 // Command determinismlint guards the pipeline's reproducibility
 // guarantee: it flags every map-range iteration in the packages whose
-// output must be byte-deterministic (scheduling, formation, pipeline
-// orchestration, profiling), unless the loop is an order-insensitive
-// key collection or carries a //lint:ordered annotation. CI runs it on
-// every push; see internal/lint/determinism for the rules.
+// output must be byte-deterministic (determinism.Packages), unless the
+// loop is an order-insensitive key collection or carries a
+// //lint:ordered annotation. CI runs it on every push; see
+// internal/lint/determinism for the rules.
 //
 // Usage:
 //
-//	determinismlint              # lint the default deterministic set
+//	determinismlint              # lint determinism.Packages
 //	determinismlint internal/ir  # lint specific packages
 package main
 
@@ -20,22 +20,11 @@ import (
 	"pathsched/internal/lint/determinism"
 )
 
-// deterministicPkgs is the default target set: every package a compile
-// or a profile flows through. Packages that only render reports
-// (stats, cmd) may iterate maps as they please — their output is
-// sorted at the rendering layer and pinned by golden tests.
-var deterministicPkgs = []string{
-	"internal/sched",
-	"internal/core",
-	"internal/pipeline",
-	"internal/profile",
-}
-
 func main() {
 	flag.Parse()
 	pkgs := flag.Args()
 	if len(pkgs) == 0 {
-		pkgs = deterministicPkgs
+		pkgs = determinism.Packages
 	}
 	root, err := moduleRoot()
 	if err != nil {

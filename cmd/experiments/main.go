@@ -295,9 +295,8 @@ func printCompileStats(cs pipeline.CompileStats) {
 }
 
 // printProfStats reports how each benchmark's training run executed:
-// which fast paths were active (counter-fused edge/call reconstruction,
-// batched path-profiler delivery), the batch flush statistics, and per
-// procedure the path automaton's node count and successor-table mode.
+// the profiling scheme, the batch flush statistics, and per procedure
+// the path automaton's node count and successor-table mode.
 func printProfStats(results []*pipeline.Result) {
 	fmt.Println("# training-run profiling statistics")
 	for _, r := range results {
@@ -306,25 +305,13 @@ func printProfStats(results []*pipeline.Result) {
 			fmt.Printf("\n%s: no training statistics (cached result)\n", r.Name)
 			continue
 		}
-		mode := "legacy per-event observers"
-		if ps.Fused {
-			mode = "counter-fused edge/call reconstruction"
+		fmt.Printf("\n%s: scheme=%s\n", r.Name, ps.Scheme)
+		rec := float64(0)
+		if ps.Batches > 0 {
+			rec = float64(ps.Records) / float64(ps.Batches)
 		}
-		scheme := ps.Scheme
-		if scheme == "" {
-			scheme = "window"
-		}
-		fmt.Printf("\n%s: scheme=%s, %s\n", r.Name, scheme, mode)
-		if ps.Batched {
-			rec := float64(0)
-			if ps.Batches > 0 {
-				rec = float64(ps.Records) / float64(ps.Batches)
-			}
-			fmt.Printf("  path batches: %d flushes, %d records (%.1f records/flush)\n",
-				ps.Batches, ps.Records, rec)
-		} else {
-			fmt.Printf("  path batches: none (per-event delivery)\n")
-		}
+		fmt.Printf("  path batches: %d flushes, %d records (%.1f records/flush)\n",
+			ps.Batches, ps.Records, rec)
 		var nodes int
 		for _, a := range ps.Automaton {
 			nodes += a.Nodes

@@ -92,11 +92,10 @@ func dotCmd(args []string) {
 	}
 	var weight func(from, to ir.BlockID) int64
 	if *weights {
-		ep := profile.NewEdgeProfiler(prog)
-		if _, err := interp.Run(prog, interp.Config{Observer: ep}); err != nil {
+		e, _, err := profile.PointProfiles(prog)
+		if err != nil {
 			fatal(err)
 		}
-		e := ep.Profile()
 		weight = func(from, to ir.BlockID) int64 { return e.EdgeFreq(p.ID, from, to) }
 	}
 	fmt.Print(ir.WriteDot(p, weight))
@@ -410,11 +409,11 @@ func compileCmd(args []string) {
 	if profs.Edge == nil {
 		// Layout weights and edge-based schemes need an edge profile;
 		// derive one by running the program if absent.
-		ep := profile.NewEdgeProfiler(prog)
-		if _, err := interp.Run(prog, interp.Config{Observer: ep}); err != nil {
+		e, _, err := profile.PointProfiles(prog)
+		if err != nil {
 			fatal(err)
 		}
-		profs.Edge = ep.Profile()
+		profs.Edge = e
 	}
 	bin, err := root.Compile(prog, profs, root.Scheme(*scheme))
 	if err != nil {

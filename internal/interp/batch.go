@@ -4,16 +4,15 @@ import "pathsched/internal/ir"
 
 // batchCap is the batch buffer size: 1024 records = 8KB, small enough
 // to stay cache-resident, large enough that the per-record flush
-// amortizes to noise. Both engines use the same capacity and the same
-// flush points so their batch streams are identical call for call.
+// amortizes to noise.
 const batchCap = 1024
 
-// batcher accumulates edge records for a BatchObserver. The decoded
-// engine appends to buf inline in its transfer tail (see exec.go) and
-// calls flush at activation boundaries; the reference engine reuses
-// the same struct as a per-event Observer adapter (the methods below),
-// which produces the exact same sequence of BeginProc/EdgeBatch/
-// EndProc calls for the same event stream.
+// batcher accumulates edge records for a BatchObserver. The engine
+// appends to buf inline in its transfer tail (see exec.go) and calls
+// flush at activation boundaries. The test oracle (reference_test.go)
+// drives the same struct as a per-event Observer adapter, so both
+// produce the same sequence of BeginProc/EdgeBatch/EndProc calls,
+// flush boundaries included, for the same event stream.
 type batcher struct {
 	bo   BatchObserver
 	proc ir.ProcID // proc of the buffered records (set on every append)
@@ -29,28 +28,3 @@ func (b *batcher) flush() {
 		b.n = 0
 	}
 }
-
-// Observer adaptation for the reference engine: Block events are
-// dropped (they are implied — see the BatchObserver contract), Edge
-// events append, Enter/Exit flush and forward.
-
-func (b *batcher) EnterProc(p ir.ProcID, entry ir.BlockID) {
-	b.flush()
-	b.bo.BeginProc(p, entry)
-}
-
-func (b *batcher) ExitProc(p ir.ProcID) {
-	b.flush()
-	b.bo.EndProc(p)
-}
-
-func (b *batcher) Edge(p ir.ProcID, from, to ir.BlockID) {
-	b.proc = p
-	b.buf[b.n] = EdgeRec{From: from, To: to}
-	if b.n++; b.n == batchCap {
-		b.bo.EdgeBatch(p, b.buf[:batchCap])
-		b.n = 0
-	}
-}
-
-func (b *batcher) Block(p ir.ProcID, blk ir.BlockID) {}

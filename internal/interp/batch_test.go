@@ -10,9 +10,9 @@ import (
 
 // This file gates the batched-observer seam (Config.Batch) and the
 // counted-run fast path (RunCounted) against the per-event baseline:
-// both engines must deliver byte-identical batch streams — including
-// flush boundaries — and a batch stream flattened back to per-event
-// form must equal the legacy Observer stream of the same run.
+// the engine and the oracle must deliver byte-identical batch streams —
+// including flush boundaries — and a batch stream flattened back to
+// per-event form must equal the legacy Observer stream of the same run.
 
 // batchLog records BatchObserver callbacks. EdgeBatch copies the
 // delivered records: the engine reuses its ring buffer across flushes,
@@ -63,14 +63,14 @@ func (l *batchLog) flatten() eventLog {
 	return out
 }
 
-// diffBatch runs prog under both engines with a batch observer and
-// fails on any divergence: error outcome, Result, the batch streams
-// themselves (flush boundaries included), and the flattened stream
-// against a legacy per-event observer run.
+// diffBatch runs prog on the engine and the oracle with a batch
+// observer and fails on any divergence: error outcome, Result, the
+// batch streams themselves (flush boundaries included), and the
+// flattened stream against a legacy per-event observer run.
 func diffBatch(t *testing.T, name string, prog *ir.Program) {
 	t.Helper()
 	var refB, decB batchLog
-	refRes, refErr := ReferenceRun(prog, Config{Batch: &refB})
+	refRes, refErr := referenceRun(prog, Config{Batch: &refB})
 	decRes, decErr := Run(prog, Config{Batch: &decB})
 	if (refErr == nil) != (decErr == nil) {
 		t.Fatalf("%s: reference err = %v, decoded err = %v", name, refErr, decErr)
@@ -111,7 +111,7 @@ func TestBatchMatchesReferenceHandCases(t *testing.T) {
 		{"switchFallthroughDefault", switchFallthroughProg(9)},
 		{"callFallthrough", callFallthroughProg()},
 		{"narrowTwin", wideTwin(1)},
-		{"wideTwin", wideTwin(297)}, // reference fallback path
+		{"wideTwin", wideTwin(297)}, // register numbers past 255
 	}
 	for _, tc := range cases {
 		diffBatch(t, tc.name, tc.prog)
@@ -149,17 +149,16 @@ func TestObserverAndBatchExclusive(t *testing.T) {
 	if _, err := Run(prog, cfg); !errors.Is(err, errObserverAndBatch) {
 		t.Fatalf("Run with Observer and Batch: err = %v, want %v", err, errObserverAndBatch)
 	}
-	if _, err := ReferenceRun(prog, cfg); !errors.Is(err, errObserverAndBatch) {
-		t.Fatalf("ReferenceRun with Observer and Batch: err = %v, want %v", err, errObserverAndBatch)
+	if _, err := referenceRun(prog, cfg); !errors.Is(err, errObserverAndBatch) {
+		t.Fatalf("referenceRun with Observer and Batch: err = %v, want %v", err, errObserverAndBatch)
 	}
 }
 
-// TestObserverKeepsDecodedEngine is the fallback regression gate:
-// attaching an observer — batched or legacy — must never route a
-// ≤256-register program to the reference engine. The engine's fallback
-// flag is its only routing condition, and RunCounted (which refuses to
-// run on a fallback engine) must succeed with a batch observer
-// attached.
+// TestObserverKeepsDecodedEngine pins that hooks never change how a
+// program executes: with a per-event observer, a batch observer, or a
+// counted batch run attached, every program — register numbers past
+// 255 included — runs on its one memoized decode and returns the bare
+// run's Result.
 func TestObserverKeepsDecodedEngine(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -168,13 +167,32 @@ func TestObserverKeepsDecodedEngine(t *testing.T) {
 		{"sumLoop", sumLoop(100)},
 		{"callFallthrough", callFallthroughProg()},
 		{"narrowTwin", wideTwin(1)},
+		{"wideTwin", wideTwin(297)},
 	} {
 		e := EngineFor(tc.prog)
-		if e.Fallback() {
-			t.Fatalf("%s: decoded engine reports fallback for a narrow program", tc.name)
+		want, err := e.Run(Config{})
+		if err != nil {
+			t.Fatalf("%s: bare run: %v", tc.name, err)
 		}
-		if _, _, err := e.RunCounted(Config{Batch: &batchLog{}}); err != nil {
+		observed, err := Run(tc.prog, Config{Observer: &eventLog{}})
+		if err != nil {
+			t.Fatalf("%s: observed run: %v", tc.name, err)
+		}
+		batched, err := Run(tc.prog, Config{Batch: &batchLog{}})
+		if err != nil {
+			t.Fatalf("%s: batched run: %v", tc.name, err)
+		}
+		counted, _, err := e.RunCounted(Config{Batch: &batchLog{}})
+		if err != nil {
 			t.Fatalf("%s: counted run with batch observer: %v", tc.name, err)
+		}
+		for _, got := range []*Result{observed, batched, counted} {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: hooked run %+v differs from bare run %+v", tc.name, got, want)
+			}
+		}
+		if EngineFor(tc.prog) != e {
+			t.Fatalf("%s: hooked runs must share the memoized decode", tc.name)
 		}
 	}
 }
@@ -217,7 +235,7 @@ func TestRunCountedRejections(t *testing.T) {
 	if _, _, err := EngineFor(sumLoop(5)).RunCounted(Config{Observer: &eventLog{}}); !errors.Is(err, errCountedObserver) {
 		t.Fatalf("counted run with Observer: err = %v, want %v", err, errCountedObserver)
 	}
-	if _, _, err := EngineFor(wideTwin(297)).RunCounted(Config{}); !errors.Is(err, errCountedFallback) {
-		t.Fatalf("counted run on fallback engine: err = %v, want %v", err, errCountedFallback)
+	if _, _, err := EngineFor(manyRegs(300)).RunCounted(Config{Batch: &batchLog{}}); !errors.Is(err, ErrTooManyRegisters) {
+		t.Fatalf("counted run on an undecodable program: err = %v, want %v", err, ErrTooManyRegisters)
 	}
 }

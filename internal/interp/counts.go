@@ -37,15 +37,8 @@ import (
 
 var (
 	errObserverAndBatch = errors.New("interp: Config.Observer and Config.Batch are mutually exclusive")
-	errCountedFallback  = errors.New("interp: counted run needs the decoded engine (wide-register fallback active)")
 	errCountedObserver  = errors.New("interp: counted run cannot carry a per-event Observer (use Config.Batch)")
 )
-
-// Fallback reports whether this engine routes runs to the reference
-// engine (some procedure needs more than 256 registers). Callers use
-// it to gate fast paths that exist only in the decoded engine, like
-// RunCounted.
-func (e *Engine) Fallback() bool { return e.fallback }
 
 // EdgeCounts is the control-flow side of a counted run (RunCounted):
 // dense per-exit visit counters plus the live multi-destination rows,

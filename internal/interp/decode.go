@@ -1,6 +1,9 @@
 package interp
 
 import (
+	"errors"
+	"fmt"
+
 	"pathsched/internal/ir"
 )
 
@@ -21,8 +24,9 @@ import (
 //     exit record per code index, so the hot loop touches no counters;
 //   - call argument registers, call descriptors and switch jump tables
 //     are flattened into per-procedure pools;
-//   - the register-frame size (MaxReg+1, an O(proc) scan the seed
-//     engine performed on every activation) is computed once.
+//   - registers are renumbered into dense frame slots (frameSlots), so
+//     an activation zeroes only the slots its procedure names instead
+//     of the seed engine's MaxReg+1 ≥ 128 registers.
 //
 // The execution half lives in exec.go.
 
@@ -208,11 +212,10 @@ var fusedBr = [dCmpGEIBr + 1]dop{
 
 // dinstr is one decoded instruction: 16 bytes, four to a cache line,
 // no pointers into the ir.Instr it came from. Register operands are
-// narrowed to uint8 so the executor can index its fixed *[256]int64
-// frame without bounds checks (a uint8 cannot reach 256); procedures
-// with wider register files fall back to the reference engine (see
-// NewEngine). ALU/memory ops use imm as the literal operand; control
-// ops overload it:
+// frame slots (see frameSlots), narrowed to uint8 so the executor can
+// index its fixed *[256]int64 frame without bounds checks (a uint8
+// cannot reach 256). ALU/memory ops use imm as the literal operand;
+// control ops overload it:
 //
 //	dBr        imm = taken index (low 32) | not-taken index (high 32)
 //	dBrTakenFT imm = not-taken block index
@@ -277,7 +280,7 @@ type dproc struct {
 	id       ir.ProcID
 	name     string
 	missing  bool // Procs slot was nil; calling it errors like the reference
-	frameLen int  // MaxReg()+1, computed once instead of per activation
+	frameLen int  // frame slots the procedure's registers occupy (≥ 8)
 	entry    int32
 	blocks   []dblock
 	code     []dinstr
@@ -308,11 +311,6 @@ type dproc struct {
 	exitTarget   []int32
 	multiIdx     []int32
 	multiTargets [][]int32
-
-	// wide is set when any register operand falls outside [0, 255] —
-	// unrepresentable in dinstr's uint8 fields — and routes the whole
-	// program to the reference engine (Engine.fallback).
-	wide bool
 }
 
 // Engine is a program decoded for execution. It is immutable after
@@ -322,22 +320,17 @@ type Engine struct {
 	prog  *ir.Program
 	procs []dproc
 
-	// fallback routes Run to ReferenceRun: some procedure needs more
-	// than the 256 registers the decoded frame carries. Register
-	// pressure that high never survives the scheduler, so this path
-	// exists for IR-level robustness, not performance.
-	fallback bool
+	// err is the decode error every run returns: the first procedure
+	// that cannot be decoded (see ErrTooManyRegisters).
+	err error
 }
 
 // NewEngine decodes prog. The program is read, never mutated.
 func NewEngine(prog *ir.Program) *Engine {
 	e := &Engine{prog: prog, procs: make([]dproc, len(prog.Procs))}
 	for i, p := range prog.Procs {
-		decodeProc(&e.procs[i], p)
-	}
-	for i := range e.procs {
-		if e.procs[i].wide || e.procs[i].frameLen > 256 {
-			e.fallback = true
+		if err := decodeProc(&e.procs[i], p); err != nil && e.err == nil {
+			e.err = err
 		}
 	}
 	// Callee validation pass: calls to out-of-range or missing procs
@@ -412,13 +405,44 @@ func (e *Engine) matches(prog *ir.Program) bool {
 	return true
 }
 
-func decodeProc(d *dproc, p *ir.Proc) {
+// ErrTooManyRegisters is the decode error of a procedure that names
+// more registers than the decoded frame's 256 slots. Run and
+// RunCounted return it wrapped with the procedure and its count.
+var ErrTooManyRegisters = errors.New("interp: procedure names more than 256 registers")
+
+// frameSlots assigns one procedure's registers dense frame slots: r0–r7
+// (the return and argument registers the call protocol writes) keep
+// slots 0–7, and every other register takes the next free slot the
+// first time decode meets it. A procedure therefore counts as naming
+// r0–r7 plus each other register it mentions.
+type frameSlots struct {
+	of map[ir.Reg]int
+	n  int
+}
+
+func (s *frameSlots) slot(r ir.Reg) uint8 {
+	if r >= 0 && r <= ir.MaxArgs {
+		return uint8(r)
+	}
+	k, ok := s.of[r]
+	if !ok {
+		k = s.n
+		s.of[r] = k
+		s.n++
+	}
+	// Past slot 255 the value wraps, but decodeProc then fails the
+	// procedure, so no run ever executes it.
+	return uint8(k)
+}
+
+func decodeProc(d *dproc, p *ir.Proc) error {
 	if p == nil {
 		d.missing = true
-		return
+		return nil
 	}
 	d.id, d.name = p.ID, p.Name
-	d.frameLen = int(p.MaxReg()) + 1
+	regs := &frameSlots{of: map[ir.Reg]int{}, n: ir.MaxArgs + 1}
+	var err error
 	if len(p.Blocks) > 0 {
 		d.entry = int32(p.Blocks[0].ID)
 	}
@@ -452,8 +476,13 @@ func decodeProc(d *dproc, p *ir.Proc) {
 				branches++
 			case ir.OpCall:
 				calls++
+				// Arguments land in the callee's slots 1–7, which are
+				// r1–r7 only; the verifier rejects longer lists too.
+				if n := len(b.Instrs[i].Args); n > ir.MaxArgs && err == nil {
+					err = fmt.Errorf("interp: %s/b%d: call passes %d arguments, max %d", p.Name, b.ID, n, ir.MaxArgs)
+				}
 			}
-			d.code = append(d.code, d.decodeInstr(&b.Instrs[i]))
+			d.code = append(d.code, d.decodeInstr(&b.Instrs[i], regs))
 			d.exits = append(d.exits, dexit{
 				cycles:   exitCyclesFor(b, i),
 				n:        int32(i + 1),
@@ -614,6 +643,11 @@ func decodeProc(d *dproc, p *ir.Proc) {
 		d.exitTarget = append(d.exitTarget, exitNone)
 		d.multiIdx = append(d.multiIdx, -1)
 	}
+	d.frameLen = regs.n
+	if regs.n > 256 {
+		return fmt.Errorf("%w: %s names %d", ErrTooManyRegisters, p.Name, regs.n)
+	}
+	return err
 }
 
 // exitNone marks a code slot that never produces a CFG edge (or whose
@@ -727,18 +761,8 @@ var aluMap = func() map[ir.Opcode]dop {
 	return m
 }()
 
-// reg narrows a register operand to dinstr's uint8 field, flagging the
-// procedure for reference-engine fallback if it does not fit.
-func (d *dproc) reg(r ir.Reg) uint8 {
-	if r < 0 || r > 255 {
-		d.wide = true
-		return 0
-	}
-	return uint8(r)
-}
-
-func (d *dproc) decodeInstr(ins *ir.Instr) dinstr {
-	out := dinstr{dst: d.reg(ins.Dst), src1: d.reg(ins.Src1), src2: d.reg(ins.Src2), imm: ins.Imm}
+func (d *dproc) decodeInstr(ins *ir.Instr, regs *frameSlots) dinstr {
+	out := dinstr{dst: regs.slot(ins.Dst), src1: regs.slot(ins.Src1), src2: regs.slot(ins.Src2), imm: ins.Imm}
 	switch ins.Op {
 	case ir.OpLoad:
 		if ins.Spec {
@@ -788,12 +812,9 @@ func (d *dproc) decodeInstr(ins *ir.Instr) dinstr {
 			argLo:  int32(len(d.args)),
 		}
 		for _, a := range ins.Args {
-			d.args = append(d.args, d.reg(a))
+			d.args = append(d.args, regs.slot(a))
 		}
 		c.argHi = int32(len(d.args))
-		if int(ir.RegArg0)+len(ins.Args) > 256 {
-			d.wide = true
-		}
 		out.imm = int64(len(d.calls))
 		d.calls = append(d.calls, c)
 	case ir.OpRet:

@@ -9,15 +9,15 @@ import (
 )
 
 // This file gates the pre-decoded engine (decode.go/exec.go) against
-// ReferenceRun, the preserved seed engine: for any verifier-clean
-// program and any Config, the two must produce byte-identical Results,
-// identical observer event streams, identical fetch traffic, and
-// identical success/failure. Hand cases pin the tricky semantics
-// (merged superblocks with mid-block NoBlock exits, speculative loads,
-// switch fallthrough, scheduled cycle accounting); a randomized
-// property test sweeps structured programs with calls, recursion,
-// loops, switches, memory traffic, and randomized schedule/superblock
-// annotations.
+// referenceRun, the preserved seed engine (reference_test.go): for any
+// verifier-clean program and any Config, the two must produce
+// byte-identical Results, identical observer event streams, identical
+// fetch traffic, and identical success/failure. Hand cases pin the
+// tricky semantics (merged superblocks with mid-block NoBlock exits,
+// speculative loads, switch fallthrough, scheduled cycle accounting);
+// a randomized property test sweeps structured programs with calls,
+// recursion, loops, switches, memory traffic, randomized
+// schedule/superblock annotations, and sparse register renumberings.
 
 // diffRun executes prog under both engines in three configurations
 // (bare, observed, with a fetch sink) and fails the test on any
@@ -37,7 +37,7 @@ func diffRun(t *testing.T, name string, prog *ir.Program) *Result {
 			refFetch.stall, decFetch.stall = 3, 3
 			refCfg.Fetch, decCfg.Fetch = &refFetch, &decFetch
 		}
-		want, wantErr := ReferenceRun(prog, refCfg)
+		want, wantErr := referenceRun(prog, refCfg)
 		got, gotErr := Run(prog, decCfg)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s/%s: reference err = %v, decoded err = %v", name, mode, wantErr, gotErr)
@@ -398,6 +398,107 @@ func annotateRandom(r *genRng, prog *ir.Program) {
 	}
 }
 
+// renameRegs returns a clone of prog in which every register ≥ r8 is
+// renamed injectively, per seed, to a sparse number anywhere from r8
+// to v500. r0–r7 carry the call protocol and keep their numbers.
+func renameRegs(prog *ir.Program, seed uint64) *ir.Program {
+	r := &genRng{s: seed ^ 0x5eed}
+	to, used := map[ir.Reg]ir.Reg{}, map[ir.Reg]bool{}
+	rename := func(reg ir.Reg) ir.Reg {
+		if reg <= ir.MaxArgs {
+			return reg
+		}
+		if n, ok := to[reg]; ok {
+			return n
+		}
+		n := ir.Reg(0)
+		for n == 0 || used[n] {
+			n = ir.MaxArgs + 1 + ir.Reg(r.intn(int64(ir.VirtBase+500-ir.MaxArgs)))
+		}
+		to[reg], used[n] = n, true
+		return n
+	}
+	out := ir.CloneProgram(prog)
+	for _, p := range out.Procs {
+		for _, b := range p.Blocks {
+			for i := range b.Instrs {
+				ins := &b.Instrs[i]
+				ins.Dst, ins.Src1, ins.Src2 = rename(ins.Dst), rename(ins.Src1), rename(ins.Src2)
+				for k, a := range ins.Args {
+					ins.Args[k] = rename(a)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// dumpCounts renders a counted run's reconstructed profile: entries,
+// call totals, block and edge counts, in the traversals' fixed order.
+func dumpCounts(ec *EdgeCounts) string {
+	var s string
+	ec.ForEachCall(func(caller, callee ir.ProcID, n int64) { s += fmt.Sprintf("call %d>%d %d\n", caller, callee, n) })
+	for p := 0; p < ec.NumProcs(); p++ {
+		pid := ir.ProcID(p)
+		s += fmt.Sprintf("proc %d entries %d\n", p, ec.Entries(pid))
+		ec.ForEachBlock(pid, func(b ir.BlockID, n int64) { s += fmt.Sprintf(" b%d %d\n", b, n) })
+		ec.ForEachEdge(pid, func(from, to ir.BlockID, n int64) { s += fmt.Sprintf(" b%d>b%d %d\n", from, to, n) })
+	}
+	return s
+}
+
+// diffRenamed fails unless renamed, a renameRegs twin of prog, runs
+// exactly like prog on both engines — Result or error, observer
+// stream, batch stream — and gives the same RunCounted counts. Dense
+// frame slots follow first mention, so the twins must also decode to
+// identical code.
+func diffRenamed(t *testing.T, name string, prog, renamed *ir.Program) {
+	t.Helper()
+	if err := ir.Verify(renamed); err != nil {
+		t.Fatalf("%s: renamed program fails verify: %v", name, err)
+	}
+	for _, eng := range []struct {
+		name string
+		run  func(*ir.Program, Config) (*Result, error)
+	}{{"decoded", Run}, {"reference", referenceRun}} {
+		var logs [2]eventLog
+		var bats [2]batchLog
+		for _, mode := range []string{"bare", "observer", "batch"} {
+			var res [2]*Result
+			var errs [2]error
+			for i, p := range []*ir.Program{prog, renamed} {
+				var cfg Config
+				switch mode {
+				case "observer":
+					cfg.Observer = &logs[i]
+				case "batch":
+					cfg.Batch = &bats[i]
+				}
+				res[i], errs[i] = eng.run(p, cfg)
+			}
+			if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) || !reflect.DeepEqual(res[0], res[1]) {
+				t.Fatalf("%s/%s/%s: renamed run diverges\noriginal: %+v %v\nrenamed:  %+v %v",
+					name, eng.name, mode, res[0], errs[0], res[1], errs[1])
+			}
+		}
+		if !reflect.DeepEqual(logs[0], logs[1]) || !reflect.DeepEqual(bats[0], bats[1]) {
+			t.Fatalf("%s/%s: renamed event streams diverge", name, eng.name)
+		}
+	}
+	e0, e1 := EngineFor(prog), EngineFor(renamed)
+	for i := range e0.procs {
+		d0, d1 := &e0.procs[i], &e1.procs[i]
+		if !reflect.DeepEqual(d0.code, d1.code) || !reflect.DeepEqual(d0.args, d1.args) || d0.frameLen != d1.frameLen {
+			t.Fatalf("%s: proc %d decodes differently after renaming", name, i)
+		}
+	}
+	_, c0, err0 := e0.RunCounted(Config{})
+	_, c1, err1 := e1.RunCounted(Config{})
+	if fmt.Sprint(err0) != fmt.Sprint(err1) || (err0 == nil && dumpCounts(c0) != dumpCounts(c1)) {
+		t.Fatalf("%s: renamed counted run diverges (errors %v, %v)", name, err0, err1)
+	}
+}
+
 func TestDecodedMatchesReferenceRandomPrograms(t *testing.T) {
 	// Seed the recursion argument (RegArg0 of main is 0; rec guards on
 	// its own arg) — the generator bounds loops and recursion, so every
@@ -412,11 +513,13 @@ func TestDecodedMatchesReferenceRandomPrograms(t *testing.T) {
 			t.Fatalf("seed %d: generated program fails verify: %v", seed, err)
 		}
 		diffRun(t, fmt.Sprintf("seed%d/plain", seed), prog)
+		diffRenamed(t, fmt.Sprintf("seed%d/plain", seed), prog, renameRegs(prog, seed))
 
 		r := &genRng{s: seed ^ 0xabcdef}
 		annotateRandom(r, prog)
 		prog.StoreExecCache(nil) // annotations changed the shape stamp anyway, but be explicit
 		diffRun(t, fmt.Sprintf("seed%d/annotated", seed), prog)
+		diffRenamed(t, fmt.Sprintf("seed%d/annotated", seed), prog, renameRegs(prog, seed))
 	}
 }
 
@@ -451,7 +554,7 @@ func TestEngineRevalidatesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ReferenceRun(prog, Config{Fetch: &fetchLog{}})
+	want, err := referenceRun(prog, Config{Fetch: &fetchLog{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +599,7 @@ func TestDataSegmentValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for engine, runFn := range map[string]func(*ir.Program, Config) (*Result, error){
-			"decoded": Run, "reference": ReferenceRun,
+			"decoded": Run, "reference": referenceRun,
 		} {
 			if _, err := runFn(tc.prog, Config{}); err == nil {
 				t.Errorf("%s/%s: bad data segment must error, not panic or pass", tc.name, engine)

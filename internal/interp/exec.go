@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 
 	"pathsched/internal/ir"
@@ -30,9 +31,13 @@ import (
 // EnterProc, then per block Edge(prev, cur) (skipped for the entry
 // block) followed by Block(cur), and ExitProc on return.
 
-// Run executes the decoded program's main procedure. Results are
-// byte-identical to ReferenceRun on verifier-clean programs; the
-// differential tests in decode_test.go enforce this.
+var errUnmappedLoad = errors.New("interp: load from unmapped address")
+
+// Run executes the decoded program's main procedure, or returns the
+// program's decode error (ErrTooManyRegisters, or a call passing more
+// than ir.MaxArgs arguments). The differential tests in decode_test.go
+// pin Results, errors and event streams byte-identical to the seed
+// engine, kept as the test oracle in reference_test.go.
 func (e *Engine) Run(cfg Config) (*Result, error) {
 	res, _, err := e.runCore(cfg, false)
 	return res, err
@@ -45,13 +50,9 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 // per-edge observer work at all. cfg.Batch may still be set (the
 // training pipeline runs the path profiler batched and the edge
 // profiler counted in one pass); cfg.Observer may not, as counted
-// runs exist to avoid exactly that per-event cost. Errors if the
-// program needs the reference-engine fallback, which keeps no
-// counters — callers gate on Engine.Fallback().
+// runs exist to avoid exactly that per-event cost. Decode errors are
+// returned as by Run.
 func (e *Engine) RunCounted(cfg Config) (*Result, *EdgeCounts, error) {
-	if e.fallback {
-		return nil, nil, errCountedFallback
-	}
 	if cfg.Observer != nil {
 		return nil, nil, errCountedObserver
 	}
@@ -59,15 +60,11 @@ func (e *Engine) RunCounted(cfg Config) (*Result, *EdgeCounts, error) {
 }
 
 func (e *Engine) runCore(cfg Config, counted bool) (*Result, *EdgeCounts, error) {
+	if e.err != nil {
+		return nil, nil, e.err
+	}
 	if cfg.Observer != nil && cfg.Batch != nil {
 		return nil, nil, errObserverAndBatch
-	}
-	if e.fallback {
-		// Some procedure's register file exceeds the decoded frame
-		// (256 registers); the reference engine handles any width
-		// (and adapts cfg.Batch itself).
-		res, err := ReferenceRun(e.prog, cfg)
-		return res, nil, err
 	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = defaultMaxSteps
@@ -140,9 +137,10 @@ type dmachine struct {
 	fetch    FetchSink
 
 	// framePool recycles register files across calls, as in the
-	// reference engine. Frames are fixed 256-register arrays so the
+	// reference engine. Frames are fixed 256-slot arrays so the
 	// executor's uint8 operand indexing needs no bounds checks; only
-	// the [:frameLen] prefix is ever zeroed or read.
+	// the [:frameLen] prefix of dense slots (see frameSlots) is ever
+	// zeroed or read.
 	framePool []*[256]int64
 }
 
@@ -938,4 +936,11 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 		cur = next
 		pc = lo
 	}
+}
+
+func b2i(v bool) int64 {
+	if v {
+		return 1
+	}
+	return 0
 }

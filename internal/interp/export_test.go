@@ -1,0 +1,7 @@
+package interp
+
+// Test-only exports for the external interp_test package.
+var (
+	ReferenceRun = referenceRun
+	WideTwin     = wideTwin
+)

@@ -18,16 +18,17 @@
 // mid-block exit at schedule cycle c charges c+1 cycles; falling off
 // the block's end charges the block's Span.
 //
-// Run executes through a pre-decoded ("threaded-code") engine: each
+// Both roles run on one pre-decoded ("threaded-code") engine: each
 // program is decoded once into a flat representation — dense block
-// index ranges over a per-procedure instruction array, branch targets
-// resolved to block indices, per-instruction exit cycles and
-// superblock exit units precomputed — and the decode is memoized on
-// the program itself, so repeated runs of one build (reference,
-// layout-profiling, measurement, benchmarking iterations) share it.
-// ReferenceRun (reference.go) keeps the original switch-walk engine as
-// the executable specification; the differential tests in
-// decode_test.go pin the two byte-identical.
+// index ranges over a per-procedure instruction array, registers
+// renumbered into dense frame slots, branch targets resolved to block
+// indices, per-instruction exit cycles and superblock exit units
+// precomputed — and the decode is memoized on the program itself, so
+// repeated runs of one build (reference, layout-profiling,
+// measurement, benchmarking iterations) share it. The original
+// switch-walk engine survives only as the test oracle in
+// reference_test.go; the differential tests in decode_test.go pin the
+// two byte-identical.
 package interp
 
 import (
@@ -73,9 +74,9 @@ type EdgeRec struct {
 // information. Batches never span activations: the engine flushes
 // pending records before every BeginProc and EndProc, so all records
 // of one EdgeBatch belong to the activation of the closest preceding
-// BeginProc, in execution order. Both engines (decoded and reference
-// fallback) produce identical batch streams for the same program; the
-// differential tests in batch_test.go pin this.
+// BeginProc, in execution order. The engine's batch stream equals,
+// call for call, what the per-event test oracle produces through the
+// same buffer; the differential tests in batch_test.go pin this.
 type BatchObserver interface {
 	// BeginProc fires when an activation begins; entry is its entry
 	// block, already "entered" (no separate record is delivered for it).
@@ -144,7 +145,8 @@ const (
 
 // Run executes prog's main procedure and returns the result. The
 // program must be verifier-clean; malformed control flow surfaces as an
-// error rather than a panic. The decode is cached on prog (see
+// error rather than a panic, as does a procedure naming more than 256
+// registers (ErrTooManyRegisters). The decode is cached on prog (see
 // EngineFor), so back-to-back runs of one program pay it once.
 func Run(prog *ir.Program, cfg Config) (*Result, error) {
 	return EngineFor(prog).Run(cfg)

@@ -1,23 +1,22 @@
 package interp
 
 import (
-	"errors"
 	"fmt"
 
 	"pathsched/internal/ir"
 )
 
-// ReferenceRun executes prog with the original per-instruction
+// referenceRun executes prog with the original per-instruction
 // switch-walk engine, re-reading the ir.Instr stream on every step.
 //
 // It is kept verbatim (modulo shared memory-image validation) as the
 // executable specification of the interpreter's semantics: the
 // pre-decoded engine behind Run must produce byte-identical Results,
 // and the differential tests in decode_test.go gate every engine
-// change against this implementation. It is exported for those tests
-// and for the BenchmarkInterpDispatch speedup microbenchmark;
-// production callers should use Run.
-func ReferenceRun(prog *ir.Program, cfg Config) (*Result, error) {
+// change against this implementation. Its frames are MaxReg()+1 wide,
+// so it runs any register numbering. export_test.go exposes it to the
+// BenchmarkInterpDispatch speedup microbenchmark.
+func referenceRun(prog *ir.Program, cfg Config) (*Result, error) {
 	if cfg.Batch != nil {
 		// The reference engine has no native batch path: adapt the
 		// per-event stream through a batcher, which uses the same
@@ -134,8 +133,6 @@ func (m *machine) call(id ir.ProcID, args []int64, depth int) (int64, error) {
 		prev, cur = cur, next
 	}
 }
-
-var errUnmappedLoad = errors.New("interp: load from unmapped address")
 
 // execBlock runs one (possibly merged) block. It returns the successor
 // block, or done=true with the return value when the activation ends.
@@ -326,9 +323,27 @@ func exitUnits(b *ir.Block, i int) int32 {
 	return b.SBSize
 }
 
-func b2i(v bool) int64 {
-	if v {
-		return 1
-	}
-	return 0
+// Observer adaptation for the reference engine: Block events are
+// dropped (they are implied — see the BatchObserver contract), Edge
+// events append, Enter/Exit flush and forward.
+
+func (b *batcher) EnterProc(p ir.ProcID, entry ir.BlockID) {
+	b.flush()
+	b.bo.BeginProc(p, entry)
 }
+
+func (b *batcher) ExitProc(p ir.ProcID) {
+	b.flush()
+	b.bo.EndProc(p)
+}
+
+func (b *batcher) Edge(p ir.ProcID, from, to ir.BlockID) {
+	b.proc = p
+	b.buf[b.n] = EdgeRec{From: from, To: to}
+	if b.n++; b.n == batchCap {
+		b.bo.EdgeBatch(p, b.buf[:batchCap])
+		b.n = 0
+	}
+}
+
+func (b *batcher) Block(p ir.ProcID, blk ir.BlockID) {}

@@ -61,7 +61,7 @@ func OrderProcs(prog *ir.Program, calls map[[2]ir.ProcID]int64) []ir.ProcID {
 	// Undirected weights.
 	type pair struct{ a, b ir.ProcID }
 	weight := map[pair]int64{}
-	for k, c := range calls {
+	for k, c := range calls { //lint:ordered commutative sums into weight
 		a, b := k[0], k[1]
 		if a == b {
 			continue
@@ -76,7 +76,7 @@ func OrderProcs(prog *ir.Program, calls map[[2]ir.ProcID]int64) []ir.ProcID {
 		w    int64
 	}
 	edges := make([]wedge, 0, len(weight))
-	for k, w := range weight {
+	for k, w := range weight { //lint:ordered sorted below by the total order (w, a, b)
 		edges = append(edges, wedge{k.a, k.b, w})
 	}
 	sort.Slice(edges, func(i, j int) bool {
@@ -155,7 +155,7 @@ func OrderProcs(prog *ir.Program, calls map[[2]ir.ProcID]int64) []ir.ProcID {
 	}
 	var rest []chainw
 	chainWeight := make([]int64, n)
-	for k, c := range calls {
+	for k, c := range calls { //lint:ordered commutative sums into chainWeight
 		chainWeight[chainOf[k[0]]] += c
 		chainWeight[chainOf[k[1]]] += c
 	}

@@ -41,8 +41,7 @@ func TestRepoDeterministicPackagesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs := []string{"internal/sched", "internal/core", "internal/pipeline", "internal/profile"}
-	findings, err := Check(root, "pathsched", pkgs)
+	findings, err := Check(root, "pathsched", Packages)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}

@@ -242,8 +242,8 @@ type Result struct {
 
 	ByScheme map[Scheme]*Measurement
 
-	// ProfStats describes how the training run executed (fast-path
-	// modes, automaton sizes, batch statistics); surfaced by
+	// ProfStats describes how the training run executed (scheme,
+	// automaton sizes, batch statistics); surfaced by
 	// cmd/experiments -profstats. Excluded from JSON output, which is
 	// pinned to measurement data.
 	ProfStats *profile.TrainStats `json:"-"`
@@ -387,11 +387,9 @@ func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, sc
 		return nil, fmt.Errorf("pipeline: %s: train/test builds diverge: %w", b.Name, err)
 	}
 
-	// One training run feeds all profile consumers. Both trainers pick
-	// the fast path automatically: batched path profiling plus
-	// counter-fused edge reconstruction on decodable programs,
-	// per-event observers on wide-register fallbacks — the profiles
-	// are identical either way.
+	// One training run feeds all profile consumers: batched path
+	// profiling plus counter-fused edge and call-graph reconstruction,
+	// identical to what per-event observers gather.
 	tp, err := r.train(trainProg)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s: training run: %w", b.Name, err)

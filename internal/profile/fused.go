@@ -5,16 +5,14 @@ import (
 	"pathsched/internal/ir"
 )
 
-// Counter-fused profiling: the decoded engine's per-exit visit
-// counters (interp.RunCounted) carry the complete point profile of a
-// run, so the edge and call-graph profilers can be reconstructed after
-// the fact instead of observing every event. Train and PointProfiles
-// below are the entry points the pipeline uses — they pick the fastest
-// run mode the program supports and fall back to per-event observers
-// only for wide-register programs the decoded engine cannot execute.
-// Reconstruction is exact: the profiles (and their serialized bytes)
-// are identical to what the per-event observers would have gathered,
-// which the differential tests in fused_test.go pin.
+// Counter-fused profiling: the engine's per-exit visit counters
+// (interp.RunCounted) carry the complete point profile of a run, so
+// the edge and call-graph profiles can be reconstructed after the fact
+// instead of observing every event. Train and PointProfiles below are
+// the entry points the pipeline uses. Reconstruction is exact: the
+// profiles (and their serialized bytes) are identical to what the
+// per-event observers would have gathered, which the differential
+// tests in fused_test.go pin.
 
 // EdgeProfilerFromCounts rebuilds the edge profiler a per-event run
 // would have produced from a counted run's counters. Determinism:
@@ -33,9 +31,10 @@ func EdgeProfilerFromCounts(prog *ir.Program, ec *interp.EdgeCounts) *EdgeProfil
 	return ep
 }
 
-// CallCountsFromCounts rebuilds the call-graph profile (dynamic
-// caller→callee invocation counts, CallGraphProfiler semantics: one
-// per executed call site, main's root entry excluded).
+// CallCountsFromCounts rebuilds the call-graph profile: dynamic
+// caller→callee invocation counts, the input weights for Pettis–Hansen
+// procedure placement (§2.3, [15]), one per executed call site, main's
+// root entry excluded.
 func CallCountsFromCounts(ec *interp.EdgeCounts) map[[2]ir.ProcID]int64 {
 	m := map[[2]ir.ProcID]int64{}
 	ec.ForEachCall(func(caller, callee ir.ProcID, n int64) {
@@ -50,14 +49,12 @@ const (
 	TrainSchemeBallLarus = "ballarus" // Ball–Larus numbering + k-iteration extension
 )
 
-// TrainStats describes how a Train (or PointProfiles) run executed,
-// for cmd/experiments -profstats.
+// TrainStats describes how a Train run executed, for cmd/experiments
+// -profstats.
 type TrainStats struct {
 	Scheme    string // which profiling scheme produced the path profile
-	Fused     bool   // edge/call profiles reconstructed from engine counters
-	Batched   bool   // path profiler fed through interp.BatchObserver
-	Batches   int64
-	Records   int64
+	Batches   int64  // interp.BatchObserver flushes the path profiler took
+	Records   int64  // edge records across those flushes
 	Automaton []ProcAutomatonStats
 }
 
@@ -73,22 +70,20 @@ type TrainingProfiles struct {
 }
 
 // Train executes prog once and gathers its edge, path and call-graph
-// profiles, using the fastest mode the program supports: on decodable
-// programs the path profiler observes batched edge records while the
+// profiles: the path profiler observes batched edge records while the
 // edge and call-graph halves are reconstructed from the engine's visit
-// counters (no per-event work at all); wide-register programs fall
-// back to the legacy per-event observers on the reference engine. Both
-// modes produce identical profiles.
+// counters (no per-event work at all). The profiles are identical to
+// what per-event observers gather. Decode errors (e.g.
+// interp.ErrTooManyRegisters) are returned unwrapped.
 func Train(prog *ir.Program, cfg PathConfig) (*TrainingProfiles, error) {
 	return train(prog, NewPathProfiler(prog, cfg), TrainSchemeWindow)
 }
 
 // TrainBL is Train with the Ball–Larus numbered path profiler in place
-// of the window profiler: same run modes (batched records on decodable
-// programs, per-event observers on fallback programs), same
-// counter-fused edge/call reconstruction, but the path half costs one
-// arithmetic add per edge record. The returned Path is the decoded
-// k-iteration profile; BL keeps the raw numbered counters.
+// of the window profiler: same batched run and counter-fused edge/call
+// reconstruction, but the path half costs one arithmetic add per edge
+// record. The returned Path is the decoded k-iteration profile; BL
+// keeps the raw numbered counters.
 func TrainBL(prog *ir.Program, cfg BLConfig) (*TrainingProfiles, error) {
 	bl := NewBLProfiler(prog, cfg)
 	tp, err := train(prog, bl, TrainSchemeBallLarus)
@@ -100,10 +95,9 @@ func TrainBL(prog *ir.Program, cfg BLConfig) (*TrainingProfiles, error) {
 }
 
 // pathTrainer is the path-profiling half of a training run. The window
-// and Ball–Larus profilers both observe per-event or batched runs and
-// report the same statistics.
+// and Ball–Larus profilers both observe batched runs and report the
+// same statistics.
 type pathTrainer interface {
-	interp.Observer
 	interp.BatchObserver
 	Profile() *PathProfile
 	BatchStats() (batches, records int64)
@@ -112,44 +106,26 @@ type pathTrainer interface {
 
 // train is the one training driver behind Train and TrainBL.
 func train(prog *ir.Program, pp pathTrainer, scheme string) (*TrainingProfiles, error) {
-	tp := &TrainingProfiles{Stats: TrainStats{Scheme: scheme}}
-	eng := interp.EngineFor(prog)
-	if eng.Fallback() {
-		ep := NewEdgeProfiler(prog)
-		cg := NewCallGraphProfiler()
-		if _, err := interp.Run(prog, interp.Config{Observer: Multi{ep, pp, cg}}); err != nil {
-			return nil, err
-		}
-		tp.Edge, tp.Calls = ep.Profile(), cg.Counts()
-	} else {
-		_, ec, err := eng.RunCounted(interp.Config{Batch: pp})
-		if err != nil {
-			return nil, err
-		}
-		tp.Edge, tp.Calls = EdgeProfilerFromCounts(prog, ec).Profile(), CallCountsFromCounts(ec)
-		tp.Stats.Fused, tp.Stats.Batched = true, true
-		tp.Stats.Batches, tp.Stats.Records = pp.BatchStats()
+	_, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: pp})
+	if err != nil {
+		return nil, err
 	}
-	tp.Path = pp.Profile()
-	tp.Stats.Automaton = pp.AutomatonStats()
+	tp := &TrainingProfiles{
+		Edge:  EdgeProfilerFromCounts(prog, ec).Profile(),
+		Path:  pp.Profile(),
+		Calls: CallCountsFromCounts(ec),
+		Stats: TrainStats{Scheme: scheme, Automaton: pp.AutomatonStats()},
+	}
+	tp.Stats.Batches, tp.Stats.Records = pp.BatchStats()
 	return tp, nil
 }
 
 // PointProfiles executes prog once and gathers only its edge and
-// call-graph profiles — on decodable programs the run carries no
-// observer at all (pure counter-fused reconstruction), which is what
-// layout-profiling runs want.
+// call-graph profiles. The run carries no observer at all (pure
+// counter-fused reconstruction), which is what layout-profiling runs
+// and irtool want. Errors are returned as by Train.
 func PointProfiles(prog *ir.Program) (*EdgeProfile, map[[2]ir.ProcID]int64, error) {
-	eng := interp.EngineFor(prog)
-	if eng.Fallback() {
-		lep := NewEdgeProfiler(prog)
-		cg := NewCallGraphProfiler()
-		if _, err := interp.Run(prog, interp.Config{Observer: Multi{lep, cg}}); err != nil {
-			return nil, nil, err
-		}
-		return lep.Profile(), cg.Counts(), nil
-	}
-	_, ec, err := eng.RunCounted(interp.Config{})
+	_, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{})
 	if err != nil {
 		return nil, nil, err
 	}

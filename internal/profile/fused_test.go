@@ -1,7 +1,9 @@
 package profile
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pathsched/internal/interp"
@@ -68,15 +70,37 @@ func recurseProg(depth int64) *ir.Program {
 	return bd.Finish()
 }
 
-// wideProg pushes scratch registers past the decoded engine's frame so
-// Train must take the legacy fallback.
-func wideProg() *ir.Program {
+// wideProg numbers its scratch registers from base: base 300 puts
+// them past 255, which the engine reaches only through dense frame
+// slots; base 2 is its narrow twin. A loop and a call give it edges,
+// batches and a call-graph arc.
+func wideProg(base ir.Reg) *ir.Program {
+	i, c := base, base+1
 	bd := ir.NewBuilder("wideprof", 8)
-	pb := bd.Proc("main")
-	b := pb.NewBlock()
-	const r = ir.Reg(300)
-	b.Add(ir.MovI(r, 21), ir.AddI(r+1, r, 21), ir.Emit(r+1))
-	b.Ret(r + 1)
+	main, leaf := bd.Proc("main"), bd.Proc("leaf")
+	lb := leaf.NewBlock()
+	lb.Add(ir.AddI(0, ir.RegArg0, 1))
+	lb.Ret(0)
+	entry, loop, exit := main.NewBlock(), main.NewBlock(), main.NewBlock()
+	entry.Add(ir.MovI(i, 0))
+	entry.Jmp(loop.ID())
+	loop.Add(ir.AddI(i, i, 7), ir.CmpLTI(c, i, 42))
+	loop.Br(c, loop.ID(), exit.ID())
+	exit.Add(ir.Call(i, leaf.ID(), ir.NoBlock, i), ir.Emit(i))
+	exit.Ret(i)
+	bd.SetMain(main.ID())
+	return bd.Finish()
+}
+
+// manyRegsProg names r0..r299 in main: more than the engine's 256
+// frame slots.
+func manyRegsProg() *ir.Program {
+	bd := ir.NewBuilder("manyregs", 8)
+	b := bd.Proc("main").NewBlock()
+	for r := ir.Reg(1); r < 300; r++ {
+		b.Add(ir.MovI(r, int64(r)))
+	}
+	b.Ret(299)
 	return bd.Finish()
 }
 
@@ -93,12 +117,8 @@ func diffTrain(t *testing.T, name string, prog *ir.Program, cfg PathConfig) {
 		t.Fatalf("%s: legacy run: %v", name, err)
 	}
 
-	eng := interp.EngineFor(prog)
-	if eng.Fallback() {
-		t.Fatalf("%s: expected a decodable program", name)
-	}
 	fpp := NewPathProfiler(prog, cfg)
-	_, ec, err := eng.RunCounted(interp.Config{Batch: fpp})
+	_, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: fpp})
 	if err != nil {
 		t.Fatalf("%s: counted run: %v", name, err)
 	}
@@ -123,8 +143,8 @@ func diffTrain(t *testing.T, name string, prog *ir.Program, cfg PathConfig) {
 	if err != nil {
 		t.Fatalf("%s: Train: %v", name, err)
 	}
-	if !tp.Stats.Fused || !tp.Stats.Batched {
-		t.Fatalf("%s: Train stats = %+v, want fused+batched", name, tp.Stats)
+	if tp.Stats.Batches == 0 || tp.Stats.Records == 0 {
+		t.Fatalf("%s: Train stats = %+v, want batched delivery", name, tp.Stats)
 	}
 	if got, want := tp.Edge.WriteText(), lep.Profile().WriteText(); got != want {
 		t.Fatalf("%s: Train edge profile differs from legacy", name)
@@ -198,30 +218,42 @@ func TestPointProfilesMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestTrainFallbackWide pins the wide-register path: Train must fall
-// back to the legacy per-event observers and report no fast-path modes.
-func TestTrainFallbackWide(t *testing.T) {
-	prog := wideProg()
-	if !interp.EngineFor(prog).Fallback() {
-		t.Fatal("wideProg should exceed the decoded engine's register frame")
-	}
-	lep := NewEdgeProfiler(prog)
-	lpp := NewPathProfiler(prog, PathConfig{})
-	lcg := NewCallGraphProfiler()
-	if _, err := interp.Run(prog, interp.Config{Observer: Multi{lep, lpp, lcg}}); err != nil {
-		t.Fatal(err)
-	}
+// TestTrainWideRegisterNumbers pins the profiles of a program whose
+// registers are numbered past 255: Train runs it on the one engine
+// with batched, counter-fused profiling, and its profiles equal both
+// the legacy per-event observers' and those of its narrow twin.
+func TestTrainWideRegisterNumbers(t *testing.T) {
+	prog := wideProg(300)
+	diffTrain(t, "wide", prog, PathConfig{})
 	tp, err := Train(prog, PathConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.Stats.Fused || tp.Stats.Batched {
-		t.Fatalf("fallback Train stats = %+v, want legacy modes", tp.Stats)
+	ntp, err := Train(wideProg(2), PathConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := tp.Edge.WriteText(), lep.Profile().WriteText(); got != want {
-		t.Fatalf("fallback edge profile differs from legacy")
+	if tp.Edge.WriteText() != ntp.Edge.WriteText() || !reflect.DeepEqual(tp.Path, ntp.Path) ||
+		!reflect.DeepEqual(tp.Calls, ntp.Calls) {
+		t.Fatal("Train profiles of the wide and narrow twins differ")
 	}
-	if !reflect.DeepEqual(tp.Calls, lcg.Counts()) {
-		t.Fatalf("fallback calls = %v, legacy = %v", tp.Calls, lcg.Counts())
+}
+
+// TestTooManyRegistersRejected pins that every profiling entry point
+// surfaces the engine's decode error for a procedure naming more than
+// 256 registers, with its name and count, rather than panicking or
+// profiling on a second engine.
+func TestTooManyRegistersRejected(t *testing.T) {
+	prog := manyRegsProg()
+	// In order: RunCounted, Run, Train, TrainBL, PointProfiles.
+	_, _, ecErr := interp.EngineFor(prog).RunCounted(interp.Config{})
+	_, runErr := interp.Run(prog, interp.Config{Observer: NewEdgeProfiler(prog)})
+	_, trainErr := Train(prog, PathConfig{})
+	_, blErr := TrainBL(prog, BLConfig{})
+	_, _, pointErr := PointProfiles(prog)
+	for i, err := range []error{ecErr, runErr, trainErr, blErr, pointErr} {
+		if !errors.Is(err, interp.ErrTooManyRegisters) || !strings.Contains(err.Error(), "main names 300") {
+			t.Errorf("entry point %d: err = %v, want %v naming main and 300", i, err, interp.ErrTooManyRegisters)
+		}
 	}
 }

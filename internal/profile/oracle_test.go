@@ -76,3 +76,43 @@ func (op *OraclePathProfiler) Block(p ir.ProcID, b ir.BlockID) {
 func (op *OraclePathProfiler) Freq(p ir.ProcID, seq []ir.BlockID) int64 {
 	return op.procs[p].freq[seqKey(seq)]
 }
+
+// CallGraphProfiler is the per-event reference for the call-graph
+// profile that CallCountsFromCounts reconstructs from engine counters:
+// an interp.Observer counting dynamic caller→callee invocation edges,
+// deriving the caller from the properly nested Enter/Exit event
+// stream.
+type CallGraphProfiler struct {
+	stack  []ir.ProcID
+	counts map[[2]ir.ProcID]int64
+}
+
+// NewCallGraphProfiler returns an empty call-graph profiler.
+func NewCallGraphProfiler() *CallGraphProfiler {
+	return &CallGraphProfiler{counts: map[[2]ir.ProcID]int64{}}
+}
+
+// EnterProc implements interp.Observer.
+func (cg *CallGraphProfiler) EnterProc(p ir.ProcID, entry ir.BlockID) {
+	if n := len(cg.stack); n > 0 {
+		cg.counts[[2]ir.ProcID{cg.stack[n-1], p}]++
+	}
+	cg.stack = append(cg.stack, p)
+}
+
+// ExitProc implements interp.Observer.
+func (cg *CallGraphProfiler) ExitProc(p ir.ProcID) {
+	if n := len(cg.stack); n > 0 {
+		cg.stack = cg.stack[:n-1]
+	}
+}
+
+// Edge implements interp.Observer.
+func (cg *CallGraphProfiler) Edge(p ir.ProcID, from, to ir.BlockID) {}
+
+// Block implements interp.Observer.
+func (cg *CallGraphProfiler) Block(p ir.ProcID, b ir.BlockID) {}
+
+// Counts returns the dynamic (caller, callee) edge counts. The map is
+// live; callers must not mutate it.
+func (cg *CallGraphProfiler) Counts() map[[2]ir.ProcID]int64 { return cg.counts }

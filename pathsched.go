@@ -124,9 +124,8 @@ func ExecuteWithCache(prog *Program) (*RunResult, float64, error) {
 
 // ProfileProgram executes prog once, gathering the edge profile, the
 // general path profile (depth 15, §2.2), and the dynamic call graph in
-// a single training run. On decodable programs the run uses the fast
-// profiling paths (batched path observation, counter-fused edge and
-// call-graph reconstruction); the profiles are identical to what
+// a single training run (batched path observation, counter-fused edge
+// and call-graph reconstruction); the profiles are identical to what
 // per-event observers gather.
 func ProfileProgram(prog *Program) (*Profiles, error) {
 	tp, err := profile.Train(prog, profile.PathConfig{})

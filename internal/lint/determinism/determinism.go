@@ -40,15 +40,18 @@ import (
 
 // Packages is the module-root-relative set of packages whose output
 // must be byte-deterministic: every package a compile, a profile or a
-// measurement flows through — scheduling, formation, pipeline
-// orchestration, profiling, the interpreter whose counters become the
-// profiles, and layout, which assigns the addresses the I-cache model
-// charges. Packages that only render reports (stats, cmd) may iterate
-// maps as they please: their output is sorted at the rendering layer
-// and pinned by golden tests. cmd/determinismlint lints this set by
-// default, and TestRepoDeterministicPackagesClean keeps it clean.
+// measurement flows through — scheduling, register allocation (which
+// picks the physical registers in every compiled fingerprint),
+// formation, pipeline orchestration, profiling, the interpreter whose
+// counters become the profiles, and layout, which assigns the
+// addresses the I-cache model charges. Packages that only render
+// reports (stats, cmd) may iterate maps as they please: their output
+// is sorted at the rendering layer and pinned by golden tests.
+// cmd/determinismlint lints this set by default, and
+// TestRepoDeterministicPackagesClean keeps it clean.
 var Packages = []string{
 	"internal/sched",
+	"internal/regalloc",
 	"internal/core",
 	"internal/pipeline",
 	"internal/profile",

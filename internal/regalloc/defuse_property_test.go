@@ -24,10 +24,11 @@ func TestPropertyAllocPreservesDefBeforeUse(t *testing.T) {
 		pristine := ir.CloneProgram(prog)
 		virtualize(prog, rand.New(rand.NewSource(seed^0x5eed)))
 
+		var s regalloc.Scratch // reused across blocks, like one compaction worker
 		for _, p := range prog.Procs {
 			pool := regalloc.FreePool(p)
 			for _, b := range p.Blocks {
-				if err := regalloc.AssignVirtuals(b, pool); err != nil {
+				if err := s.AssignVirtuals(b, pool); err != nil {
 					t.Logf("seed %d: %v", seed, err)
 					return false
 				}

@@ -1,6 +1,7 @@
 package regalloc
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,12 @@ func mkBlock(instrs ...ir.Instr) *ir.Block {
 
 func v(n int32) ir.Reg { return ir.VirtBase + ir.Reg(n) }
 
+// assign runs the allocator on a fresh scratch.
+func assign(b *ir.Block, pool Pool) error {
+	var s Scratch
+	return s.AssignVirtuals(b, pool)
+}
+
 func TestFreePoolExcludesUsedRegisters(t *testing.T) {
 	bd := ir.NewBuilder("p", 8)
 	pb := bd.Proc("main")
@@ -22,17 +29,32 @@ func TestFreePoolExcludesUsedRegisters(t *testing.T) {
 	b.Ret(0)
 	prog := bd.Finish()
 	pool := FreePool(prog.Proc(0))
-	inPool := map[ir.Reg]bool{}
-	for _, r := range pool {
-		inPool[r] = true
-	}
 	for _, used := range []ir.Reg{0, 1, 2, 3, 4} {
-		if inPool[used] {
+		if pool.Has(used) {
 			t.Errorf("r%d is used but appears in the free pool", used)
 		}
 	}
-	if len(pool) != ir.PhysRegs-5 {
-		t.Fatalf("pool size = %d, want %d", len(pool), ir.PhysRegs-5)
+	for _, free := range []ir.Reg{5, 63, 64, 127} {
+		if !pool.Has(free) {
+			t.Errorf("r%d is unused but missing from the free pool", free)
+		}
+	}
+	if pool.Len() != ir.PhysRegs-5 {
+		t.Fatalf("pool size = %d, want %d", pool.Len(), ir.PhysRegs-5)
+	}
+}
+
+// The free set hands out registers smallest-first across both words,
+// exactly like a sorted free list.
+func TestPoolTakesSmallestFirst(t *testing.T) {
+	p := PoolOf(127, 64, 63, 5)
+	for _, want := range []ir.Reg{5, 63, 64, 127, -1} {
+		if got := p.take(); got != want {
+			t.Fatalf("take = %v, want %v", got, want)
+		}
+	}
+	if p.Len() != 0 || p.Has(5) || PoolOf(3).Has(ir.VirtBase+3) {
+		t.Fatal("pool membership wrong after draining")
 	}
 }
 
@@ -43,7 +65,7 @@ func TestAssignSimpleChain(t *testing.T) {
 		ir.Mov(2, v(1)),
 		ir.Ret(2),
 	)
-	if err := AssignVirtuals(b, []ir.Reg{50, 51}); err != nil {
+	if err := assign(b, PoolOf(50, 51)); err != nil {
 		t.Fatal(err)
 	}
 	if b.Instrs[0].Dst != 50 {
@@ -69,7 +91,7 @@ func TestAssignReusesExpiredRegisters(t *testing.T) {
 		ir.Mov(3, v(1)),
 		ir.Ret(3),
 	)
-	if err := AssignVirtuals(b, []ir.Reg{60}); err != nil {
+	if err := assign(b, PoolOf(60)); err != nil {
 		t.Fatalf("single register should suffice: %v", err)
 	}
 	if b.Instrs[0].Dst != 60 || b.Instrs[2].Dst != 60 {
@@ -87,8 +109,12 @@ func TestAssignFailsUnderPressure(t *testing.T) {
 		ir.Add(4, 4, v(2)),
 		ir.Ret(4),
 	)
-	if err := AssignVirtuals(b, []ir.Reg{60, 61}); err == nil {
-		t.Fatal("allocation must fail with pool 2 and pressure 3")
+	err := assign(b, PoolOf(60, 61))
+	if !errors.Is(err, ErrOutOfRegisters) {
+		t.Fatalf("pool 2 and pressure 3: got %v, want ErrOutOfRegisters", err)
+	}
+	if want := "regalloc: out of registers at instruction 2 (pool 2)"; err.Error() != want {
+		t.Fatalf("error text %q, want %q", err, want)
 	}
 }
 
@@ -98,8 +124,12 @@ func TestAssignRejectsDoubleDef(t *testing.T) {
 		ir.MovI(v(0), 2),
 		ir.Ret(0),
 	)
-	if err := AssignVirtuals(b, []ir.Reg{60, 61}); err == nil {
+	err := assign(b, PoolOf(60, 61))
+	if err == nil {
 		t.Fatal("virtuals are single-assignment; double def must error")
+	}
+	if errors.Is(err, ErrOutOfRegisters) {
+		t.Fatalf("double def reported as register pressure: %v", err)
 	}
 }
 
@@ -111,7 +141,7 @@ func TestAssignDeadDefReleasedImmediately(t *testing.T) {
 		ir.Mov(2, v(1)),
 		ir.Ret(2),
 	)
-	if err := AssignVirtuals(b, []ir.Reg{60, 61}); err != nil {
+	if err := assign(b, PoolOf(60, 61)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,7 +153,7 @@ func TestAssignHandlesCallArgs(t *testing.T) {
 		ir.Call(3, 0, ir.NoBlock, v(0), v(1)),
 		ir.Ret(3),
 	)
-	if err := AssignVirtuals(b, []ir.Reg{60, 61}); err != nil {
+	if err := assign(b, PoolOf(60, 61)); err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range b.Instrs[2].Args {
@@ -177,11 +207,11 @@ func TestAssignPropertyDataflowPreserved(t *testing.T) {
 		b := mkBlock(instrs...)
 
 		// Remember the def-use structure by instruction index.
-		pool := make([]ir.Reg, 32)
-		for i := range pool {
-			pool[i] = ir.Reg(64 + i)
+		var pool Pool
+		for r := ir.Reg(64); r < 96; r++ {
+			pool.add(r)
 		}
-		if err := AssignVirtuals(b, pool); err != nil {
+		if err := assign(b, pool); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}

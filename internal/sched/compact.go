@@ -234,7 +234,7 @@ func basicBlockSuperblocks(prog *ir.Program) *core.Result {
 	return res
 }
 
-func compactSuperblock(p *ir.Proc, sb *core.Superblock, live []RegSet, pool []ir.Reg, opts Options, s *scratch, record bool, gs *GapStats) ([]DepEdge, error) {
+func compactSuperblock(p *ir.Proc, sb *core.Superblock, live []RegSet, pool regalloc.Pool, opts Options, s *scratch, record bool, gs *GapStats) ([]DepEdge, error) {
 	nodes, err := mergeSuperblock(p, sb, live, s)
 	if err != nil {
 		return nil, err
@@ -255,8 +255,12 @@ func compactSuperblock(p *ir.Proc, sb *core.Superblock, live []RegSet, pool []ir
 	if tryRename {
 		// Register allocation; on pressure failure, retry without
 		// renaming (the fallback schedule is allocation-clean since it
-		// introduces no virtual registers).
-		if aerr := regalloc.AssignVirtuals(head, pool); aerr != nil {
+		// introduces no virtual registers). Any other allocator error
+		// is a renaming bug and must not hide behind the fallback.
+		if aerr := s.ra.AssignVirtuals(head, pool); aerr != nil {
+			if !errors.Is(aerr, regalloc.ErrOutOfRegisters) {
+				return nil, aerr
+			}
 			head.Instrs = origInstrs
 			fallback, merr := mergeSuperblock(p, sb, live, s)
 			if merr != nil {

@@ -1,15 +1,18 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"pathsched/internal/bench"
 	"pathsched/internal/core"
+	"pathsched/internal/interp"
 	"pathsched/internal/ir"
 	"pathsched/internal/ir/irtest"
 	"pathsched/internal/profile"
+	"pathsched/internal/regalloc"
 )
 
 // compactArm is one way to compact a formed program. Every arm must
@@ -47,7 +50,7 @@ type formCase struct {
 // benchCases forms a suite benchmark's test build under M4 and P4, as
 // the pipeline does: profiles come from profile.Train on its training
 // build.
-func benchCases(t *testing.T, name string) []formCase {
+func benchCases(t testing.TB, name string) []formCase {
 	t.Helper()
 	b := bench.ByName(name)
 	tp, err := profile.Train(b.Build(b.Train), profile.PathConfig{})
@@ -64,15 +67,31 @@ func benchCases(t *testing.T, name string) []formCase {
 	return []formCase{{name + "/M4", prog, m4}, {name + "/P4", prog, p4}}
 }
 
+// compactSeeds are the RandExecProg seeds of the compactArms
+// differential; pressurePools are the pool sizes its register-pressure
+// variants leave main (withPoolSize).
+var (
+	compactSeeds  = []int64{1, 2, 5, 9}
+	pressurePools = []int{0, 2}
+)
+
 // Compact's output must be byte-identical — pinned by the structural
 // fingerprint — at every worker count and against the preserved
 // reference compaction path, on random programs and on the suite's wc
-// and alt. Run under -race this also proves the worker pool shares
+// and alt. The random programs also come with main left 0 or 2 free
+// registers, so the differential covers the no-renaming fallback
+// (TestCompactPressureFallback checks that it is reached). Every
+// compile must run like its pristine program and keep no virtual
+// register. Run under -race this also proves the worker pool shares
 // nothing it shouldn't.
 func TestCompactWorkerDeterminism(t *testing.T) {
 	progs := map[string]*ir.Program{"hot": hotTrace(300)}
-	for _, seed := range []int64{1, 2, 5, 9} {
-		progs[fmt.Sprintf("rand%d", seed)] = irtest.RandExecProg(seed, 16)
+	for _, seed := range compactSeeds {
+		prog := irtest.RandExecProg(seed, 16)
+		progs[fmt.Sprintf("rand%d", seed)] = prog
+		for _, size := range pressurePools {
+			progs[fmt.Sprintf("rand%d/pool%d", seed, size)] = withPoolSize(prog, size)
+		}
 	}
 	var cases []formCase
 	for name, prog := range progs {
@@ -83,6 +102,10 @@ func TestCompactWorkerDeterminism(t *testing.T) {
 	cases = append(cases, benchCases(t, "wc")...)
 	cases = append(cases, benchCases(t, "alt")...)
 	for _, c := range cases {
+		want, err := interp.Run(c.prog, interp.Config{})
+		if err != nil {
+			t.Fatalf("%s: pristine run: %v", c.name, err)
+		}
 		var base ir.Digest
 		for ai, arm := range compactArms() {
 			res, err := core.Form(c.prog, c.cfg)
@@ -98,6 +121,18 @@ func TestCompactWorkerDeterminism(t *testing.T) {
 			} else if fp != base {
 				t.Fatalf("%s: %s fingerprint %x differs from workers=1 baseline %x", c.name, arm.name, fp, base)
 			}
+			for _, p := range res.Prog.Procs {
+				for _, b := range p.Blocks {
+					if hasVirtual(b.Instrs) {
+						t.Fatalf("%s %s: virtual register survives in %s b%d", c.name, arm.name, p.Name, b.ID)
+					}
+				}
+			}
+			got, err := interp.Run(res.Prog, interp.Config{})
+			if err != nil {
+				t.Fatalf("%s %s: run: %v", c.name, arm.name, err)
+			}
+			mustMatch(t, want, got, c.name+" "+arm.name)
 		}
 	}
 }
@@ -172,6 +207,105 @@ func TestCompactErrorDeterminism(t *testing.T) {
 		}
 		if err.Error() != want {
 			t.Fatalf("workers=%d: error %q differs from serial %q", workers, err.Error(), want)
+		}
+	}
+}
+
+// withPoolSize returns a copy of prog whose main procedure leaves only
+// k registers free: self-moves (mov rK, rK, semantic no-ops) prepended
+// to main's entry block name every other register main never named,
+// keeping the k highest-numbered ones free.
+func withPoolSize(prog *ir.Program, k int) *ir.Program {
+	out := ir.CloneProgram(prog)
+	main := out.Proc(out.Main)
+	free := poolRegs(regalloc.FreePool(main))
+	var moves []ir.Instr
+	for _, r := range free[:len(free)-k] {
+		moves = append(moves, ir.Mov(r, r))
+	}
+	entry := main.Blocks[0]
+	entry.Instrs = append(moves, entry.Instrs...)
+	return out
+}
+
+// hasVirtual reports whether any operand of instrs is virtual.
+func hasVirtual(instrs []ir.Instr) bool {
+	for i := range instrs {
+		ins := &instrs[i]
+		if ins.Dst.IsVirtual() || ins.Src1.IsVirtual() || ins.Src2.IsVirtual() {
+			return true
+		}
+		for _, a := range ins.Args {
+			if a.IsVirtual() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// The register-pressure variants of TestCompactWorkerDeterminism must
+// really reach the no-renaming fallback. Main's pool holds exactly 0
+// or 2 registers; over main's renamed superblock heads, the empty pool
+// sends every one back, and the 2-register pool allocates some and
+// sends others back.
+func TestCompactPressureFallback(t *testing.T) {
+	for _, size := range pressurePools {
+		allocated, fellBack := 0, 0
+		for _, seed := range compactSeeds {
+			prog := withPoolSize(irtest.RandExecProg(seed, 16), size)
+			if got := regalloc.FreePool(prog.Proc(prog.Main)).Len(); got != size {
+				t.Fatalf("seed %d: main's pool holds %d registers, want %d", seed, got, size)
+			}
+			for _, method := range []core.Method{core.EdgeBased, core.PathBased} {
+				res, err := core.Form(prog, trainedConfig(t, prog, method))
+				if err != nil {
+					t.Fatalf("seed %d %v: Form: %v", seed, method, err)
+				}
+				var s regalloc.Scratch
+				for _, h := range preallocHeads(t, res) {
+					if h.proc != prog.Main || !hasVirtual(h.instrs) {
+						continue
+					}
+					switch err := s.AssignVirtuals(&ir.Block{Instrs: h.instrs}, h.pool); {
+					case err == nil:
+						allocated++
+					case errors.Is(err, regalloc.ErrOutOfRegisters):
+						fellBack++
+					default:
+						t.Fatalf("seed %d %v: %v", seed, method, err)
+					}
+				}
+			}
+		}
+		t.Logf("pool %d: %d renamed heads of main allocated, %d fell back", size, allocated, fellBack)
+		if fellBack == 0 || (size == 0) != (allocated == 0) {
+			t.Fatalf("pool %d: %d heads allocated and %d fell back; want fallbacks, and allocations iff the pool is non-empty",
+				size, allocated, fellBack)
+		}
+	}
+}
+
+// Only register pressure may fall back to the unrenamed schedule. A
+// virtual that renaming leaves unresolved (here a read of a virtual
+// nothing defines) is a compiler bug: Compact must return it, tagged
+// with the procedure and superblock, at every worker count.
+func TestCompactSurfacesNonPressureAllocErrors(t *testing.T) {
+	bd := ir.NewBuilder("unresolved", 16)
+	b0 := bd.Proc("main").NewBlock()
+	b0.Add(ir.MovI(1, 7), ir.Add(2, 1, ir.VirtBase+5), ir.Emit(2))
+	b0.Ret(2)
+	prog := bd.Finish()
+	for _, workers := range []int{1, 2, 8} {
+		err := CompactBasicBlocks(ir.CloneProgram(prog), Options{Parallelism: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: an unresolved virtual compacted without error", workers)
+		}
+		if errors.Is(err, regalloc.ErrOutOfRegisters) {
+			t.Fatalf("workers=%d: unresolved virtual reported as register pressure: %v", workers, err)
+		}
+		if want := "sched: main sb0: regalloc: unresolved virtual in"; !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("workers=%d: error %q, want prefix %q", workers, err, want)
 		}
 	}
 }

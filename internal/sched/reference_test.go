@@ -7,12 +7,12 @@ import (
 	"pathsched/internal/core"
 	"pathsched/internal/ir"
 	"pathsched/internal/machine"
-	"pathsched/internal/regalloc"
 )
 
 // This file preserves the seed compaction path — map-based dependence
-// tables, per-cycle ready-list re-sorts, per-instruction clones, fresh
-// allocations throughout — as a test-only oracle: differential tests
+// tables, per-cycle ready-list re-sorts, per-instruction clones, a
+// register allocator that sorts its free list at every definition,
+// fresh allocations throughout — as a test-only oracle: differential tests
 // pin the optimized path byte-identical to it, and the *Reference
 // microbenchmarks time it as the before-optimization baseline. Do not
 // optimize this file.
@@ -23,7 +23,7 @@ func refCompact(res *core.Result, opts Options) error {
 	opts = opts.withDefaults()
 	for _, p := range res.Prog.Procs {
 		live := LiveIn(p)
-		pool := regalloc.FreePool(p)
+		pool := refFreePool(p)
 		sbs := res.Superblocks[p.ID]
 		for _, sb := range sbs {
 			if err := refCompactSuperblock(p, sb, live, pool, opts); err != nil {
@@ -530,8 +530,10 @@ func refScheduleNodes(p *ir.Proc, nodes []node, doRename bool, opts Options) ([]
 }
 
 // refCompactSuperblock is the seed compactSuperblock: it merges an
-// independent fallback copy eagerly and allocates fresh working state
-// throughout.
+// independent fallback copy eagerly, allocates fresh working state
+// throughout, and falls back to the unrenamed schedule on any
+// allocator error (production falls back only on register pressure,
+// the only error renamed superblocks can produce).
 func refCompactSuperblock(p *ir.Proc, sb *core.Superblock, live []RegSet, pool []ir.Reg, opts Options) error {
 	nodes, err := refMergeSuperblock(p, sb, live)
 	if err != nil {
@@ -552,7 +554,7 @@ func refCompactSuperblock(p *ir.Proc, sb *core.Superblock, live []RegSet, pool [
 	head := p.Block(sb.Blocks[0])
 	install(p, head, sb, final, cycles, span)
 	if tryRename {
-		if aerr := regalloc.AssignVirtuals(head, pool); aerr != nil {
+		if aerr := refAssignVirtuals(head, pool); aerr != nil {
 			final, cycles, span, err = refScheduleNodes(p, fallback, false, opts)
 			if err != nil {
 				return tagCycleError(err, p, sb)
@@ -561,5 +563,125 @@ func refCompactSuperblock(p *ir.Proc, sb *core.Superblock, live []RegSet, pool [
 		}
 	}
 	sb.Blocks = sb.Blocks[:1]
+	return nil
+}
+
+// refFreePool is the seed regalloc.FreePool: the pool as a sorted
+// slice of the registers the procedure never names.
+func refFreePool(p *ir.Proc) []ir.Reg {
+	used := make([]bool, ir.PhysRegs)
+	mark := func(r ir.Reg) {
+		if r >= 0 && r < ir.VirtBase {
+			used[r] = true
+		}
+	}
+	for _, b := range p.Blocks {
+		for i := range b.Instrs {
+			ins := &b.Instrs[i]
+			mark(ins.Dst)
+			mark(ins.Src1)
+			mark(ins.Src2)
+			for _, a := range ins.Args {
+				mark(a)
+			}
+		}
+	}
+	var pool []ir.Reg
+	for r := ir.Reg(0); r < ir.VirtBase; r++ {
+		if !used[r] {
+			pool = append(pool, r)
+		}
+	}
+	return pool
+}
+
+// refAssignVirtuals is the seed regalloc.AssignVirtuals: maps for
+// interval ends and assignments, a free list re-sorted at every
+// definition, and an O(live) expiry rescan at every instruction.
+func refAssignVirtuals(b *ir.Block, pool []ir.Reg) error {
+	// Interval ends: last position reading each virtual.
+	lastUse := map[ir.Reg]int{}
+	var buf []ir.Reg
+	for i := range b.Instrs {
+		buf = b.Instrs[i].Uses(buf[:0])
+		for _, u := range buf {
+			if u.IsVirtual() {
+				lastUse[u] = i
+			}
+		}
+	}
+
+	free := append([]ir.Reg(nil), pool...)
+	assign := map[ir.Reg]ir.Reg{}
+	type active struct {
+		virt ir.Reg
+		end  int
+	}
+	var live []active
+
+	expire := func(pos int) {
+		kept := live[:0]
+		for _, a := range live {
+			if a.end < pos {
+				free = append(free, assign[a.virt])
+			} else {
+				kept = append(kept, a)
+			}
+		}
+		live = kept
+	}
+
+	rewrite := func(r *ir.Reg) {
+		if r.IsVirtual() {
+			if phys, ok := assign[*r]; ok {
+				*r = phys
+			}
+		}
+	}
+
+	for i := range b.Instrs {
+		expire(i)
+		ins := &b.Instrs[i]
+		// Uses first (they read values defined earlier).
+		rewrite(&ins.Src1)
+		rewrite(&ins.Src2)
+		for ai := range ins.Args {
+			rewrite(&ins.Args[ai])
+		}
+		// Then the def.
+		if ins.HasDst() && ins.Dst.IsVirtual() {
+			v := ins.Dst
+			if _, dup := assign[v]; dup {
+				return fmt.Errorf("regalloc: virtual %v defined twice", v)
+			}
+			if len(free) == 0 {
+				return fmt.Errorf("regalloc: out of registers at instruction %d (pool %d)", i, len(pool))
+			}
+			// Deterministic choice: smallest-numbered free register.
+			sort.Slice(free, func(a, b int) bool { return free[a] < free[b] })
+			phys := free[0]
+			free = free[1:]
+			assign[v] = phys
+			end, used := lastUse[v]
+			if !used || end < i {
+				end = i // dead def: release immediately on next expire
+			}
+			live = append(live, active{virt: v, end: end})
+			ins.Dst = phys
+		}
+	}
+
+	// Nothing virtual may survive.
+	for i := range b.Instrs {
+		ins := &b.Instrs[i]
+		if ins.Dst.IsVirtual() || ins.Src1.IsVirtual() || ins.Src2.IsVirtual() {
+			return fmt.Errorf("regalloc: unresolved virtual in %v", *ins)
+		}
+		for _, a := range ins.Args {
+			if a.IsVirtual() {
+				return fmt.Errorf("regalloc: unresolved virtual arg in %v", *ins)
+			}
+		}
+	}
 	return nil
 }

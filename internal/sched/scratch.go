@@ -1,6 +1,9 @@
 package sched
 
-import "pathsched/internal/ir"
+import (
+	"pathsched/internal/ir"
+	"pathsched/internal/regalloc"
+)
 
 // scratch owns every buffer the compaction hot path reuses across
 // superblocks, so compiling a procedure allocates almost nothing per
@@ -20,6 +23,8 @@ import "pathsched/internal/ir"
 //   - rename writes s.renamed (it can grow the node list with repair
 //     copies, so it cannot run in place); valueNumber and
 //     eliminateDeadDefs filter their input in place.
+//   - regalloc rewrites the installed head block in place; its window
+//     tables and expiry sets live in s.ra and never escape.
 //   - buildDDG/listSchedule/scheduleNodes use the remaining buffers;
 //     the only per-superblock allocations left are the slices that
 //     escape into the program (head.Instrs, Cycles, ExitUnits, Units)
@@ -64,6 +69,9 @@ type scratch struct {
 	order    []int32
 	finalPos []int32
 	exits    []int32
+
+	// register allocation tables (regalloc.Scratch).
+	ra regalloc.Scratch
 
 	// exact-search state (exact.go). exBest holds the incumbent
 	// schedule and survives the listSchedule call that seeds it; the

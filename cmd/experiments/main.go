@@ -286,7 +286,7 @@ func runStoreGC(st *store.Store, maxBytes int64) {
 // wall clock on parallel runs.
 func printCompileStats(cs pipeline.CompileStats) {
 	fmt.Println("\n# compile-stage wall time (summed across workers)")
-	fmt.Printf("  compiles: %d, layout runs: %d\n", cs.Compiles, cs.LayoutRuns)
+	fmt.Printf("  compiles: %d, layout replays: %d\n", cs.Compiles, cs.LayoutRuns)
 	fmt.Printf("  %-8s %8.3fs\n", "form", cs.FormSeconds)
 	fmt.Printf("  %-8s %8.3fs\n", "compact", cs.CompactSeconds)
 	fmt.Printf("  %-8s %8.3fs\n", "check", cs.CheckSeconds)
@@ -338,7 +338,7 @@ func printProfStats(results []*pipeline.Result) {
 //
 // All configurations share one content-addressed cache, so configs
 // that resolve to identical formation inputs (depth=15 vs baseline)
-// collapse to one compile and one layout-profiling run per benchmark.
+// collapse to one compile and one layout replay per benchmark.
 // With -store, the shared cache is disk-backed, so a repeated sweep
 // starts warm.
 func runAblations(benches string, jobs int, cstats, nocache bool, checkMode pipeline.CheckMode, validateMode pipeline.ValidateMode, st *store.Store) {

@@ -51,6 +51,7 @@ func (c Config) Latency(op ir.Opcode) int32 {
 type ICache struct {
 	lineShift uint
 	sets      int64
+	direct    bool // one way over a power-of-two set count: FetchRange indexes by mask, no LRU order
 	ways      int
 	penalty   int64
 	// tags[set*ways .. set*ways+ways) hold the set's lines in LRU
@@ -95,6 +96,7 @@ func NewICache(cfg ICacheConfig) *ICache {
 	return &ICache{
 		lineShift: shift,
 		sets:      sets,
+		direct:    cfg.Ways == 1 && sets&(sets-1) == 0,
 		ways:      cfg.Ways,
 		penalty:   cfg.Penalty,
 		tags:      tags,
@@ -109,15 +111,27 @@ func (c *ICache) FetchRange(start, end int64) int64 {
 	}
 	first := start >> c.lineShift
 	last := (end - 1) >> c.lineShift
-	var stall int64
-	for line := first; line <= last; line++ {
-		c.accesses++
-		if !c.touch(line) {
-			c.misses++
-			stall += c.penalty
+	c.accesses += last - first + 1
+	var misses int64
+	if c.direct {
+		// The paper's cache: one tag per set and no LRU order to keep,
+		// inline and without a divide.
+		mask := c.sets - 1
+		for line := first; line <= last; line++ {
+			if t := &c.tags[line&mask]; *t != line {
+				*t = line
+				misses++
+			}
+		}
+	} else {
+		for line := first; line <= last; line++ {
+			if !c.touch(line) {
+				misses++
+			}
 		}
 	}
-	return stall
+	c.misses += misses
+	return misses * c.penalty
 }
 
 // touch looks the line up in its set, promotes it to MRU, and reports

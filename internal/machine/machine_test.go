@@ -164,3 +164,104 @@ func TestFullyAssociativeSmallCache(t *testing.T) {
 		t.Fatal("LRU line must have been evicted")
 	}
 }
+
+// refICache is the cache model before the inline direct-mapped path:
+// every set by modulus, every hit an LRU shuffle. It is the oracle the
+// fast model must match miss for miss.
+type refICache struct {
+	lineShift        uint
+	sets             int64
+	ways             int
+	penalty          int64
+	tags             []int64
+	accesses, misses int64
+}
+
+func newRefICache(cfg ICacheConfig) *refICache {
+	if cfg.Ways <= 0 {
+		cfg.Ways = 1
+	}
+	shift := uint(0)
+	for 1<<shift < cfg.LineBytes {
+		shift++
+	}
+	sets := cfg.SizeBytes / cfg.LineBytes / int64(cfg.Ways)
+	if sets < 1 {
+		sets = 1
+	}
+	tags := make([]int64, sets*int64(cfg.Ways))
+	for i := range tags {
+		tags[i] = -1
+	}
+	return &refICache{lineShift: shift, sets: sets, ways: cfg.Ways, penalty: cfg.Penalty, tags: tags}
+}
+
+func (c *refICache) FetchRange(start, end int64) int64 {
+	if end <= start {
+		return 0
+	}
+	var stall int64
+	for line := start >> c.lineShift; line <= (end-1)>>c.lineShift; line++ {
+		c.accesses++
+		if !c.touch(line) {
+			c.misses++
+			stall += c.penalty
+		}
+	}
+	return stall
+}
+
+func (c *refICache) touch(line int64) bool {
+	base := int(line%c.sets) * c.ways
+	ways := c.tags[base : base+c.ways]
+	for i, t := range ways {
+		if t == line {
+			copy(ways[1:i+1], ways[:i])
+			ways[0] = line
+			return true
+		}
+	}
+	copy(ways[1:], ways[:c.ways-1])
+	ways[0] = line
+	return false
+}
+
+// TestICacheMatchesReferenceModel is the differential for the inline
+// direct-mapped path: over random fetch streams, stalls, accesses and
+// misses must equal the reference model's, for direct-mapped caches
+// over a power-of-two set count (the inline path) and for 2-, 3- and
+// 4-way caches and a direct-mapped cache of 96 sets (touch).
+func TestICacheMatchesReferenceModel(t *testing.T) {
+	base := DefaultICache()
+	configs := []ICacheConfig{
+		base,
+		{SizeBytes: base.SizeBytes, LineBytes: 32, Penalty: 6, Ways: 2},
+		{SizeBytes: base.SizeBytes, LineBytes: 32, Penalty: 6, Ways: 4},
+		{SizeBytes: base.SizeBytes, LineBytes: 32, Penalty: 6, Ways: 3}, // 341 sets
+		{SizeBytes: 3 << 10, LineBytes: 32, Penalty: 6},                 // 96 sets, direct-mapped
+		{SizeBytes: 1 << 10, LineBytes: 64, Penalty: 3, Ways: 2},
+	}
+	for _, cfg := range configs {
+		// Fetches land in a region four times the cache, so streams
+		// mix hits, conflict misses and (associative) LRU promotions;
+		// lengths of up to 255 words span several lines.
+		region := 4 * cfg.SizeBytes
+		same := func(starts []uint16, lens []uint8) bool {
+			fast, ref := NewICache(cfg), newRefICache(cfg)
+			for i, s := range starts {
+				start := int64(s) * 4 % region
+				n := int64(1)
+				if i < len(lens) {
+					n = int64(lens[i])
+				}
+				if fast.FetchRange(start, start+4*n) != ref.FetchRange(start, start+4*n) {
+					return false
+				}
+			}
+			return fast.Accesses() == ref.accesses && fast.Misses() == ref.misses
+		}
+		if err := quick.Check(same, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
+	}
+}

@@ -16,25 +16,23 @@ import (
 	"pathsched/internal/validate"
 )
 
-// Cache is a content-addressed memo of the two expensive steps every
-// scheme's layout stage repeats: compiling (forming + compacting) a
-// pristine build under a formation config, and layout-profiling the
-// resulting transformed training build.
+// Cache is a content-addressed memo of the two steps every scheme
+// runs: compiling (forming + compacting) the pristine testing build
+// under a formation config, and replaying the training run over that
+// compile for its layout weights.
 //
 // Entries are addressed purely by structural fingerprints, never by
 // benchmark or scheme name, so any two schemes, ablation configs, or
-// runners that arrive at the same bytes share one computation:
+// runners that arrive at the same inputs share one computation:
 //
 //   - compile entries are keyed by (pristine-build fingerprint,
 //     training-build fingerprint, config digest) — see compileKey —
 //     and hold an immutable master of the compiled program, which
 //     consumers clone before mutating;
-//   - layout entries are keyed by the fingerprint of the *formed*
-//     training build and hold its frozen layout profile (block and
-//     edge frequencies plus dynamic call counts). P4 and P4e form
-//     byte-identical programs on benchmarks with no non-loop heads,
-//     so their configs miss the compile cache but their formed builds
-//     collide here, and one training run serves both.
+//   - layout entries are keyed by the testing compile's key, under
+//     their own domain string (layoutKey), and hold the compile's
+//     frozen layout profile (block and edge frequencies plus dynamic
+//     call counts) as replayed from the training run.
 //
 // Lookups are single-flight: the first goroutine to miss a key
 // computes it while any concurrent worker asking for the same key
@@ -131,25 +129,24 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // compiled is an immutable compile-cache value: the master program
-// (never handed to callers directly — they clone it), its structural
-// fingerprint (which keys the layout cache without re-hashing), the
-// formation stats the measurement reports, and — when the respective
-// gates are enabled — the compile's gap accounting and translation
-// validation stats (nil otherwise), so cache hits still report both.
-// Validation enters the compile key (compileKey), so an entry built
-// without validation can never be returned to a validated run.
+// (never handed to callers directly — they clone it), the formation
+// stats the measurement reports, and — when the respective gates are
+// enabled — the compile's gap accounting and translation validation
+// stats (nil otherwise), so cache hits still report both. Validation
+// enters the compile key (compileKey), so an entry built without
+// validation can never be returned to a validated run.
 type compiled struct {
 	master *ir.Program
-	fp     ir.Digest
 	stats  core.Stats
 	gap    *sched.GapStats
 	vstats *validate.Stats
 }
 
 // layoutProfile is an immutable layout-cache value: the frozen weights
-// layout.Assign consumes, gathered from one training run of a formed
-// build. The profile and call-count map are read-only after the run
-// completes, so one value may serve any number of schemes at once.
+// layout.Assign consumes, replayed from the training run over one
+// compile. The profile and call-count map are read-only once the
+// replay completes, so one value may serve any number of schemes at
+// once.
 type layoutProfile struct {
 	calls map[[2]ir.ProcID]int64
 	prof  *profile.EdgeProfile
@@ -250,15 +247,22 @@ func (c *Cache) bump(sel func(*CacheStats) *TierStats, f func(*TierStats)) {
 	c.stats.Unlock()
 }
 
-// compile memoizes one formed+compacted build.
+// compile memoizes one formed+compacted build. On a nil cache
+// (caching disabled) it just builds.
 func (c *Cache) compile(key ir.Digest, build func() (*compiled, error)) (*compiled, error) {
+	if c == nil {
+		return build()
+	}
 	return lookupTiered(c, c.compiles, key, compiledCodec,
 		func(s *CacheStats) *TierStats { return &s.Compile }, build)
 }
 
-// layout memoizes one layout-profiling run, keyed by the fingerprint
-// of the formed training build it profiles.
+// layout memoizes one layout replay, keyed by layoutKey of the compile
+// it replays over. On a nil cache (caching disabled) it just builds.
 func (c *Cache) layout(key ir.Digest, build func() (*layoutProfile, error)) (*layoutProfile, error) {
+	if c == nil {
+		return build()
+	}
 	return lookupTiered(c, c.layouts, key, layoutCodec,
 		func(s *CacheStats) *TierStats { return &s.Layout }, build)
 }

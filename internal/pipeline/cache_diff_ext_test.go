@@ -16,15 +16,16 @@ import (
 
 func TestCachedSuiteMatchesUncachedByteForByte(t *testing.T) {
 	// Includes microbenchmarks whose training and test inputs build
-	// identical programs (alt, ph, corr) so the compile cache's
-	// train==test collapse is exercised, plus one (wc) where the two
+	// identical programs (alt, ph, corr) plus one (wc) where the two
 	// builds differ.
 	names := []string{"alt", "ph", "corr", "wc"}
+	schemes := pipeline.AllSchemes()
+	perScheme := int64(len(names) * len(schemes))
 	run := func(opts pipeline.Options) (string, *pipeline.Runner) {
 		c := machine.DefaultICache()
 		opts.Cache = &c
 		r := pipeline.NewRunner(opts)
-		res, err := r.RunSuite(names, pipeline.AllSchemes())
+		res, err := r.RunSuite(names, schemes)
 		if err != nil {
 			t.Fatalf("RunSuite(%+v): %v", opts, err)
 		}
@@ -34,6 +35,13 @@ func TestCachedSuiteMatchesUncachedByteForByte(t *testing.T) {
 	baseline, offRunner := run(pipeline.Options{Parallelism: 1, DisableProfileCache: true})
 	if _, ok := offRunner.CacheStats(); ok {
 		t.Fatal("DisableProfileCache runner still reports cache stats")
+	}
+	// Without the memo every scheme compiles exactly one build — the
+	// testing build — and replays its layout once: no training-build
+	// compile happens.
+	if cs := offRunner.CompileStats(); cs.Compiles != perScheme || cs.LayoutRuns != perScheme {
+		t.Errorf("cache-off run made %d compiles and %d layout replays, want %d each (one per benchmark × scheme)",
+			cs.Compiles, cs.LayoutRuns, perScheme)
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -53,8 +61,15 @@ func TestCachedSuiteMatchesUncachedByteForByte(t *testing.T) {
 		if s.Compile.Builds == 0 || s.Layout.Builds == 0 {
 			t.Errorf("Parallelism=%d: cache saw no work (stats %s)", par, s)
 		}
-		if s.Compile.MemHits == 0 {
-			t.Errorf("Parallelism=%d: expected train==test compile hits on alt/ph/corr (stats %s)", par, s)
+		// One compile lookup and one layout lookup per (benchmark,
+		// scheme), and no compile beyond the cache's own builds: no
+		// training-build compile happens.
+		lookups := func(t pipeline.TierStats) int64 { return t.MemHits + t.DiskHits + t.Builds + t.Dedups }
+		if c, l := lookups(s.Compile), lookups(s.Layout); c != perScheme || l != perScheme {
+			t.Errorf("Parallelism=%d: %d compile and %d layout lookups, want %d each (stats %s)", par, c, l, perScheme, s)
+		}
+		if cs := r.CompileStats(); cs.Compiles != s.Compile.Builds {
+			t.Errorf("Parallelism=%d: %d compiles for %d compile-cache builds", par, cs.Compiles, s.Compile.Builds)
 		}
 	}
 }

@@ -21,7 +21,7 @@ func TestCacheHitAfterMiss(t *testing.T) {
 	builds := 0
 	build := func() (*compiled, error) {
 		builds++
-		return &compiled{fp: testKey(0x77)}, nil
+		return &compiled{}, nil
 	}
 	first, err := c.compile(testKey(1), build)
 	if err != nil {

@@ -30,8 +30,8 @@ import (
 // wrong answer.
 
 // Store entry kinds. Keys under both kinds are hex cache digests:
-// compileKey digests for compiles, formed-training-build fingerprints
-// for layout profiles.
+// compileKey digests for compiles, layoutKey digests (derived from the
+// testing compile's key) for layout profiles.
 const (
 	StoreKindCompile = "compile"
 	StoreKindLayout  = "layout"
@@ -188,10 +188,14 @@ func unframe(payload []byte, header any) (body []byte, err error) {
 	return payload[w+int(n):], nil
 }
 
+// encodeCompiled fingerprints the master for the read-side integrity
+// check: only the disk tier needs the digest, so memory-only runs never
+// compute it.
 func encodeCompiled(c *compiled, key string) ([]byte, error) {
+	fp := ir.Fingerprint(c.master)
 	return frame(compiledHeader{
 		Key:    key,
-		FP:     hex.EncodeToString(c.fp[:]),
+		FP:     hex.EncodeToString(fp[:]),
 		Stats:  c.stats,
 		Gap:    c.gap,
 		VStats: c.vstats,
@@ -223,7 +227,7 @@ func decodeCompiled(payload []byte, key string) (*compiled, error) {
 	if hex.EncodeToString(fp[:]) != hdr.FP {
 		return nil, fmt.Errorf("pipeline: compiled artifact fingerprint mismatch")
 	}
-	return &compiled{master: master, fp: fp, stats: hdr.Stats, gap: hdr.Gap, vstats: hdr.VStats}, nil
+	return &compiled{master: master, stats: hdr.Stats, gap: hdr.Gap, vstats: hdr.VStats}, nil
 }
 
 // layoutHeader is the JSON side-car of a layout-profile artifact; the

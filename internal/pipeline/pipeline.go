@@ -11,29 +11,32 @@
 // therefore transfer from the training build to the testing build by
 // block id, and formation — which is deterministic given a profile —
 // produces structurally identical transformed programs for both
-// builds. The pipeline exploits that: layout weights are gathered by
-// running the *transformed training build* (never the testing input),
-// exactly like a profile-guided link step.
+// builds. The pipeline exploits that twice. Each scheme compiles only
+// the testing build. Its layout weights — the profile of the
+// transformed program on the training input, as a profile-guided link
+// step would gather them — come from replaying the training run's
+// recorded branch decisions over that compile (profile.Replay), so no
+// compiled program is executed for layout.
 //
 // Because formation is deterministic given an immutable frozen profile,
 // the per-benchmark and per-scheme measurements are independent of one
 // another: RunSuite fans benchmarks out across a bounded worker pool,
 // and RunBenchmark fans the schemes out likewise. Frozen profiles
-// (EdgeProfile, PathProfile) and pristine builds are shared read-only
-// across workers; everything a scheme mutates (formed clones, layout,
-// cache model, layout profilers) is private to its worker. Results are
-// assembled in input order regardless of completion order, so parallel
-// and serial runs produce identical output. Options.Parallelism
-// controls the pool (1 reproduces the historical serial order).
+// (EdgeProfile, PathProfile, BranchTrace) and pristine builds are
+// shared read-only across workers; everything a scheme mutates (formed
+// clones, layout, cache model, replay counters) is private to its
+// worker. Results are assembled in input order regardless of
+// completion order, so parallel and serial runs produce identical
+// output. Options.Parallelism controls the pool (1 reproduces the
+// historical serial order).
 //
 // Determinism also enables memoization: a content-addressed Cache
 // (cache.go) keys each scheme's compile by structural fingerprints of
-// its inputs and each layout-profiling run by the fingerprint of the
-// formed training build, with single-flight deduplication across
-// concurrent workers. Schemes or ablation configs that form identical
-// programs share one compile and one training run; the differential
-// golden tests pin cached results byte-identical to the uncached
-// serial pipeline.
+// its inputs and its layout replay by that compile's key, with
+// single-flight deduplication across concurrent workers. Ablation
+// configs that resolve to identical inputs share one compile and one
+// replay; the differential golden tests pin cached results
+// byte-identical to the uncached serial pipeline.
 package pipeline
 
 import (
@@ -169,18 +172,20 @@ type Options struct {
 	// callers passing an explicit ProfileCache attach a store with
 	// NewDiskCache instead. Results are identical with or without it.
 	ArtifactStore *store.Store
-	// DisableProfileCache turns memoization off entirely, restoring the
-	// historical every-scheme-recompiles behavior. The differential
-	// tests pin cached runs byte-identical to this path.
+	// DisableProfileCache turns memoization off entirely: every scheme
+	// runs the same steps (compile the testing build, replay its layout
+	// weights) with the memo bypassed. The differential tests pin cached
+	// runs byte-identical to this path.
 	DisableProfileCache bool
 	// Check gates each stage with the semantic analyses of
 	// internal/check: profile flow conservation after profiling,
 	// superblock invariants after formation, schedule legality and
 	// def-before-use after compaction, and flow conservation of the
-	// layout profile. Stage checks run on cache misses; a cache hit
-	// returns a result whose (content-identical) inputs were checked
-	// when first compiled. Checking is purely observational — it never
-	// changes results, so it deliberately does not enter cache keys.
+	// replayed layout profile over the compile. Stage checks run on
+	// cache misses; a cache hit returns a result whose
+	// (content-identical) inputs were checked when first compiled.
+	// Checking is purely observational — it never changes results, so
+	// it deliberately does not enter cache keys.
 	Check CheckMode
 	// Validate gates every compile with the symbolic translation
 	// validator (check.Equiv): each compiled procedure must prove
@@ -272,13 +277,13 @@ type stageStats struct {
 // cmd/experiments -compilestats.
 type CompileStats struct {
 	Compiles   int64 // compileWith invocations (cache misses only, when caching)
-	LayoutRuns int64 // layout-weight training runs
+	LayoutRuns int64 // layout-weight replays (profile.Replay; cache misses only, when caching)
 
 	FormSeconds     float64 // superblock formation
 	CompactSeconds  float64 // sched.Compact / CompactBasicBlocks
 	CheckSeconds    float64 // semantic checker gates (0 when checking is off)
 	ValidateSeconds float64 // translation validation (0 when validation is off)
-	LayoutSeconds   float64 // layout training runs
+	LayoutSeconds   float64 // layout-weight replays
 }
 
 // CompileStats returns the per-stage compile wall-time counters
@@ -395,7 +400,7 @@ func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, sc
 		return nil, fmt.Errorf("pipeline: %s: training run: %w", b.Name, err)
 	}
 	eprof, pprof := tp.Edge, tp.Path
-	var bases benchBases
+	var base check.Baseline
 	if r.check {
 		vs := check.EdgeFlow(trainProg, eprof)
 		vs = append(vs, check.PathFlow(trainProg, pprof, eprof)...)
@@ -405,11 +410,10 @@ func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, sc
 		if err := check.Err("profile", vs); err != nil {
 			return nil, fmt.Errorf("pipeline: %s: %w", b.Name, err)
 		}
-		// The def-before-use baselines are functions of the pristine
-		// builds alone, so compute them once here rather than inside
-		// every scheme compile (ten per benchmark).
-		bases.train = check.BaselineOf(trainProg)
-		bases.test = check.BaselineOf(testProg)
+		// The def-before-use baseline is a function of the pristine
+		// testing build alone, so compute it once here rather than
+		// inside every scheme compile.
+		base = check.BaselineOf(testProg)
 	}
 
 	// Reference output for the correctness cross-check. The pristine
@@ -424,7 +428,8 @@ func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, sc
 	// Pristine-build fingerprints key the compile cache. They are
 	// computed once per benchmark, not per scheme; the training
 	// fingerprint rides along in every key because the profiles that
-	// feed formation derive from the training build.
+	// feed formation, and the trace that layout replays, derive from
+	// the training build.
 	var keys benchKeys
 	if r.cache != nil {
 		keys.on = true
@@ -437,7 +442,7 @@ func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, sc
 	// assembly order is independent of completion order.
 	ms := make([]*Measurement, len(schemes))
 	err = forEachLimited(ctx, len(schemes), r.opts.Parallelism, func(ctx context.Context, i int) error {
-		m, err := r.runScheme(schemes[i], trainProg, testProg, eprof, pprof, ref, keys, bases)
+		m, err := r.runScheme(schemes[i], trainProg, testProg, tp, ref, keys, base)
 		if err != nil {
 			return fmt.Errorf("pipeline: %s/%s: %w", b.Name, schemes[i], err)
 		}
@@ -449,7 +454,8 @@ func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, sc
 	}
 
 	// A copy of the statistics, not a pointer into tp: the result must
-	// not keep the training profiles alive once the schemes are done.
+	// not keep the training profiles and trace alive once the schemes
+	// are done.
 	profStats := tp.Stats
 	res := &Result{
 		Name:          b.Name,
@@ -613,13 +619,6 @@ type benchKeys struct {
 	train, test ir.Digest
 }
 
-// benchBases carries one benchmark's pristine-build def-before-use
-// baselines to the scheme workers; the zero value (checking off) is
-// fine because checkCompacted never touches it then.
-type benchBases struct {
-	train, test check.Baseline
-}
-
 // compileKey content-addresses one compile: the pristine build being
 // compiled, the training build the formation profiles derive from, the
 // resolved formation config, the compaction options and machine model,
@@ -685,97 +684,76 @@ func (r *Runner) compileKey(progFP, trainFP ir.Digest, cfg core.Config, haveCfg 
 	return w.sum()
 }
 
-// cachedCompile returns the memoized compile of prog under key,
-// computing and fingerprinting it on a miss. The returned master is
-// immutable; callers clone before mutating.
-func (r *Runner) cachedCompile(key ir.Digest, prog *ir.Program, base check.Baseline, cfg core.Config, haveCfg bool) (*compiled, error) {
-	return r.cache.compile(key, func() (*compiled, error) {
-		bin, stats, gap, vstats, err := r.compileWith(prog, base, cfg, haveCfg)
+// layoutKey content-addresses the layout weights of the compile under
+// compile: the replay is a function of that compile and of the
+// training build's run, both of which the compile key covers. The
+// domain string keeps these keys apart from every compile key and from
+// the formed-program fingerprints older stores filed layout entries
+// under, so such entries are never hit.
+func layoutKey(compile ir.Digest) ir.Digest {
+	w := newKeyWriter()
+	w.str("pathsched-pipeline-layout-replay-v1")
+	w.digest(compile)
+	return w.sum()
+}
+
+// buildScheme compiles a scheme's testing build and replays the
+// training run over the compile for its layout weights. Each step is
+// memoized by content address and deduplicated across concurrent
+// scheme workers when caching is on, and runs directly when it is off.
+// It returns a private (mutable) testing binary, the formation stats of
+// its compile, the layout weights to assign to it, and — when enabled —
+// the compile's gap accounting and validation stats. base is the
+// testing build's def-before-use baseline (nil when checking is off).
+func (r *Runner) buildScheme(s Scheme, trainProg, testProg *ir.Program, tp *profile.TrainingProfiles, keys benchKeys, base check.Baseline) (*ir.Program, core.Stats, layout.Input, *sched.GapStats, *validate.Stats, error) {
+	cfg, haveCfg, err := r.formConfig(s, tp.Edge, tp.Path)
+	if err != nil {
+		return nil, core.Stats{}, layout.Input{}, nil, nil, err
+	}
+	var ckey, lkey ir.Digest
+	if keys.on {
+		ckey = r.compileKey(keys.test, keys.train, cfg, haveCfg)
+		lkey = layoutKey(ckey)
+	}
+	c, err := r.cache.compile(ckey, func() (*compiled, error) {
+		bin, stats, gap, vstats, err := r.compileWith(testProg, base, cfg, haveCfg)
 		if err != nil {
 			return nil, err
 		}
-		return &compiled{master: bin, fp: ir.Fingerprint(bin), stats: stats, gap: gap, vstats: vstats}, nil
+		return &compiled{master: bin, stats: stats, gap: gap, vstats: vstats}, nil
 	})
-}
-
-// buildScheme compiles a scheme's training and testing builds and
-// gathers the layout weights from a training run of the transformed
-// training build, via the cache when one is configured. It returns a
-// private (mutable) testing binary, the formation stats of its
-// compile, the layout weights to assign to it, and — when enabled —
-// the testing compile's gap accounting and validation stats.
-func (r *Runner) buildScheme(s Scheme, trainProg, testProg *ir.Program, eprof *profile.EdgeProfile, pprof *profile.PathProfile, keys benchKeys, bases benchBases) (*ir.Program, core.Stats, layout.Input, *sched.GapStats, *validate.Stats, error) {
-	cfg, haveCfg, err := r.formConfig(s, eprof, pprof)
 	if err != nil {
-		return nil, core.Stats{}, layout.Input{}, nil, nil, err
+		return nil, core.Stats{}, layout.Input{}, nil, nil, fmt.Errorf("compile: %w", err)
 	}
-
-	if !keys.on {
-		// Historical uncached path: compile the training build to
-		// harvest layout weights, then the testing build for
-		// measurement. Formation is deterministic given (CFG, profile),
-		// so both compiles produce the same structure.
-		trainBin, _, _, _, err := r.compileWith(trainProg, bases.train, cfg, haveCfg)
-		if err != nil {
-			return nil, core.Stats{}, layout.Input{}, nil, nil, fmt.Errorf("train compile: %w", err)
-		}
-		testBin, stats, gap, vstats, err := r.compileWith(testProg, bases.test, cfg, haveCfg)
-		if err != nil {
-			return nil, core.Stats{}, layout.Input{}, nil, nil, fmt.Errorf("test compile: %w", err)
-		}
-		if err := checkSameShape(trainBin, testBin); err != nil {
-			return nil, core.Stats{}, layout.Input{}, nil, nil, fmt.Errorf("formed builds diverge: %w", err)
-		}
-		lw, err := r.layoutWeights(trainBin)
-		if err != nil {
-			return nil, core.Stats{}, layout.Input{}, nil, nil, err
-		}
-		return testBin, stats, lw.input(), gap, vstats, nil
-	}
-
-	// Cached path: the same steps, each memoized by content address
-	// and deduplicated across concurrent scheme workers.
-	trainC, err := r.cachedCompile(r.compileKey(keys.train, keys.train, cfg, haveCfg), trainProg, bases.train, cfg, haveCfg)
-	if err != nil {
-		return nil, core.Stats{}, layout.Input{}, nil, nil, fmt.Errorf("train compile: %w", err)
-	}
-	testC, err := r.cachedCompile(r.compileKey(keys.test, keys.train, cfg, haveCfg), testProg, bases.test, cfg, haveCfg)
-	if err != nil {
-		return nil, core.Stats{}, layout.Input{}, nil, nil, fmt.Errorf("test compile: %w", err)
-	}
-	if err := checkSameShape(trainC.master, testC.master); err != nil {
-		return nil, core.Stats{}, layout.Input{}, nil, nil, fmt.Errorf("formed builds diverge: %w", err)
-	}
-	// Layout weights are keyed by the *formed* training build's
-	// fingerprint: schemes whose configs differ but whose formed
-	// programs coincide (P4 vs P4e with no non-loop heads) share one
-	// training run. The master is only read — the interpreter's run
-	// state is private and its decode memo is published atomically —
-	// so no clone is needed.
-	lp, err := r.cache.layout(trainC.fp, func() (*layoutProfile, error) {
-		return r.layoutWeights(trainC.master)
+	// The replay only reads the master, so no clone is needed.
+	lp, err := r.cache.layout(lkey, func() (*layoutProfile, error) {
+		return r.layoutWeights(trainProg, c.master, tp.Trace)
 	})
 	if err != nil {
 		return nil, core.Stats{}, layout.Input{}, nil, nil, err
 	}
-	return ir.CloneProgram(testC.master), testC.stats, lp.input(), testC.gap, testC.vstats, nil
+	bin := c.master
+	if r.cache != nil {
+		// A cached master is shared: lay out and run a private copy.
+		bin = ir.CloneProgram(bin)
+	}
+	return bin, c.stats, lp.input(), c.gap, c.vstats, nil
 }
 
-// layoutWeights runs the transformed training build once and returns
-// the frozen weights layout.Assign consumes.
-func (r *Runner) layoutWeights(trainBin *ir.Program) (*layoutProfile, error) {
+// layoutWeights replays the training run tr over bin, a compile of the
+// testing build, and returns the frozen weights layout.Assign consumes:
+// the point profile the compiled training build would show on the
+// training input (profile.Replay), without executing anything.
+func (r *Runner) layoutWeights(trainProg, bin *ir.Program, tr *profile.BranchTrace) (*layoutProfile, error) {
 	r.stats.layoutRuns.Add(1)
 	t0 := time.Now()
 	defer func() { r.stats.layoutNS.Add(int64(time.Since(t0))) }()
-	// Pure point profiling: on decodable programs this run carries no
-	// observer at all — the edge and call-graph weights reconstruct
-	// from the engine's visit counters (profile.PointProfiles).
-	prof, calls, err := profile.PointProfiles(trainBin)
+	prof, calls, err := profile.Replay(trainProg, bin, tr)
 	if err != nil {
-		return nil, fmt.Errorf("layout training run: %w", err)
+		return nil, fmt.Errorf("layout replay: %w", err)
 	}
 	if r.check {
-		if err := check.Err("layout", check.EdgeFlow(trainBin, prof)); err != nil {
+		if err := check.Err("layout", check.EdgeFlow(bin, prof)); err != nil {
 			return nil, err
 		}
 	}
@@ -783,10 +761,11 @@ func (r *Runner) layoutWeights(trainBin *ir.Program) (*layoutProfile, error) {
 }
 
 // runScheme compiles and measures one scheme. trainProg and testProg
-// are the benchmark's shared pristine builds; runScheme only reads them
-// (compileWith clones), so concurrent scheme runs can share one pair.
-func (r *Runner) runScheme(s Scheme, trainProg, testProg *ir.Program, eprof *profile.EdgeProfile, pprof *profile.PathProfile, ref *interp.Result, keys benchKeys, bases benchBases) (*Measurement, error) {
-	testBin, stats, lin, gap, vstats, err := r.buildScheme(s, trainProg, testProg, eprof, pprof, keys, bases)
+// are the benchmark's shared pristine builds and tp its training
+// profiles; runScheme only reads them (compileWith clones), so
+// concurrent scheme runs can share them.
+func (r *Runner) runScheme(s Scheme, trainProg, testProg *ir.Program, tp *profile.TrainingProfiles, ref *interp.Result, keys benchKeys, base check.Baseline) (*Measurement, error) {
+	testBin, stats, lin, gap, vstats, err := r.buildScheme(s, trainProg, testProg, tp, keys, base)
 	if err != nil {
 		return nil, err
 	}
@@ -892,14 +871,19 @@ func (r *Runner) RunSuiteContext(ctx context.Context, names []string, schemes []
 }
 
 // checkSameShape verifies two builds of a benchmark have identical CFG
-// structure (procedures, block counts, terminator opcodes and arities),
-// the property profile transfer relies on. Successor counts matter as
-// much as opcodes: two switches over differently sized jump tables have
-// the same terminator opcode but different out-degrees, and a profile
-// gathered on one does not transfer to the other.
+// structure (main, procedures, block counts, and each terminator's
+// opcode, targets and callee), the property profile transfer relies
+// on. Opcodes alone are not enough: two switches over differently sized
+// jump tables have the same terminator opcode but different
+// out-degrees, and layout replay walks the testing build's compile
+// with the training build's terminators, so every successor id and
+// every callee must agree as well.
 func checkSameShape(a, b *ir.Program) error {
 	if len(a.Procs) != len(b.Procs) {
 		return fmt.Errorf("proc count %d vs %d", len(a.Procs), len(b.Procs))
+	}
+	if a.Main != b.Main {
+		return fmt.Errorf("main proc %d vs %d", a.Main, b.Main)
 	}
 	for i := range a.Procs {
 		pa, pb := a.Procs[i], b.Procs[i]
@@ -915,6 +899,15 @@ func checkSameShape(a, b *ir.Program) error {
 			if len(ta.Targets) != len(tb.Targets) {
 				return fmt.Errorf("proc %s block b%d: %v successor count %d vs %d",
 					pa.Name, j, ta.Op, len(ta.Targets), len(tb.Targets))
+			}
+			for k := range ta.Targets {
+				if ta.Targets[k] != tb.Targets[k] {
+					return fmt.Errorf("proc %s block b%d: %v target %d is b%d vs b%d",
+						pa.Name, j, ta.Op, k, ta.Targets[k], tb.Targets[k])
+				}
+			}
+			if ta.Op == ir.OpCall && ta.Callee != tb.Callee {
+				return fmt.Errorf("proc %s block b%d: call to proc %d vs %d", pa.Name, j, ta.Callee, tb.Callee)
 			}
 		}
 	}

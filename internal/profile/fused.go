@@ -60,12 +60,16 @@ type TrainStats struct {
 
 // TrainingProfiles bundles everything one training run yields. BL is
 // non-nil only for TrainBL runs: the raw numbered-path counters behind
-// Path, kept for flow checking and diagnostics.
+// Path, kept for flow checking and diagnostics. Trace is the run's
+// branch decisions, from which Replay derives any compile's layout
+// weights; it is a function of the training build, so it needs no
+// cache key of its own.
 type TrainingProfiles struct {
 	Edge  *EdgeProfile
 	Path  *PathProfile
 	Calls map[[2]ir.ProcID]int64
 	BL    *BLProfiler
+	Trace *BranchTrace
 	Stats TrainStats
 }
 
@@ -104,16 +108,20 @@ type pathTrainer interface {
 	AutomatonStats() []ProcAutomatonStats
 }
 
-// train is the one training driver behind Train and TrainBL.
+// train is the one training driver behind Train and TrainBL. The path
+// profiler's batched edge stream is teed into the run's BranchTrace.
 func train(prog *ir.Program, pp pathTrainer, scheme string) (*TrainingProfiles, error) {
-	_, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: pp})
+	tee := newTraceTee(prog, pp)
+	res, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: tee})
 	if err != nil {
 		return nil, err
 	}
+	tee.tr.blocks = res.DynBlocks
 	tp := &TrainingProfiles{
 		Edge:  EdgeProfilerFromCounts(prog, ec).Profile(),
 		Path:  pp.Profile(),
 		Calls: CallCountsFromCounts(ec),
+		Trace: tee.tr,
 		Stats: TrainStats{Scheme: scheme, Automaton: pp.AutomatonStats()},
 	}
 	tp.Stats.Batches, tp.Stats.Records = pp.BatchStats()
@@ -122,8 +130,9 @@ func train(prog *ir.Program, pp pathTrainer, scheme string) (*TrainingProfiles, 
 
 // PointProfiles executes prog once and gathers only its edge and
 // call-graph profiles. The run carries no observer at all (pure
-// counter-fused reconstruction), which is what layout-profiling runs
-// and irtool want. Errors are returned as by Train.
+// counter-fused reconstruction), which is what irtool wants and what
+// the replay differentials compare Replay against. Errors are returned
+// as by Train.
 func PointProfiles(prog *ir.Program) (*EdgeProfile, map[[2]ir.ProcID]int64, error) {
 	_, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{})
 	if err != nil {

@@ -40,12 +40,10 @@ func main() {
 		ablate    = flag.Bool("ablate", false, "run design-choice ablations instead of the figures")
 		jsonOut   = flag.Bool("json", false, "emit raw measurements as JSON instead of text reports")
 		jobs      = flag.Int("j", 0, "parallel pipeline workers (0 = GOMAXPROCS, 1 = serial)")
-		cstats    = flag.Bool("cachestats", false, "report compile/layout-profile cache hits, misses, and dedups")
-		nocache   = flag.Bool("nocache", false, "disable the compile/layout-profile cache")
+		cstats    = flag.Bool("cachestats", false, "report compile-cache hits, misses, and dedups")
+		nocache   = flag.Bool("nocache", false, "disable the compile cache (laid-out binaries)")
 		docheck   = flag.Bool("check", false, "run the semantic checker after every pipeline stage")
-		nocheck   = flag.Bool("nocheck", false, "disable the semantic checker (default: off outside tests)")
 		dovalid   = flag.Bool("validate", false, "prove every compile semantically equivalent to its pristine IR and report the verdict table")
-		novalid   = flag.Bool("novalidate", false, "disable translation validation (default: off outside tests)")
 		profstats = flag.Bool("profstats", false, "report per-benchmark training-run statistics (fast-path modes, batch flushes, automaton sizes)")
 		compstats = flag.Bool("compilestats", false, "report per-stage compile wall time (form, compact, check, layout)")
 		exact     = flag.Bool("exact", false, "schedule with the exact branch-and-bound search (falls back to the list schedule above the budgets)")
@@ -63,25 +61,15 @@ func main() {
 		*exact = true
 	}
 
+	// Without -check or -validate the gates resolve off: the Auto modes
+	// enable them only under `go test`.
 	checkMode := pipeline.CheckAuto
-	switch {
-	case *docheck && *nocheck:
-		fmt.Fprintln(os.Stderr, "experiments: -check and -nocheck are mutually exclusive")
-		os.Exit(2)
-	case *docheck:
+	if *docheck {
 		checkMode = pipeline.CheckOn
-	case *nocheck:
-		checkMode = pipeline.CheckOff
 	}
 	validateMode := pipeline.ValidateAuto
-	switch {
-	case *dovalid && *novalid:
-		fmt.Fprintln(os.Stderr, "experiments: -validate and -novalidate are mutually exclusive")
-		os.Exit(2)
-	case *dovalid:
+	if *dovalid {
 		validateMode = pipeline.ValidateOn
-	case *novalid:
-		validateMode = pipeline.ValidateOff
 	}
 
 	var st *store.Store
@@ -338,7 +326,7 @@ func printProfStats(results []*pipeline.Result) {
 //
 // All configurations share one content-addressed cache, so configs
 // that resolve to identical formation inputs (depth=15 vs baseline)
-// collapse to one compile and one layout replay per benchmark.
+// collapse to one laid-out compile per benchmark and scheme.
 // With -store, the shared cache is disk-backed, so a repeated sweep
 // starts warm.
 func runAblations(benches string, jobs int, cstats, nocache bool, checkMode pipeline.CheckMode, validateMode pipeline.ValidateMode, st *store.Store) {

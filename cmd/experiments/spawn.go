@@ -15,9 +15,9 @@ import (
 
 // Spawn driver: -spawn N re-execs this binary N times, once per shard,
 // all sharing one artifact-store directory, and merges the shards'
-// results back into suite order. Each distinct compile and layout
-// profile is built by exactly one worker in the common case (the
-// store's claim protocol dedups the rest), so the merged run is
+// results back into suite order. Each distinct laid-out compile is
+// built by exactly one worker in the common case (the store's claim
+// protocol dedups the rest), so the merged run is
 // byte-identical to — and on a multi-core machine faster than — the
 // serial runner.
 

@@ -9,38 +9,30 @@ import (
 
 	"pathsched/internal/core"
 	"pathsched/internal/ir"
-	"pathsched/internal/layout"
-	"pathsched/internal/profile"
 	"pathsched/internal/sched"
 	"pathsched/internal/store"
 	"pathsched/internal/validate"
 )
 
-// Cache is a content-addressed memo of the two steps every scheme
+// Cache is a content-addressed memo of the one build every scheme
 // runs: compiling (forming + compacting) the pristine testing build
-// under a formation config, and replaying the training run over that
-// compile for its layout weights.
+// under a formation config, replaying the training run over that
+// compile for its layout weights, and laying it out. The product is
+// the finished, laid-out binary the scheme measures.
 //
 // Entries are addressed purely by structural fingerprints, never by
 // benchmark or scheme name, so any two schemes, ablation configs, or
-// runners that arrive at the same inputs share one computation:
-//
-//   - compile entries are keyed by (pristine-build fingerprint,
-//     training-build fingerprint, config digest) — see compileKey —
-//     and hold an immutable master of the compiled program, which
-//     consumers clone before mutating;
-//   - layout entries are keyed by the testing compile's key, under
-//     their own domain string (layoutKey), and hold the compile's
-//     frozen layout profile (block and edge frequencies plus dynamic
-//     call counts) as replayed from the training run.
+// runners that arrive at the same inputs share one computation. The
+// key (compileKey) hashes the pristine-build fingerprint, the
+// training-build fingerprint and the config digest; the value is an
+// immutable laid-out binary that consumers only read.
 //
 // Lookups are single-flight: the first goroutine to miss a key
 // computes it while any concurrent worker asking for the same key
 // blocks on the entry instead of duplicating the work (a "dedup" in
-// CacheStats). Masters and profiles are immutable once published, so
-// any number of workers may read one entry concurrently; the
-// differential tests pin cache-on results byte-identical to the
-// cache-off serial pipeline.
+// CacheStats). Binaries are immutable once published, so any number of
+// workers may read one entry concurrently; the differential tests pin
+// cache-on results byte-identical to the cache-off serial pipeline.
 //
 // When a disk artifact store is attached (NewDiskCache), the cache
 // becomes two-tiered: memory → disk → build. A memory miss consults
@@ -52,8 +44,7 @@ import (
 type Cache struct {
 	mu       sync.Mutex
 	store    *store.Store // optional disk tier; nil = memory-only
-	compiles map[ir.Digest]*entry[*compiled]
-	layouts  map[ir.Digest]*entry[*layoutProfile]
+	compiles map[ir.Digest]*entry
 	stats    struct {
 		sync.Mutex
 		s CacheStats
@@ -62,10 +53,7 @@ type Cache struct {
 
 // NewCache returns an empty memory-only cache.
 func NewCache() *Cache {
-	return &Cache{
-		compiles: map[ir.Digest]*entry[*compiled]{},
-		layouts:  map[ir.Digest]*entry[*layoutProfile]{},
-	}
+	return &Cache{compiles: map[ir.Digest]*entry{}}
 }
 
 // NewDiskCache returns a cache backed by the given artifact store as a
@@ -105,20 +93,23 @@ func (t TierStats) String() string {
 		t.MemHits, t.DiskHits, t.ClaimWaits, t.Builds, t.Dedups)
 }
 
-// CacheStats counts cache outcomes per artifact kind and tier.
+// CacheStats counts the cache's lookup outcomes.
 type CacheStats struct {
 	Compile TierStats
-	Layout  TierStats
+	// Layout is always zero: layout replays run inside compile builds
+	// and are counted there. The field remains only because the
+	// benchmark harness (cmd/bench/harness.go) still reads it.
+	Layout TierStats
 }
 
 // Add returns the element-wise sum (merging per-shard stats).
 func (s CacheStats) Add(o CacheStats) CacheStats {
-	return CacheStats{Compile: s.Compile.Add(o.Compile), Layout: s.Layout.Add(o.Layout)}
+	return CacheStats{Compile: s.Compile.Add(o.Compile)}
 }
 
 // String renders the counters for the -cachestats report.
 func (s CacheStats) String() string {
-	return fmt.Sprintf("compile %s; layout-profile %s", s.Compile, s.Layout)
+	return "compile " + s.Compile.String()
 }
 
 // Stats returns a snapshot of the counters.
@@ -128,37 +119,19 @@ func (c *Cache) Stats() CacheStats {
 	return c.stats.s
 }
 
-// compiled is an immutable compile-cache value: the master program
-// (never handed to callers directly — they clone it), the formation
-// stats the measurement reports, and — when the respective gates are
-// enabled — the compile's gap accounting and translation validation
-// stats (nil otherwise), so cache hits still report both. Validation
-// enters the compile key (compileKey), so an entry built without
-// validation can never be returned to a validated run.
+// compiled is an immutable cache value: the laid-out binary (code
+// addresses assigned; never mutated once published, so consumers read
+// it in place), the formation stats the measurement reports, and —
+// when the respective gates are enabled — the compile's gap accounting
+// and translation validation stats (nil otherwise), so cache hits still
+// report both. Validation enters the compile key (compileKey), so an
+// entry built without validation can never be returned to a validated
+// run.
 type compiled struct {
-	master *ir.Program
+	bin    *ir.Program
 	stats  core.Stats
 	gap    *sched.GapStats
 	vstats *validate.Stats
-}
-
-// layoutProfile is an immutable layout-cache value: the frozen weights
-// layout.Assign consumes, replayed from the training run over one
-// compile. The profile and call-count map are read-only once the
-// replay completes, so one value may serve any number of schemes at
-// once.
-type layoutProfile struct {
-	calls map[[2]ir.ProcID]int64
-	prof  *profile.EdgeProfile
-}
-
-// input adapts the cached weights to layout.Assign's interface.
-func (lp *layoutProfile) input() layout.Input {
-	return layout.Input{
-		CallCounts: lp.calls,
-		BlockFreq:  lp.prof.BlockFreq,
-		EdgeFreq:   lp.prof.EdgeFreq,
-	}
 }
 
 // keyWriter frames cache-key components into a sha256, with the same
@@ -198,9 +171,9 @@ func (w *keyWriter) sum() ir.Digest {
 
 // entry is a single-flight cell: ready is closed once val/err are
 // published, after which both are immutable.
-type entry[V any] struct {
+type entry struct {
 	ready chan struct{}
-	val   V
+	val   *compiled
 	err   error
 }
 
@@ -213,13 +186,13 @@ const (
 	outcomeDedup
 )
 
-// lookup returns m[key], computing it via build at most once across
-// all concurrent callers. Errors are cached like values: a key that
-// failed to build keeps failing without re-running build (the pipeline
-// aborts the whole run on the first error anyway).
-func lookup[V any](c *Cache, m map[ir.Digest]*entry[V], key ir.Digest, build func() (V, error)) (V, outcome, error) {
+// lookup returns the entry for key, computing it via build at most once
+// across all concurrent callers. Errors are cached like values: a key
+// that failed to build keeps failing without re-running build (the
+// pipeline aborts the whole run on the first error anyway).
+func (c *Cache) lookup(key ir.Digest, build func() (*compiled, error)) (*compiled, outcome, error) {
 	c.mu.Lock()
-	e, ok := m[key]
+	e, ok := c.compiles[key]
 	if ok {
 		c.mu.Unlock()
 		out := outcomeDedup
@@ -231,8 +204,8 @@ func lookup[V any](c *Cache, m map[ir.Digest]*entry[V], key ir.Digest, build fun
 		<-e.ready
 		return e.val, out, e.err
 	}
-	e = &entry[V]{ready: make(chan struct{})}
-	m[key] = e
+	e = &entry{ready: make(chan struct{})}
+	c.compiles[key] = e
 	c.mu.Unlock()
 
 	defer close(e.ready)
@@ -240,29 +213,32 @@ func lookup[V any](c *Cache, m map[ir.Digest]*entry[V], key ir.Digest, build fun
 	return e.val, outcomeMiss, e.err
 }
 
-// bump applies f to one kind's tier counters under the stats lock.
-func (c *Cache) bump(sel func(*CacheStats) *TierStats, f func(*TierStats)) {
+// bump applies f to the compile tier's counters under the stats lock.
+func (c *Cache) bump(f func(*TierStats)) {
 	c.stats.Lock()
-	f(sel(&c.stats.s))
+	f(&c.stats.s.Compile)
 	c.stats.Unlock()
 }
 
-// compile memoizes one formed+compacted build. On a nil cache
-// (caching disabled) it just builds.
+// compile memoizes one laid-out compile: the in-memory single-flight
+// map in front (counting MemHits/Dedups), the disk tier inside the
+// build slot (counting DiskHits/ClaimWaits/Builds), so exactly one
+// goroutine per process runs the disk path for a given key. On a nil
+// cache (caching disabled) it just builds.
 func (c *Cache) compile(key ir.Digest, build func() (*compiled, error)) (*compiled, error) {
 	if c == nil {
 		return build()
 	}
-	return lookupTiered(c, c.compiles, key, compiledCodec,
-		func(s *CacheStats) *TierStats { return &s.Compile }, build)
-}
-
-// layout memoizes one layout replay, keyed by layoutKey of the compile
-// it replays over. On a nil cache (caching disabled) it just builds.
-func (c *Cache) layout(key ir.Digest, build func() (*layoutProfile, error)) (*layoutProfile, error) {
-	if c == nil {
-		return build()
+	v, out, err := c.lookup(key, func() (*compiled, error) {
+		return c.diskLookup(key, build)
+	})
+	switch out {
+	case outcomeHit:
+		c.bump(func(t *TierStats) { t.MemHits++ })
+	case outcomeDedup:
+		c.bump(func(t *TierStats) { t.Dedups++ })
 	}
-	return lookupTiered(c, c.layouts, key, layoutCodec,
-		func(s *CacheStats) *TierStats { return &s.Layout }, build)
+	// outcomeMiss was already classified inside diskLookup as a disk
+	// hit or a build.
+	return v, err
 }

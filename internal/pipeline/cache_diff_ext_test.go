@@ -2,12 +2,13 @@
 // RunSuite — serial, parallel, or sharing one cache across runners —
 // must render byte-identical reports to the cache-off serial pipeline.
 // Run under -race, this is also the concurrency gate for the cache's
-// single-flight path and for the immutable masters and frozen layout
-// profiles it shares between scheme workers.
+// single-flight path and for the immutable laid-out binaries it shares
+// between scheme workers and runners.
 package pipeline_test
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"pathsched/internal/machine"
@@ -58,51 +59,95 @@ func TestCachedSuiteMatchesUncachedByteForByte(t *testing.T) {
 		if !ok {
 			t.Fatalf("Parallelism=%d: cache enabled but no stats", par)
 		}
-		if s.Compile.Builds == 0 || s.Layout.Builds == 0 {
+		if s.Compile.Builds == 0 {
 			t.Errorf("Parallelism=%d: cache saw no work (stats %s)", par, s)
 		}
-		// One compile lookup and one layout lookup per (benchmark,
-		// scheme), and no compile beyond the cache's own builds: no
-		// training-build compile happens.
-		lookups := func(t pipeline.TierStats) int64 { return t.MemHits + t.DiskHits + t.Builds + t.Dedups }
-		if c, l := lookups(s.Compile), lookups(s.Layout); c != perScheme || l != perScheme {
-			t.Errorf("Parallelism=%d: %d compile and %d layout lookups, want %d each (stats %s)", par, c, l, perScheme, s)
+		if s.Layout != (pipeline.TierStats{}) {
+			t.Errorf("Parallelism=%d: layout tier counted lookups %+v; replays run inside compile builds", par, s.Layout)
 		}
-		if cs := r.CompileStats(); cs.Compiles != s.Compile.Builds {
-			t.Errorf("Parallelism=%d: %d compiles for %d compile-cache builds", par, cs.Compiles, s.Compile.Builds)
+		// One compile lookup per (benchmark, scheme), no compile beyond
+		// the cache's own builds (no training-build compile happens),
+		// and exactly one layout replay inside each build.
+		lookups := s.Compile.MemHits + s.Compile.DiskHits + s.Compile.Builds + s.Compile.Dedups
+		if lookups != perScheme {
+			t.Errorf("Parallelism=%d: %d compile lookups, want %d (stats %s)", par, lookups, perScheme, s)
+		}
+		if cs := r.CompileStats(); cs.Compiles != s.Compile.Builds || cs.LayoutRuns != s.Compile.Builds {
+			t.Errorf("Parallelism=%d: %d compiles and %d layout replays for %d compile-cache builds",
+				par, cs.Compiles, cs.LayoutRuns, s.Compile.Builds)
 		}
 	}
 }
 
 // TestSharedCacheAcrossRunnersIsWarm is the ablation-sweep regime: a
 // second runner handed the first runner's cache must produce the same
-// bytes while serving every compile and layout-profiling run from
-// cache.
+// bytes while serving every laid-out compile from cache; and two
+// runners sharing one fresh cache concurrently must both produce those
+// bytes while building each entry once. Under -race the concurrent
+// case checks that measuring a shared binary in place never writes to
+// it.
 func TestSharedCacheAcrossRunnersIsWarm(t *testing.T) {
 	names := []string{"alt", "wc"}
-	shared := pipeline.NewCache()
-	run := func() string {
+	suite := func(shared *pipeline.Cache) ([]*pipeline.Result, error) {
 		c := machine.DefaultICache()
 		r := pipeline.NewRunner(pipeline.Options{Cache: &c, Parallelism: 1, ProfileCache: shared})
-		res, err := r.RunSuite(names, pipeline.AllSchemes())
+		return r.RunSuite(names, pipeline.AllSchemes())
+	}
+	run := func(t *testing.T, shared *pipeline.Cache) string {
+		res, err := suite(shared)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return renderAll(t, res)
 	}
-	first := run()
-	before := shared.Stats()
-	second := run()
-	after := shared.Stats()
-	if first != second {
-		t.Fatalf("warm re-run diverges from cold run:\n--- cold ---\n%s\n--- warm ---\n%s", first, second)
-	}
-	if after.Compile.Builds != before.Compile.Builds || after.Layout.Builds != before.Layout.Builds {
-		t.Errorf("warm re-run recompiled: builds went %d/%d -> %d/%d",
-			before.Compile.Builds, before.Layout.Builds, after.Compile.Builds, after.Layout.Builds)
-	}
-	wantHits := before.Compile.Builds + before.Compile.MemHits + before.Compile.Dedups
-	if gotHits := after.Compile.MemHits - before.Compile.MemHits; gotHits != wantHits {
-		t.Errorf("warm re-run compile mem hits = %d, want %d (every lookup a hit)", gotHits, wantHits)
-	}
+
+	t.Run("sequential", func(t *testing.T) {
+		shared := pipeline.NewCache()
+		first := run(t, shared)
+		before := shared.Stats()
+		second := run(t, shared)
+		after := shared.Stats()
+		if first != second {
+			t.Fatalf("warm re-run diverges from cold run:\n--- cold ---\n%s\n--- warm ---\n%s", first, second)
+		}
+		if after.Compile.Builds != before.Compile.Builds {
+			t.Errorf("warm re-run recompiled: builds went %d -> %d", before.Compile.Builds, after.Compile.Builds)
+		}
+		wantHits := before.Compile.Builds + before.Compile.MemHits + before.Compile.Dedups
+		if gotHits := after.Compile.MemHits - before.Compile.MemHits; gotHits != wantHits {
+			t.Errorf("warm re-run compile mem hits = %d, want %d (every lookup a hit)", gotHits, wantHits)
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		want := run(t, pipeline.NewCache())
+		shared := pipeline.NewCache()
+		var res [2][]*pipeline.Result
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range res {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				res[i], errs[i] = suite(shared)
+			}(i)
+		}
+		wg.Wait()
+		for i := range res {
+			if errs[i] != nil {
+				t.Fatalf("runner %d: %v", i, errs[i])
+			}
+			if got := renderAll(t, res[i]); got != want {
+				t.Errorf("runner %d over a concurrently shared cache diverges:\n--- alone ---\n%s\n--- shared ---\n%s", i, want, got)
+			}
+		}
+		s := shared.Stats()
+		perRun := int64(len(names) * len(pipeline.AllSchemes()))
+		if s.Compile.Builds != perRun {
+			t.Errorf("two runners built %d entries, want %d (each once)", s.Compile.Builds, perRun)
+		}
+		if lookups := s.Compile.Builds + s.Compile.MemHits + s.Compile.Dedups; lookups != 2*perRun {
+			t.Errorf("two runners made %d lookups, want %d (stats %s)", lookups, 2*perRun, s)
+		}
+	})
 }

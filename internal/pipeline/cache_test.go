@@ -2,12 +2,14 @@ package pipeline
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pathsched/internal/bench"
 	"pathsched/internal/ir"
+	"pathsched/internal/layout"
+	"pathsched/internal/profile"
 )
 
 func testKey(b byte) ir.Digest {
@@ -61,14 +63,14 @@ func TestCacheDistinctKeysDistinctEntries(t *testing.T) {
 func TestCacheSingleFlight(t *testing.T) {
 	c := NewCache()
 	gate := make(chan struct{})
-	want := &layoutProfile{}
+	want := &compiled{}
 	builds := 0
 
 	// The leader misses and blocks inside its build until the gate
 	// opens, holding the entry in the "in flight" state.
 	leaderDone := make(chan outcome, 1)
 	go func() {
-		_, out, _ := lookup(c, c.layouts, testKey(9), func() (*layoutProfile, error) {
+		_, out, _ := c.lookup(testKey(9), func() (*compiled, error) {
 			builds++
 			<-gate
 			return want, nil
@@ -79,7 +81,7 @@ func TestCacheSingleFlight(t *testing.T) {
 	// Wait until the leader has registered the entry.
 	for {
 		c.mu.Lock()
-		_, ok := c.layouts[testKey(9)]
+		_, ok := c.compiles[testKey(9)]
 		c.mu.Unlock()
 		if ok {
 			break
@@ -89,13 +91,13 @@ func TestCacheSingleFlight(t *testing.T) {
 
 	const waiters = 8
 	outcomes := make(chan outcome, waiters)
-	vals := make(chan *layoutProfile, waiters)
+	vals := make(chan *compiled, waiters)
 	var launched sync.WaitGroup
 	for i := 0; i < waiters; i++ {
 		launched.Add(1)
 		go func() {
 			launched.Done()
-			v, out, _ := lookup(c, c.layouts, testKey(9), func() (*layoutProfile, error) {
+			v, out, _ := c.lookup(testKey(9), func() (*compiled, error) {
 				t.Error("waiter ran the build despite an in-flight leader")
 				return nil, nil
 			})
@@ -145,17 +147,94 @@ func TestCacheErrorsAreCached(t *testing.T) {
 }
 
 func TestCacheStatsString(t *testing.T) {
-	s := CacheStats{
-		Compile: TierStats{MemHits: 1, DiskHits: 2, ClaimWaits: 3, Builds: 4, Dedups: 5},
-		Layout:  TierStats{MemHits: 6, DiskHits: 7, ClaimWaits: 8, Builds: 9, Dedups: 10},
+	s := CacheStats{Compile: TierStats{MemHits: 1, DiskHits: 2, ClaimWaits: 3, Builds: 4, Dedups: 5}}
+	want := "compile 1 mem hits / 2 disk hits / 3 claim-waits / 4 builds / 5 dedups"
+	if got := s.String(); got != want {
+		t.Fatalf("String() = %q, want %q (the compile tier is the only tier)", got, want)
 	}
-	got := s.String()
-	for _, want := range []string{
-		"compile 1 mem hits / 2 disk hits / 3 claim-waits / 4 builds / 5 dedups",
-		"layout-profile 6 mem hits / 7 disk hits / 8 claim-waits / 9 builds / 10 dedups",
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("String() = %q, missing %q", got, want)
+}
+
+// TestCacheHoldsLaidOutBinaries pins what a compile entry is: the
+// finished binary its scheme measures. Every entry carries the code
+// addresses layout.Assign writes from the replayed training weights
+// (not the all-zero addresses of an unplaced compile), its size is the
+// one the measurement reports, and measuring it in place leaves it
+// unchanged through a second, all-hit run.
+func TestCacheHoldsLaidOutBinaries(t *testing.T) {
+	names := []string{"alt", "wc"}
+	c := NewCache()
+	r := NewRunner(Options{Cache: testCache(), Parallelism: 1, ProfileCache: c})
+	res, err := r.RunSuite(names, AllSchemes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := map[ir.Digest]ir.Digest{}
+	for i, name := range names {
+		b := bench.ByName(name)
+		trainProg, testProg := b.Build(b.Train), b.Build(b.Test)
+		tp, err := r.train(trainProg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainFP, testFP := ir.Fingerprint(trainProg), ir.Fingerprint(testProg)
+		for _, s := range AllSchemes() {
+			cfg, formed, err := r.formConfig(s, tp.Edge, tp.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := r.compileKey(testFP, trainFP, cfg, formed)
+			e := c.compiles[key]
+			if e == nil || e.err != nil {
+				t.Fatalf("%s/%s: no compile entry under the scheme's key", name, s)
+			}
+			bin := e.val.bin
+			placed := false
+			for _, p := range bin.Procs {
+				for _, blk := range p.Blocks {
+					placed = placed || blk.Addr != 0
+				}
+			}
+			if !placed {
+				t.Errorf("%s/%s: cached binary has no code addresses", name, s)
+			}
+			// Placing an unplaced copy anew must reproduce the
+			// cached binary exactly, addresses included.
+			redo := ir.CloneProgram(bin)
+			for _, p := range redo.Procs {
+				for _, blk := range p.Blocks {
+					blk.Addr = 0
+				}
+			}
+			prof, calls, err := profile.Replay(trainProg, redo, tp.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layout.Assign(redo, layout.Input{CallCounts: calls, BlockFreq: prof.BlockFreq, EdgeFreq: prof.EdgeFreq})
+			fp := ir.Fingerprint(bin)
+			if ir.Fingerprint(redo) != fp {
+				t.Errorf("%s/%s: cached binary's addresses are not the ones layout.Assign writes", name, s)
+			}
+			if got, want := bin.CodeBytes(), res[i].ByScheme[s].CodeBytes; got != want {
+				t.Errorf("%s/%s: cached binary is %d bytes, the measurement reports %d", name, s, got, want)
+			}
+			fps[key] = fp
+		}
+	}
+	if len(c.compiles) != len(fps) {
+		t.Fatalf("cache holds %d entries, the suite's schemes key %d", len(c.compiles), len(fps))
+	}
+
+	before := c.Stats()
+	if _, err := r.RunSuite(names, AllSchemes()); err != nil {
+		t.Fatal(err)
+	}
+	if after := c.Stats(); after.Compile.Builds != before.Compile.Builds ||
+		after.Compile.MemHits-before.Compile.MemHits != int64(len(fps)) {
+		t.Fatalf("second run was not all hits: %s -> %s", before, after)
+	}
+	for key, fp := range fps {
+		if ir.Fingerprint(c.compiles[key].val.bin) != fp {
+			t.Errorf("entry %x changed while being measured", key[:8])
 		}
 	}
 }

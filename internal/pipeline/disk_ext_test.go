@@ -30,10 +30,7 @@ func diskRun(t *testing.T, cache *pipeline.Cache) (string, pipeline.CacheStats) 
 		t.Fatal(err)
 	}
 	after := cache.Stats()
-	return renderAll(t, res), pipeline.CacheStats{
-		Compile: subTier(after.Compile, before.Compile),
-		Layout:  subTier(after.Layout, before.Layout),
-	}
+	return renderAll(t, res), pipeline.CacheStats{Compile: subTier(after.Compile, before.Compile)}
 }
 
 func subTier(a, b pipeline.TierStats) pipeline.TierStats {
@@ -56,10 +53,11 @@ func openTestStore(t *testing.T, dir string) *store.Store {
 }
 
 // TestDiskWarmMatchesMemoryByteForByte is the disk-tier differential:
-// a cold store-backed run matches the memory-only baseline, and a
-// second run through a *fresh* cache on the same store (the process-
-// restart regime the store exists for) matches again while serving
-// every compile and layout profile from disk.
+// a cold store-backed run matches the memory-only baseline and leaves
+// one compile entry (a laid-out binary) per build and nothing else in
+// the store, and a second run through a *fresh* cache on the same
+// store (the process-restart regime the store exists for) matches
+// again while serving every binary from disk.
 func TestDiskWarmMatchesMemoryByteForByte(t *testing.T) {
 	baseline, _ := diskRun(t, pipeline.NewCache())
 
@@ -68,11 +66,23 @@ func TestDiskWarmMatchesMemoryByteForByte(t *testing.T) {
 	if cold != baseline {
 		t.Fatalf("store-backed cold run diverges from memory-only baseline:\n--- memory ---\n%s\n--- disk ---\n%s", baseline, cold)
 	}
-	if coldStats.Compile.Builds == 0 || coldStats.Layout.Builds == 0 {
+	if coldStats.Compile.Builds == 0 {
 		t.Fatalf("cold run built nothing: %s", coldStats)
 	}
 	if coldStats.Compile.DiskHits != 0 {
 		t.Fatalf("cold run claims disk hits on an empty store: %s", coldStats)
+	}
+	entries, err := openTestStore(t, dir).List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(entries)) != coldStats.Compile.Builds {
+		t.Fatalf("cold store holds %d entries for %d builds", len(entries), coldStats.Compile.Builds)
+	}
+	for _, e := range entries {
+		if e.Kind != pipeline.StoreKindCompile {
+			t.Fatalf("cold store holds a %s/ entry; only %s/ entries are published", e.Kind, pipeline.StoreKindCompile)
+		}
 	}
 
 	// Fresh cache, same directory: everything is a disk hit.
@@ -80,14 +90,11 @@ func TestDiskWarmMatchesMemoryByteForByte(t *testing.T) {
 	if warm != baseline {
 		t.Fatalf("disk-warm run diverges from baseline:\n--- memory ---\n%s\n--- disk-warm ---\n%s", baseline, warm)
 	}
-	if warmStats.Compile.Builds != 0 || warmStats.Layout.Builds != 0 {
+	if warmStats.Compile.Builds != 0 {
 		t.Fatalf("disk-warm run rebuilt artifacts: %s", warmStats)
 	}
 	if warmStats.Compile.DiskHits != coldStats.Compile.Builds {
 		t.Fatalf("disk-warm compile hits %d != cold builds %d", warmStats.Compile.DiskHits, coldStats.Compile.Builds)
-	}
-	if warmStats.Layout.DiskHits != coldStats.Layout.Builds {
-		t.Fatalf("disk-warm layout hits %d != cold builds %d", warmStats.Layout.DiskHits, coldStats.Layout.Builds)
 	}
 }
 
@@ -130,7 +137,7 @@ func TestDiskBitFlippedEntryRebuilt(t *testing.T) {
 	if got != baseline {
 		t.Fatalf("run over corrupted store diverges:\n--- baseline ---\n%s\n--- corrupted ---\n%s", baseline, got)
 	}
-	if stats.Compile.DiskHits != 0 || stats.Layout.DiskHits != 0 {
+	if stats.Compile.DiskHits != 0 {
 		t.Fatalf("corrupted entries served as hits: %s", stats)
 	}
 	if stats.Compile.Builds != coldStats.Compile.Builds {
@@ -138,7 +145,7 @@ func TestDiskBitFlippedEntryRebuilt(t *testing.T) {
 	}
 	// The rebuilds republished: one more fresh cache sees only hits.
 	_, again := diskRun(t, pipeline.NewDiskCache(openTestStore(t, dir)))
-	if again.Compile.Builds != 0 || again.Layout.Builds != 0 {
+	if again.Compile.Builds != 0 {
 		t.Fatalf("rebuilt entries were not republished: %s", again)
 	}
 }

@@ -16,27 +16,30 @@
 // transformed program on the training input, as a profile-guided link
 // step would gather them — come from replaying the training run's
 // recorded branch decisions over that compile (profile.Replay), so no
-// compiled program is executed for layout.
+// compiled program is executed for layout. Compiling, replaying and
+// laying out are one build step, and its product — the laid-out
+// binary — is what a scheme measures.
 //
 // Because formation is deterministic given an immutable frozen profile,
 // the per-benchmark and per-scheme measurements are independent of one
 // another: RunSuite fans benchmarks out across a bounded worker pool,
 // and RunBenchmark fans the schemes out likewise. Frozen profiles
 // (EdgeProfile, PathProfile, BranchTrace) and pristine builds are
-// shared read-only across workers; everything a scheme mutates (formed
-// clones, layout, cache model, replay counters) is private to its
-// worker. Results are assembled in input order regardless of
-// completion order, so parallel and serial runs produce identical
-// output. Options.Parallelism controls the pool (1 reproduces the
+// shared read-only across workers; a scheme's build mutates only the
+// binary it is producing, which nobody else sees until it is finished
+// and laid out, and its measurement run (decoded engine, cache model)
+// is private to its worker. Results are assembled in input order
+// regardless of completion order, so parallel and serial runs produce
+// identical output. Options.Parallelism controls the pool (1 reproduces the
 // historical serial order).
 //
 // Determinism also enables memoization: a content-addressed Cache
-// (cache.go) keys each scheme's compile by structural fingerprints of
-// its inputs and its layout replay by that compile's key, with
-// single-flight deduplication across concurrent workers. Ablation
-// configs that resolve to identical inputs share one compile and one
-// replay; the differential golden tests pin cached results
-// byte-identical to the uncached serial pipeline.
+// (cache.go) keys each scheme's laid-out binary by structural
+// fingerprints of its inputs, with single-flight deduplication across
+// concurrent workers. The cached binary is immutable, so a scheme
+// measures it in place. Ablation configs that resolve to identical
+// inputs share one build; the differential golden tests pin cached
+// results byte-identical to the uncached serial pipeline.
 package pipeline
 
 import (
@@ -160,30 +163,30 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 reproduces the historical serial
 	// execution order exactly. Results are identical at any setting.
 	Parallelism int
-	// ProfileCache is the content-addressed compile/layout-profile
-	// cache (see Cache). Nil means NewRunner creates a private cache;
-	// pass one cache to several runners to share compiles across
-	// ablation configs. Results are identical with or without it.
+	// ProfileCache is the content-addressed cache of laid-out compiles
+	// (see Cache). Nil means NewRunner creates a private cache; pass
+	// one cache to several runners to share compiles across ablation
+	// configs. Results are identical with or without it.
 	ProfileCache *Cache
 	// ArtifactStore backs the cache with a persistent disk tier (see
-	// internal/store): compiles and layout profiles are published
-	// there and shared across processes. Only consulted when NewRunner
+	// internal/store): laid-out compiles are published there and
+	// shared across processes. Only consulted when NewRunner
 	// creates the cache itself (ProfileCache nil, caching enabled);
 	// callers passing an explicit ProfileCache attach a store with
 	// NewDiskCache instead. Results are identical with or without it.
 	ArtifactStore *store.Store
 	// DisableProfileCache turns memoization off entirely: every scheme
-	// runs the same steps (compile the testing build, replay its layout
-	// weights) with the memo bypassed. The differential tests pin cached
-	// runs byte-identical to this path.
+	// runs the same build (compile the testing build, replay its layout
+	// weights, lay it out) with the memo bypassed. The differential
+	// tests pin cached runs byte-identical to this path.
 	DisableProfileCache bool
 	// Check gates each stage with the semantic analyses of
 	// internal/check: profile flow conservation after profiling,
 	// superblock invariants after formation, schedule legality and
 	// def-before-use after compaction, and flow conservation of the
-	// replayed layout profile over the compile. Stage checks run on
-	// cache misses; a cache hit returns a result whose
-	// (content-identical) inputs were checked when first compiled.
+	// layout profile replayed inside each compile build. Stage checks
+	// run on cache misses; a cache hit returns a binary whose
+	// (content-identical) inputs were checked when first built.
 	// Checking is purely observational — it never changes results, so
 	// it deliberately does not enter cache keys.
 	Check CheckMode
@@ -277,7 +280,7 @@ type stageStats struct {
 // cmd/experiments -compilestats.
 type CompileStats struct {
 	Compiles   int64 // compileWith invocations (cache misses only, when caching)
-	LayoutRuns int64 // layout-weight replays (profile.Replay; cache misses only, when caching)
+	LayoutRuns int64 // layout-weight replays (profile.Replay): one per compile
 
 	FormSeconds     float64 // superblock formation
 	CompactSeconds  float64 // sched.Compact / CompactBasicBlocks
@@ -471,18 +474,16 @@ func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, sc
 	return res, nil
 }
 
-// formConfig resolves the fully configured formation config for scheme
-// s: defaults, scheme knobs, profiles, parallelism, and the Form hook.
-// ok is false for the BB baseline, which does not form superblocks.
-func (r *Runner) formConfig(s Scheme, eprof *profile.EdgeProfile, pprof *profile.PathProfile) (cfg core.Config, ok bool, err error) {
+// SchemeConfig maps scheme s to its formation config over the given
+// training profiles: the core defaults plus the scheme's method, unroll
+// factor and P4e stop. formed is false for the BB baseline, which does
+// not form superblocks; an unknown scheme is an error.
+func SchemeConfig(s Scheme, eprof *profile.EdgeProfile, pprof *profile.PathProfile) (cfg core.Config, formed bool, err error) {
 	if s == SchemeBB {
 		return core.Config{}, false, nil
 	}
 	cfg = core.DefaultConfig()
 	cfg.Edge, cfg.Path = eprof, pprof
-	// Formation fans out across procedures under the same knob that
-	// bounds scheme fan-out (the Form hook below may still override).
-	cfg.Parallelism = r.opts.Parallelism
 	switch s {
 	case SchemeM4:
 		cfg.Method = core.EdgeBased
@@ -498,6 +499,20 @@ func (r *Runner) formConfig(s Scheme, eprof *profile.EdgeProfile, pprof *profile
 	default:
 		return core.Config{}, false, fmt.Errorf("unknown scheme %q", s)
 	}
+	return cfg, true, nil
+}
+
+// formConfig resolves the fully configured formation config for scheme
+// s: SchemeConfig, then parallelism and the Form hook. ok is false for
+// the BB baseline, which does not form superblocks.
+func (r *Runner) formConfig(s Scheme, eprof *profile.EdgeProfile, pprof *profile.PathProfile) (cfg core.Config, ok bool, err error) {
+	cfg, ok, err = SchemeConfig(s, eprof, pprof)
+	if !ok || err != nil {
+		return cfg, ok, err
+	}
+	// Formation fans out across procedures under the same knob that
+	// bounds scheme fan-out (the Form hook below may still override).
+	cfg.Parallelism = r.opts.Parallelism
 	if r.opts.Form != nil {
 		r.opts.Form(&cfg)
 	}
@@ -619,15 +634,18 @@ type benchKeys struct {
 	train, test ir.Digest
 }
 
-// compileKey content-addresses one compile: the pristine build being
-// compiled, the training build the formation profiles derive from, the
-// resolved formation config, the compaction options and machine model,
-// and the profiling parameters. Everything that can change the
-// compiled bytes is in the key; names and schemes are not, so distinct
-// configs that resolve to identical inputs share an entry.
+// compileKey content-addresses one laid-out compile: the pristine
+// build being compiled, the training build the formation profiles and
+// the layout replay's branch trace derive from, the resolved formation
+// config, the compaction options and machine model, and the profiling
+// parameters. Everything that can change the binary's bytes is in the
+// key; names and schemes are not, so distinct configs that resolve to
+// identical inputs share an entry. Entries carry layout addresses; the
+// v3 domain string keeps them apart from older stores' v2 entries,
+// which are not laid out and so must never be served.
 func (r *Runner) compileKey(progFP, trainFP ir.Digest, cfg core.Config, haveCfg bool) ir.Digest {
 	w := newKeyWriter()
-	w.str("pathsched-pipeline-compile-v2")
+	w.str("pathsched-pipeline-compile-v3")
 	w.digest(progFP)
 	w.digest(trainFP)
 	// Validation never changes the compiled bytes, but validated
@@ -684,98 +702,72 @@ func (r *Runner) compileKey(progFP, trainFP ir.Digest, cfg core.Config, haveCfg 
 	return w.sum()
 }
 
-// layoutKey content-addresses the layout weights of the compile under
-// compile: the replay is a function of that compile and of the
-// training build's run, both of which the compile key covers. The
-// domain string keeps these keys apart from every compile key and from
-// the formed-program fingerprints older stores filed layout entries
-// under, so such entries are never hit.
-func layoutKey(compile ir.Digest) ir.Digest {
-	w := newKeyWriter()
-	w.str("pathsched-pipeline-layout-replay-v1")
-	w.digest(compile)
-	return w.sum()
-}
-
-// buildScheme compiles a scheme's testing build and replays the
-// training run over the compile for its layout weights. Each step is
-// memoized by content address and deduplicated across concurrent
-// scheme workers when caching is on, and runs directly when it is off.
-// It returns a private (mutable) testing binary, the formation stats of
-// its compile, the layout weights to assign to it, and — when enabled —
-// the compile's gap accounting and validation stats. base is the
-// testing build's def-before-use baseline (nil when checking is off).
-func (r *Runner) buildScheme(s Scheme, trainProg, testProg *ir.Program, tp *profile.TrainingProfiles, keys benchKeys, base check.Baseline) (*ir.Program, core.Stats, layout.Input, *sched.GapStats, *validate.Stats, error) {
+// buildScheme returns a scheme's laid-out testing binary: it compiles
+// the testing build, replays the training run over the compile for its
+// layout weights, and assigns the compile's code addresses from them.
+// The whole build is memoized by content address and deduplicated
+// across concurrent scheme workers when caching is on, and runs
+// directly when it is off. The returned entry is immutable and may be
+// shared: callers only read it. base is the testing build's
+// def-before-use baseline (nil when checking is off).
+func (r *Runner) buildScheme(s Scheme, trainProg, testProg *ir.Program, tp *profile.TrainingProfiles, keys benchKeys, base check.Baseline) (*compiled, error) {
 	cfg, haveCfg, err := r.formConfig(s, tp.Edge, tp.Path)
 	if err != nil {
-		return nil, core.Stats{}, layout.Input{}, nil, nil, err
+		return nil, err
 	}
-	var ckey, lkey ir.Digest
+	var key ir.Digest
 	if keys.on {
-		ckey = r.compileKey(keys.test, keys.train, cfg, haveCfg)
-		lkey = layoutKey(ckey)
+		key = r.compileKey(keys.test, keys.train, cfg, haveCfg)
 	}
-	c, err := r.cache.compile(ckey, func() (*compiled, error) {
+	return r.cache.compile(key, func() (*compiled, error) {
 		bin, stats, gap, vstats, err := r.compileWith(testProg, base, cfg, haveCfg)
+		if err != nil {
+			return nil, fmt.Errorf("compile: %w", err)
+		}
+		in, err := r.layoutWeights(trainProg, bin, tp.Trace)
 		if err != nil {
 			return nil, err
 		}
-		return &compiled{master: bin, stats: stats, gap: gap, vstats: vstats}, nil
+		layout.Assign(bin, in)
+		return &compiled{bin: bin, stats: stats, gap: gap, vstats: vstats}, nil
 	})
-	if err != nil {
-		return nil, core.Stats{}, layout.Input{}, nil, nil, fmt.Errorf("compile: %w", err)
-	}
-	// The replay only reads the master, so no clone is needed.
-	lp, err := r.cache.layout(lkey, func() (*layoutProfile, error) {
-		return r.layoutWeights(trainProg, c.master, tp.Trace)
-	})
-	if err != nil {
-		return nil, core.Stats{}, layout.Input{}, nil, nil, err
-	}
-	bin := c.master
-	if r.cache != nil {
-		// A cached master is shared: lay out and run a private copy.
-		bin = ir.CloneProgram(bin)
-	}
-	return bin, c.stats, lp.input(), c.gap, c.vstats, nil
 }
 
 // layoutWeights replays the training run tr over bin, a compile of the
-// testing build, and returns the frozen weights layout.Assign consumes:
-// the point profile the compiled training build would show on the
-// training input (profile.Replay), without executing anything.
-func (r *Runner) layoutWeights(trainProg, bin *ir.Program, tr *profile.BranchTrace) (*layoutProfile, error) {
+// testing build, and returns the weights layout.Assign consumes: the
+// point profile the compiled training build would show on the training
+// input (profile.Replay), without executing anything.
+func (r *Runner) layoutWeights(trainProg, bin *ir.Program, tr *profile.BranchTrace) (layout.Input, error) {
 	r.stats.layoutRuns.Add(1)
 	t0 := time.Now()
 	defer func() { r.stats.layoutNS.Add(int64(time.Since(t0))) }()
 	prof, calls, err := profile.Replay(trainProg, bin, tr)
 	if err != nil {
-		return nil, fmt.Errorf("layout replay: %w", err)
+		return layout.Input{}, fmt.Errorf("layout replay: %w", err)
 	}
 	if r.check {
 		if err := check.Err("layout", check.EdgeFlow(bin, prof)); err != nil {
-			return nil, err
+			return layout.Input{}, err
 		}
 	}
-	return &layoutProfile{calls: calls, prof: prof}, nil
+	return layout.Input{CallCounts: calls, BlockFreq: prof.BlockFreq, EdgeFreq: prof.EdgeFreq}, nil
 }
 
-// runScheme compiles and measures one scheme. trainProg and testProg
+// runScheme builds and measures one scheme. trainProg and testProg
 // are the benchmark's shared pristine builds and tp its training
 // profiles; runScheme only reads them (compileWith clones), so
 // concurrent scheme runs can share them.
 func (r *Runner) runScheme(s Scheme, trainProg, testProg *ir.Program, tp *profile.TrainingProfiles, ref *interp.Result, keys benchKeys, base check.Baseline) (*Measurement, error) {
-	testBin, stats, lin, gap, vstats, err := r.buildScheme(s, trainProg, testProg, tp, keys, base)
+	c, err := r.buildScheme(s, trainProg, testProg, tp, keys, base)
 	if err != nil {
 		return nil, err
 	}
-	layout.Assign(testBin, lin)
 
-	// Measurement run. Decoding after layout.Assign means the engine
-	// memoized on testBin (interp caches the decode on the program)
-	// carries final addresses; any later run of this build reuses the
-	// decode instead of re-walking the IR.
-	eng := interp.EngineFor(testBin)
+	// Measurement run, straight on the shared binary. A fresh engine
+	// rather than interp.EngineFor: the memoized decode would be
+	// stored on the binary, and the cache keeps every binary alive for
+	// the whole run.
+	eng := interp.NewEngine(c.bin)
 	cfg := interp.Config{}
 	var cache *machine.ICache
 	if r.opts.Cache != nil {
@@ -797,11 +789,11 @@ func (r *Runner) runScheme(s Scheme, trainProg, testProg *ir.Program, tp *profil
 		FetchStall:  got.FetchStall,
 		DynInstrs:   got.DynInstrs,
 		DynBranches: got.DynBranches,
-		CodeBytes:   testBin.CodeBytes(),
+		CodeBytes:   c.bin.CodeBytes(),
 		SBEntries:   got.SBEntries,
-		FormStats:   stats,
-		Gap:         gap,
-		Validation:  vstats,
+		FormStats:   c.stats,
+		Gap:         c.gap,
+		Validation:  c.vstats,
 	}
 	if got.SBEntries > 0 {
 		m.AvgBlocksExecuted = float64(got.SBExecuted) / float64(got.SBEntries)

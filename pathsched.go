@@ -141,40 +141,28 @@ func ProfileProgram(prog *Program) (*Profiles, error) {
 // The returned program is executable and carries cycle annotations, so
 // Execute reports scheduled cycle counts.
 func Compile(prog *Program, profs *Profiles, scheme Scheme) (*Program, error) {
-	work := ir.CloneProgram(prog)
-	if scheme == SchemeBB {
-		if err := sched.CompactBasicBlocks(work, sched.Options{}); err != nil {
-			return nil, fmt.Errorf("pathsched: %w", err)
-		}
-		layoutProgram(work, profs)
-		return work, nil
-	}
-	cfg := core.DefaultConfig()
-	cfg.Edge, cfg.Path = profs.Edge, profs.Path
-	switch scheme {
-	case SchemeM4:
-		cfg.Method = core.EdgeBased
-		cfg.UnrollFactor = 4
-	case SchemeM16:
-		cfg.Method = core.EdgeBased
-		cfg.UnrollFactor = 16
-	case SchemeP4:
-		cfg.Method = core.PathBased
-	case SchemeP4e:
-		cfg.Method = core.PathBased
-		cfg.StopNonLoopAtFirstHead = true
-	default:
-		return nil, fmt.Errorf("pathsched: unknown scheme %q", scheme)
-	}
-	formed, err := core.Form(work, cfg)
+	cfg, formed, err := pipeline.SchemeConfig(scheme, profs.Edge, profs.Path)
 	if err != nil {
 		return nil, fmt.Errorf("pathsched: %w", err)
 	}
-	if err := sched.Compact(formed, sched.Options{}); err != nil {
+	if !formed {
+		bb := ir.CloneProgram(prog)
+		if err := sched.CompactBasicBlocks(bb, sched.Options{}); err != nil {
+			return nil, fmt.Errorf("pathsched: %w", err)
+		}
+		layoutProgram(bb, profs)
+		return bb, nil
+	}
+	// Formation clones its input, so prog is never modified.
+	res, err := core.Form(prog, cfg)
+	if err != nil {
 		return nil, fmt.Errorf("pathsched: %w", err)
 	}
-	layoutProgram(formed.Prog, profs)
-	return formed.Prog, nil
+	if err := sched.Compact(res, sched.Options{}); err != nil {
+		return nil, fmt.Errorf("pathsched: %w", err)
+	}
+	layoutProgram(res.Prog, profs)
+	return res.Prog, nil
 }
 
 // layoutProgram assigns code addresses; block weights come from the

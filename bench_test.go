@@ -165,10 +165,13 @@ func BenchmarkSuiteParallelism(b *testing.B) {
 
 // --- Component benchmarks -------------------------------------------
 
-// BenchmarkProfiling compares edge-profiled, path-profiled, and
-// unobserved interpretation of one benchmark, quantifying the paper's
-// claim that lazy general-path profiling has edge-profiling-like
-// overhead (§3.1).
+// BenchmarkProfiling compares unobserved, path-profiled and
+// edge-profiled interpretation of one benchmark, quantifying the
+// paper's claim that lazy general-path profiling has
+// edge-profiling-like overhead (§3.1): path is the window profiler on
+// a batched run, fused-edge the observer-free counted run that yields
+// the edge and call-graph profiles, and fast-train both in one counted
+// run (profile.Train, what the pipeline takes).
 func BenchmarkProfiling(b *testing.B) {
 	prog := bench.ByName("wc").Build(bench.ByName("wc").Train)
 	b.Run("bare", func(b *testing.B) {
@@ -178,26 +181,14 @@ func BenchmarkProfiling(b *testing.B) {
 			}
 		}
 	})
-	b.Run("edge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ep := profile.NewEdgeProfiler(prog)
-			if _, err := interp.Run(prog, interp.Config{Observer: ep}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("path", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pp := profile.NewPathProfiler(prog, profile.PathConfig{})
-			if _, err := interp.Run(prog, interp.Config{Observer: pp}); err != nil {
+			if _, err := interp.Run(prog, interp.Config{Batch: pp}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	// The fast paths the pipeline actually takes: a batched path
-	// profiler on a counted run with edge/call reconstruction
-	// (profile.Train), and the observer-free fused point profile
-	// (profile.PointProfiles).
 	b.Run("fast-train", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := profile.Train(prog, profile.PathConfig{}); err != nil {
@@ -215,17 +206,17 @@ func BenchmarkProfiling(b *testing.B) {
 }
 
 // BenchmarkBLProfiler measures the Ball–Larus numbered-path scheme the
-// same way BenchmarkProfiling measures the window profiler: per-event
-// observation, the batched training fast path (the direct comparison
-// point for fast-train above), and the freeze that decodes numbered
-// paths back into a PathProfile.
+// same way BenchmarkProfiling measures the window profiler: a batched
+// run, the training fast path (the direct comparison point for
+// fast-train above), and the freeze that decodes numbered paths back
+// into a PathProfile.
 func BenchmarkBLProfiler(b *testing.B) {
 	bm := bench.ByName("wc")
 	prog := bm.Build(bm.Train)
 	b.Run("path", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bl := profile.NewBLProfiler(prog, profile.BLConfig{})
-			if _, err := interp.Run(prog, interp.Config{Observer: bl}); err != nil {
+			if _, err := interp.Run(prog, interp.Config{Batch: bl}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -255,12 +246,12 @@ func BenchmarkBLProfiler(b *testing.B) {
 func BenchmarkFormation(b *testing.B) {
 	bm := bench.ByName("gcc")
 	prog := bm.Build(bm.Train)
-	ep := profile.NewEdgeProfiler(prog)
 	pp := profile.NewPathProfiler(prog, profile.PathConfig{})
-	if _, err := interp.Run(prog, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
+	_, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: pp})
+	if err != nil {
 		b.Fatal(err)
 	}
-	eprof, pprof := ep.Profile(), pp.Profile()
+	eprof, pprof := profile.EdgeProfileFromCounts(prog, ec), pp.Profile()
 	b.Run("freeze", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pp.Profile()
@@ -285,14 +276,13 @@ func BenchmarkFormation(b *testing.B) {
 func BenchmarkCompaction(b *testing.B) {
 	bm := bench.ByName("gcc")
 	prog := bm.Build(bm.Train)
-	ep := profile.NewEdgeProfiler(prog)
-	pp := profile.NewPathProfiler(prog, profile.PathConfig{})
-	if _, err := interp.Run(prog, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
+	tp, err := profile.Train(prog, profile.PathConfig{})
+	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Method = core.PathBased
-	cfg.Edge, cfg.Path = ep.Profile(), pp.Profile()
+	cfg.Edge, cfg.Path = tp.Edge, tp.Path
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		formed, err := core.Form(prog, cfg)
@@ -303,89 +293,6 @@ func BenchmarkCompaction(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// event is one captured observer callback, for profiler replay.
-type event struct {
-	kind byte // 0 enter, 1 exit, 2 edge, 3 block
-	p    ProcID
-	a, b BlockID
-}
-
-type eventRecorder struct {
-	events []event
-	limit  int
-}
-
-func (r *eventRecorder) full() bool { return len(r.events) >= r.limit }
-func (r *eventRecorder) EnterProc(p ProcID, entry BlockID) {
-	if !r.full() {
-		r.events = append(r.events, event{0, p, entry, 0})
-	}
-}
-func (r *eventRecorder) ExitProc(p ProcID) {
-	if !r.full() {
-		r.events = append(r.events, event{1, p, 0, 0})
-	}
-}
-func (r *eventRecorder) Edge(p ProcID, from, to BlockID) {
-	if !r.full() {
-		r.events = append(r.events, event{2, p, from, to})
-	}
-}
-func (r *eventRecorder) Block(p ProcID, b BlockID) {
-	if !r.full() {
-		r.events = append(r.events, event{3, p, b, 0})
-	}
-}
-
-// BenchmarkProfilerHotPath measures the observer callbacks themselves
-// — the per-event cost of the dense edge profiler and of the lazy path
-// profiler — by replaying a captured event stream from a real training
-// run into a fresh profiler per iteration, without interpreter time in
-// the loop.
-func BenchmarkProfilerHotPath(b *testing.B) {
-	bm := bench.ByName("wc")
-	prog := bm.Build(bm.Train)
-	rec := &eventRecorder{limit: 1 << 17}
-	if _, err := interp.Run(prog, interp.Config{Observer: rec}); err != nil {
-		b.Fatal(err)
-	}
-	replay := func(obs interp.Observer) {
-		for _, ev := range rec.events {
-			switch ev.kind {
-			case 0:
-				obs.EnterProc(ev.p, ev.a)
-			case 1:
-				obs.ExitProc(ev.p)
-			case 2:
-				obs.Edge(ev.p, ev.a, ev.b)
-			case 3:
-				obs.Block(ev.p, ev.a)
-			}
-		}
-	}
-	b.Run("edge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			replay(profile.NewEdgeProfiler(prog))
-		}
-		b.ReportMetric(float64(len(rec.events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-	})
-	b.Run("path", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			replay(profile.NewPathProfiler(prog, profile.PathConfig{}))
-		}
-		b.ReportMetric(float64(len(rec.events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-	})
-	b.Run("multi", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			replay(profile.Multi{
-				profile.NewEdgeProfiler(prog),
-				profile.NewPathProfiler(prog, profile.PathConfig{}),
-			})
-		}
-		b.ReportMetric(float64(len(rec.events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-	})
 }
 
 // batchEv is one captured BatchObserver callback, for replay.
@@ -420,10 +327,10 @@ func (r *batchRecorder) EdgeBatch(p ProcID, recs []interp.EdgeRec) {
 	}
 }
 
-// BenchmarkProfilerBatchHotPath measures the batched delivery path of
-// the path profiler — BeginProc/EdgeBatch/EndProc over a captured
-// batch stream from a real training run — against which the per-event
-// replay in BenchmarkProfilerHotPath/path is the baseline.
+// BenchmarkProfilerBatchHotPath measures the path profiler's event
+// handling itself — BeginProc/EdgeBatch/EndProc over a captured batch
+// stream from a real training run — without interpreter time in the
+// loop.
 func BenchmarkProfilerBatchHotPath(b *testing.B) {
 	bm := bench.ByName("wc")
 	prog := bm.Build(bm.Train)
@@ -492,13 +399,15 @@ func BenchmarkProfilerAutomaton(b *testing.B) {
 	run := func(b *testing.B, nblocks int, wantDense bool) {
 		prog := branchyChain(nblocks)
 		walk := chainWalk(nblocks, m)
+		recs := make([]interp.EdgeRec, len(walk)-1)
+		for i := range recs {
+			recs[i] = interp.EdgeRec{From: walk[i], To: walk[i+1]}
+		}
 		for i := 0; i < b.N; i++ {
 			pp := profile.NewPathProfiler(prog, profile.PathConfig{})
-			pp.EnterProc(0, walk[0])
-			for _, blk := range walk {
-				pp.Block(0, blk)
-			}
-			pp.ExitProc(0)
+			pp.BeginProc(0, walk[0])
+			pp.EdgeBatch(0, recs)
+			pp.EndProc(0)
 			if i == 0 {
 				st := pp.AutomatonStats()[0]
 				if st.Dense != wantDense {

@@ -289,10 +289,6 @@ func printProfStats(results []*pipeline.Result) {
 	fmt.Println("# training-run profiling statistics")
 	for _, r := range results {
 		ps := r.ProfStats
-		if ps == nil {
-			fmt.Printf("\n%s: no training statistics (cached result)\n", r.Name)
-			continue
-		}
 		fmt.Printf("\n%s: scheme=%s\n", r.Name, ps.Scheme)
 		rec := float64(0)
 		if ps.Batches > 0 {
@@ -350,7 +346,6 @@ func runAblations(benches string, jobs int, cstats, nocache bool, checkMode pipe
 		config{"no-dce", pipeline.Options{Sched: sched.Options{DisableDCE: true}}},
 		config{"no-vn", pipeline.Options{Sched: sched.Options{DisableVN: true}}},
 		config{"upward-growth", pipeline.Options{Form: func(c *core.Config) { c.GrowUpward = true }}},
-		config{"cross-act", pipeline.Options{PathCrossActivation: true}},
 		config{"bl", pipeline.Options{Profiler: pipeline.ProfilerBL}},
 		config{"bl-k2", pipeline.Options{Profiler: pipeline.ProfilerBL, BLIterations: 2}},
 		config{"bl-k8", pipeline.Options{Profiler: pipeline.ProfilerBL, BLIterations: 8}},

@@ -101,14 +101,15 @@ func dotCmd(args []string) {
 	fmt.Print(ir.WriteDot(p, weight))
 }
 
-// traceCmd prints the first N block-level control-flow events of a run.
+// traceCmd prints the first N block-level control-flow events of a
+// run: each call, each block entered, each return.
 func traceCmd(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	n := fs.Int("n", 50, "events to print")
 	_ = fs.Parse(args)
 	prog := loadFile(fs.Args())
 	tr := &tracer{limit: *n, prog: prog}
-	if _, err := interp.Run(prog, interp.Config{Observer: tr}); err != nil {
+	if _, err := interp.Run(prog, interp.Config{Batch: tr}); err != nil {
 		fatal(err)
 	}
 	if tr.printed >= tr.limit {
@@ -116,6 +117,8 @@ func traceCmd(args []string) {
 	}
 }
 
+// tracer prints a run's batched events, indented by call depth, until
+// it has printed limit of them.
 type tracer struct {
 	prog    *ir.Program
 	limit   int
@@ -123,29 +126,29 @@ type tracer struct {
 	depth   int
 }
 
-func (t *tracer) EnterProc(p ir.ProcID, entry ir.BlockID) {
+// line prints one event, indented by call depth, while under the limit.
+func (t *tracer) line(format string, args ...any) {
 	if t.printed < t.limit {
-		fmt.Printf("%*scall %s\n", 2*t.depth, "", t.prog.Proc(p).Name)
+		fmt.Printf("%*s%s\n", 2*t.depth, "", fmt.Sprintf(format, args...))
 		t.printed++
 	}
+}
+
+func (t *tracer) BeginProc(p ir.ProcID, entry ir.BlockID) {
+	t.line("call %s", t.prog.Proc(p).Name)
 	t.depth++
+	t.line("  b%d", entry)
 }
 
-func (t *tracer) ExitProc(p ir.ProcID) {
+func (t *tracer) EdgeBatch(p ir.ProcID, recs []interp.EdgeRec) {
+	for _, r := range recs {
+		t.line("  b%d", r.To)
+	}
+}
+
+func (t *tracer) EndProc(p ir.ProcID) {
 	t.depth--
-	if t.printed < t.limit {
-		fmt.Printf("%*sret  %s\n", 2*t.depth, "", t.prog.Proc(p).Name)
-		t.printed++
-	}
-}
-
-func (t *tracer) Edge(p ir.ProcID, from, to ir.BlockID) {}
-
-func (t *tracer) Block(p ir.ProcID, b ir.BlockID) {
-	if t.printed < t.limit {
-		fmt.Printf("%*s  b%d\n", 2*t.depth, "", b)
-		t.printed++
-	}
+	t.line("ret  %s", t.prog.Proc(p).Name)
 }
 
 func fatal(err error) {
@@ -230,7 +233,7 @@ func checkCmd(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		if eprof, err = profile.ParseEdgeProfile(len(prog.Procs), string(data)); err != nil {
+		if eprof, err = profile.ParseEdgeProfile(prog, string(data)); err != nil {
 			fatal(err)
 		}
 		vs = append(vs, check.EdgeFlow(prog, eprof)...)
@@ -342,7 +345,8 @@ func validateCmd(args []string) {
 }
 
 // profileCmd executes the program once, writing edge and/or path
-// profiles to files.
+// profiles to files: the path profiler observes the run's batches, and
+// the edge profile is rebuilt from its counters.
 func profileCmd(args []string) {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	edgeOut := fs.String("edge", "", "write edge profile here")
@@ -353,13 +357,13 @@ func profileCmd(args []string) {
 		fatal(fmt.Errorf("profile: need -edge and/or -path output files"))
 	}
 	prog := loadFile(fs.Args())
-	ep := profile.NewEdgeProfiler(prog)
 	pp := profile.NewPathProfiler(prog, profile.PathConfig{Depth: *depth})
-	if _, err := interp.Run(prog, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
+	_, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: pp})
+	if err != nil {
 		fatal(err)
 	}
 	if *edgeOut != "" {
-		if err := os.WriteFile(*edgeOut, []byte(ep.Profile().WriteText()), 0o644); err != nil {
+		if err := os.WriteFile(*edgeOut, []byte(profile.EdgeProfileFromCounts(prog, ec).WriteText()), 0o644); err != nil {
 			fatal(err)
 		}
 	}
@@ -389,7 +393,7 @@ func compileCmd(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		e, err := profile.ParseEdgeProfile(len(prog.Procs), string(data))
+		e, err := profile.ParseEdgeProfile(prog, string(data))
 		if err != nil {
 			fatal(err)
 		}
@@ -430,11 +434,11 @@ func paths(args []string) {
 	_ = fs.Parse(args)
 	prog := loadFile(fs.Args())
 
-	pp := profile.NewPathProfiler(prog, profile.PathConfig{Depth: *depth})
-	if _, err := interp.Run(prog, interp.Config{Observer: pp}); err != nil {
+	tp, err := profile.Train(prog, profile.PathConfig{Depth: *depth})
+	if err != nil {
 		fatal(err)
 	}
-	pf := pp.Profile()
+	pf := tp.Path
 	for _, p := range prog.Procs {
 		type hot struct {
 			seq  []ir.BlockID

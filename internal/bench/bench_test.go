@@ -146,14 +146,14 @@ func TestWcCountsAreConsistent(t *testing.T) {
 	}
 }
 
-// profileForTest runs prog once with an edge profiler attached.
+// profileForTest runs prog once and returns its edge profile.
 func profileForTest(t *testing.T, prog *ir.Program) *profile.EdgeProfile {
 	t.Helper()
-	ep := profile.NewEdgeProfiler(prog)
-	if _, err := interp.Run(prog, interp.Config{Observer: ep}); err != nil {
+	tp, err := profile.Train(prog, profile.PathConfig{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return ep.Profile()
+	return tp.Edge
 }
 
 func TestColdMassIsLukewarm(t *testing.T) {

@@ -36,15 +36,16 @@ func TestBLFlowCleanRun(t *testing.T) {
 // path) must trip block-frequency and completions violations.
 func TestBLFlowDetectsCorruptStream(t *testing.T) {
 	prog := mutProg()
-	ep := profile.NewEdgeProfiler(prog)
-	if _, err := interp.Run(prog, interp.Config{Observer: ep}); err != nil {
+	ep, _, err := profile.PointProfiles(prog)
+	if err != nil {
 		t.Fatal(err)
 	}
 	bl := profile.NewBLProfiler(prog, profile.BLConfig{})
-	bl.EnterProc(0, prog.Proc(0).Entry().ID)
-	bl.Edge(0, 0, prog.Proc(0).Entry().Succs()[0])
-	bl.ExitProc(0)
-	vs := check.BLFlow(prog, bl, ep.Profile())
+	entry := prog.Proc(0).Entry()
+	bl.BeginProc(0, entry.ID)
+	bl.EdgeBatch(0, []interp.EdgeRec{{From: entry.ID, To: entry.Succs()[0]}})
+	bl.EndProc(0)
+	vs := check.BLFlow(prog, bl, ep)
 	if len(vs) == 0 {
 		t.Fatal("BLFlow accepted a profiler that saw a different run than the edge profile")
 	}

@@ -6,7 +6,6 @@ import (
 
 	"pathsched/internal/check"
 	"pathsched/internal/core"
-	"pathsched/internal/interp"
 	"pathsched/internal/ir"
 	"pathsched/internal/machine"
 	"pathsched/internal/profile"
@@ -58,14 +57,13 @@ func teethProg() *ir.Program {
 func teethCompiled(t *testing.T) (bin, pristine *ir.Program) {
 	t.Helper()
 	pristine = teethProg()
-	ep := profile.NewEdgeProfiler(pristine)
-	pp := profile.NewPathProfiler(pristine, profile.PathConfig{})
-	if _, err := interp.Run(pristine, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
+	tp, err := profile.Train(pristine, profile.PathConfig{})
+	if err != nil {
 		t.Fatalf("training run: %v", err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Method = core.PathBased
-	cfg.Edge, cfg.Path = ep.Profile(), pp.Profile()
+	cfg.Edge, cfg.Path = tp.Edge, tp.Path
 	cfg.MinExecFreq = 2
 	res, err := core.Form(ir.CloneProgram(pristine), cfg)
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 // recording, and confirms both checker paths accept the clean result.
 func exactCompiled(t *testing.T) (*ir.Program, sched.BlockDeps) {
 	t.Helper()
-	res, _, _ := form(t)
+	res := form(t)
 	rec := sched.BlockDeps{}
 	opts := sched.Options{Exact: sched.ExactConfig{Enabled: true}, RecordDeps: rec}
 	if err := sched.Compact(res, opts); err != nil {

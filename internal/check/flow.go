@@ -66,11 +66,11 @@ func EdgeFlow(prog *ir.Program, ep *profile.EdgeProfile) []Violation {
 // frequencies (a path cannot run more often than any edge inside it —
 // the prefix-bound that makes the paper's Figure 1 comparison
 // meaningful), and the one-block extensions of a sequence cannot sum
-// to more than the sequence itself ran. When ep is the edge profile of
-// the *same* run and the path windows were per-activation, the two
-// profiles are two codings of one event stream, so their block
-// frequencies must agree exactly — and their edge frequencies too,
-// when the depth bound cannot truncate a two-block window.
+// to more than the sequence itself ran. When ep is given, it must be
+// the edge profile of the *same* run: the two profiles are then two
+// codings of one event stream, so their block frequencies must agree
+// exactly — and their edge frequencies too, when the depth bound
+// cannot truncate a two-block window.
 //
 // The pair bound is checked only against each indexed sequence's
 // *first* pair, which covers every interior pair transitively: the
@@ -82,7 +82,6 @@ func EdgeFlow(prog *ir.Program, ep *profile.EdgeProfile) []Violation {
 // whole check is one sweep plus one two-block probe per sequence.
 func PathFlow(prog *ir.Program, pp *profile.PathProfile, ep *profile.EdgeProfile) []Violation {
 	var out []Violation
-	crossCheck := ep != nil && !pp.CrossActivation()
 	for pid, p := range prog.Procs {
 		pid := ir.ProcID(pid)
 		if int(pid) >= pp.NumProcs() {
@@ -105,14 +104,14 @@ func PathFlow(prog *ir.Program, pp *profile.PathProfile, ep *profile.EdgeProfile
 				bad(seq[0], "path %s ran %d times but its extensions sum to %d",
 					profile.FmtSeq(seq), n, ext)
 			}
-			if crossCheck && len(seq) == 2 && pp.Depth() >= 2 {
+			if ep != nil && len(seq) == 2 && pp.Depth() >= 2 {
 				if en := ep.EdgeFreq(pid, seq[0], seq[1]); en != n {
 					bad(seq[0], "edge %s: path profile says %d, edge profile says %d",
 						profile.FmtSeq(seq), n, en)
 				}
 			}
 		})
-		if crossCheck {
+		if ep != nil {
 			for _, b := range p.Blocks {
 				if pn, en := pp.BlockFreq(pid, b.ID), ep.BlockFreq(pid, b.ID); pn != en {
 					bad(b.ID, "block frequency: path profile says %d, edge profile says %d", pn, en)

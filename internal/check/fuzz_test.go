@@ -5,7 +5,6 @@ import (
 
 	"pathsched/internal/check"
 	"pathsched/internal/core"
-	"pathsched/internal/interp"
 	"pathsched/internal/ir"
 	"pathsched/internal/ir/irtest"
 	"pathsched/internal/machine"
@@ -28,15 +27,11 @@ func FuzzCheck(f *testing.F) {
 		prog := irtest.RandExecProg(seed, int(sz%28)+4)
 		pristine := ir.CloneProgram(prog)
 
-		ep := profile.NewEdgeProfiler(prog)
-		pp := profile.NewPathProfiler(prog, profile.PathConfig{})
-		if _, err := interp.Run(prog, interp.Config{
-			Observer: profile.Multi{ep, pp},
-			MaxSteps: 1 << 22,
-		}); err != nil {
+		tp, err := profile.Train(prog, profile.PathConfig{})
+		if err != nil {
 			t.Skipf("training run rejected: %v", err)
 		}
-		eprof, pprof := ep.Profile(), pp.Profile()
+		eprof, pprof := tp.Edge, tp.Path
 		if err := check.Err("profile", check.EdgeFlow(prog, eprof)); err != nil {
 			t.Fatalf("edge profile of a real run rejected: %v", err)
 		}

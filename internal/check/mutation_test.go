@@ -52,30 +52,29 @@ func mutProg() *ir.Program {
 }
 
 // form profiles mutProg and forms path-based superblocks, returning
-// the formation result (not yet compacted) and the profilers.
-func form(t *testing.T) (*core.Result, *profile.EdgeProfiler, *profile.PathProfiler) {
+// the formation result (not yet compacted).
+func form(t *testing.T) *core.Result {
 	t.Helper()
 	prog := mutProg()
-	ep := profile.NewEdgeProfiler(prog)
-	pp := profile.NewPathProfiler(prog, profile.PathConfig{})
-	if _, err := interp.Run(prog, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
+	tp, err := profile.Train(prog, profile.PathConfig{})
+	if err != nil {
 		t.Fatalf("training run: %v", err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Method = core.PathBased
-	cfg.Edge, cfg.Path = ep.Profile(), pp.Profile()
+	cfg.Edge, cfg.Path = tp.Edge, tp.Path
 	cfg.MinExecFreq = 2
 	res, err := core.Form(prog, cfg)
 	if err != nil {
 		t.Fatalf("Form: %v", err)
 	}
-	return res, ep, pp
+	return res
 }
 
 // compiled forms and compacts, returning the scheduled binary.
 func compiled(t *testing.T) *ir.Program {
 	t.Helper()
-	res, _, _ := form(t)
+	res := form(t)
 	if err := sched.Compact(res, sched.Options{}); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
@@ -256,7 +255,7 @@ func TestMutationSpecCleared(t *testing.T) {
 // Mutation 6: corrupt one immediate of a tail-duplicated clone, so it
 // no longer computes what its original does.
 func TestMutationCloneDiverges(t *testing.T) {
-	res, _, _ := form(t)
+	res := form(t)
 	if vs := check.Superblocks(res); len(vs) != 0 {
 		t.Fatalf("clean formation rejected: %v", check.Err("form", vs))
 	}
@@ -280,7 +279,7 @@ func TestMutationCloneDiverges(t *testing.T) {
 // Mutation 7: retarget a branch into the middle of a superblock — a
 // side entrance, the exact thing tail duplication exists to remove.
 func TestMutationSideEntrance(t *testing.T) {
-	res, _, _ := form(t)
+	res := form(t)
 	p := res.Prog.Proc(0)
 	var mid, head ir.BlockID = ir.NoBlock, ir.NoBlock
 	for _, sb := range res.Superblocks[p.ID] {
@@ -315,14 +314,14 @@ func TestMutationSideEntrance(t *testing.T) {
 // Kirchhoff's law breaks at both endpoints.
 func TestMutationEdgeCountCorrupted(t *testing.T) {
 	prog := mutProg()
-	ep := profile.NewEdgeProfiler(prog)
-	if _, err := interp.Run(prog, interp.Config{Observer: ep}); err != nil {
+	ep, _, err := profile.PointProfiles(prog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := check.EdgeFlow(prog, ep.Profile()); len(vs) != 0 {
+	if vs := check.EdgeFlow(prog, ep); len(vs) != 0 {
 		t.Fatalf("clean profile rejected: %v", check.Err("profile", vs))
 	}
-	text := ep.Profile().WriteText()
+	text := ep.WriteText()
 	re := regexp.MustCompile(`edge b(\d+)->b(\d+): (\d+)`)
 	m := re.FindStringSubmatch(text)
 	if m == nil {
@@ -331,7 +330,7 @@ func TestMutationEdgeCountCorrupted(t *testing.T) {
 	n, _ := strconv.ParseInt(m[3], 10, 64)
 	corrupted := strings.Replace(text, m[0],
 		"edge b"+m[1]+"->b"+m[2]+": "+strconv.FormatInt(n+5, 10), 1)
-	bad, err := profile.ParseEdgeProfile(len(prog.Procs), corrupted)
+	bad, err := profile.ParseEdgeProfile(prog, corrupted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,12 +346,13 @@ func TestMutationEdgeCountCorrupted(t *testing.T) {
 // inside it.
 func TestMutationPathCountInflated(t *testing.T) {
 	prog := mutProg()
-	ep := profile.NewEdgeProfiler(prog)
 	pp := profile.NewPathProfiler(prog, profile.PathConfig{})
-	if _, err := interp.Run(prog, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
+	_, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: pp})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := check.PathFlow(prog, pp.Profile(), ep.Profile()); len(vs) != 0 {
+	ep := profile.EdgeProfileFromCounts(prog, ec)
+	if vs := check.PathFlow(prog, pp.Profile(), ep); len(vs) != 0 {
 		t.Fatalf("clean profile rejected: %v", check.Err("profile", vs))
 	}
 	text := pp.WriteText()
@@ -368,7 +368,7 @@ func TestMutationPathCountInflated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := check.PathFlow(prog, bad, ep.Profile())
+	vs := check.PathFlow(prog, bad, ep)
 	v := requireViolation(t, vs, "but its edge")
 	if v.Proc != "main" {
 		t.Fatalf("violation names proc %q, want main", v.Proc)

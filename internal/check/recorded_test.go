@@ -13,7 +13,7 @@ import (
 // the scheduler's recording — and the recording must actually cover
 // scheduled blocks (otherwise the fast path silently degrades).
 func TestSchedulesRecordedMatchesRecomputed(t *testing.T) {
-	res, _, _ := form(t)
+	res := form(t)
 	rec := sched.BlockDeps{}
 	if err := sched.Compact(res, sched.Options{RecordDeps: rec}); err != nil {
 		t.Fatalf("Compact: %v", err)
@@ -45,7 +45,7 @@ func TestSchedulesRecordedMatchesRecomputed(t *testing.T) {
 // cycle assignment: teeth for the fast path, so recording can never
 // become a skipped check.
 func TestSchedulesRecordedCatchesCorruption(t *testing.T) {
-	res, _, _ := form(t)
+	res := form(t)
 	rec := sched.BlockDeps{}
 	if err := sched.Compact(res, sched.Options{RecordDeps: rec}); err != nil {
 		t.Fatalf("Compact: %v", err)

@@ -296,9 +296,9 @@ type former struct {
 func (f *former) isHead(o ir.BlockID) bool { return f.headOf[o] != nil }
 
 // isCFGSucc reports whether to is an actual CFG successor of from in
-// the original graph. Path profiles gathered with cross-activation
-// windows can record block sequences that span a return-and-resume, so
-// formation must never trust a path extension that has no edge.
+// the original graph. A path profile parsed from a file may name block
+// sequences that are not CFG walks, so formation must never trust a
+// path extension that has no edge.
 func (f *former) isCFGSucc(from, to ir.BlockID) bool {
 	for _, s := range f.cfgGraph.Succs(from) {
 		if s == to {

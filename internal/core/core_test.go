@@ -12,12 +12,11 @@ import (
 // profiles runs prog on the interpreter once, feeding both profilers.
 func profiles(t *testing.T, prog *ir.Program) (*profile.EdgeProfile, *profile.PathProfile) {
 	t.Helper()
-	ep := profile.NewEdgeProfiler(prog)
-	pp := profile.NewPathProfiler(prog, profile.PathConfig{})
-	if _, err := interp.Run(prog, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
+	tp, err := profile.Train(prog, profile.PathConfig{})
+	if err != nil {
 		t.Fatalf("training run: %v", err)
 	}
-	return ep.Profile(), pp.Profile()
+	return tp.Edge, tp.Path
 }
 
 func form(t *testing.T, prog *ir.Program, method Method, mut func(*Config)) *Result {

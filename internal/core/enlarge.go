@@ -75,8 +75,8 @@ func (f *former) enlargePath(sb *Superblock) {
 			return
 		}
 		if !f.isCFGSucc(origins[len(origins)-1], s) {
-			// Cross-activation path data can suggest extensions with no
-			// CFG edge (a return-and-resume boundary); never follow them.
+			// A profile parsed from a file can suggest extensions with
+			// no CFG edge; never follow them.
 			return
 		}
 		if f.isHead(s) {

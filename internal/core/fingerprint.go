@@ -18,8 +18,8 @@ import (
 //
 //   - Edge and Path carry the training profiles. They are functions of
 //     the pristine training build and the profiling parameters, so the
-//     pipeline keys them as (pristine-build fingerprint, path depth,
-//     cross-activation) alongside this digest.
+//     pipeline keys them as (pristine-build fingerprint, profiling
+//     scheme and its parameters) alongside this digest.
 //   - Parallelism only changes how the work is scheduled; formation is
 //     pinned worker-count-independent, so it cannot affect the output.
 func (c Config) Fingerprint() ir.Digest {

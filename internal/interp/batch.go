@@ -10,9 +10,9 @@ const batchCap = 1024
 // batcher accumulates edge records for a BatchObserver. The engine
 // appends to buf inline in its transfer tail (see exec.go) and calls
 // flush at activation boundaries. The test oracle (reference_test.go)
-// drives the same struct as a per-event Observer adapter, so both
-// produce the same sequence of BeginProc/EdgeBatch/EndProc calls,
-// flush boundaries included, for the same event stream.
+// drives the same struct from its per-event stream, so both produce
+// the same sequence of BeginProc/EdgeBatch/EndProc calls, flush
+// boundaries included, for the same run.
 type batcher struct {
 	bo   BatchObserver
 	proc ir.ProcID // proc of the buffered records (set on every append)

@@ -12,7 +12,8 @@ import (
 // counted-run fast path (RunCounted) against the per-event baseline:
 // the engine and the oracle must deliver byte-identical batch streams —
 // including flush boundaries — and a batch stream flattened back to
-// per-event form must equal the legacy Observer stream of the same run.
+// per-event form must equal the oracle's per-event stream of the same
+// run.
 
 // batchLog records BatchObserver callbacks. EdgeBatch copies the
 // delivered records: the engine reuses its ring buffer across flushes,
@@ -66,7 +67,7 @@ func (l *batchLog) flatten() eventLog {
 // diffBatch runs prog on the engine and the oracle with a batch
 // observer and fails on any divergence: error outcome, Result, the
 // batch streams themselves (flush boundaries included), and the
-// flattened stream against a legacy per-event observer run.
+// flattened stream against the oracle's per-event stream.
 func diffBatch(t *testing.T, name string, prog *ir.Program) {
 	t.Helper()
 	var refB, decB batchLog
@@ -86,13 +87,13 @@ func diffBatch(t *testing.T, name string, prog *ir.Program) {
 		t.Fatalf("%s: results diverge\nreference: %+v\ndecoded:   %+v", name, refRes, decRes)
 	}
 
-	var legacy eventLog
-	if _, err := Run(prog, Config{Observer: &legacy}); (err == nil) != (decErr == nil) {
-		t.Fatalf("%s: legacy observer run err = %v, batch run err = %v", name, err, decErr)
+	var events eventLog
+	if _, err := referenceRunEvents(prog, Config{}, &events); (err == nil) != (decErr == nil) {
+		t.Fatalf("%s: per-event oracle run err = %v, batch run err = %v", name, err, decErr)
 	}
-	if got := decB.flatten(); !reflect.DeepEqual(got, legacy) {
-		t.Fatalf("%s: flattened batch stream != legacy event stream\nbatch:  %+v\nlegacy: %+v",
-			name, got, legacy)
+	if got := decB.flatten(); !reflect.DeepEqual(got, events) {
+		t.Fatalf("%s: flattened batch stream != per-event stream\nbatch:     %+v\nper-event: %+v",
+			name, got, events)
 	}
 }
 
@@ -143,22 +144,10 @@ func TestBatchRandomPrograms(t *testing.T) {
 	}
 }
 
-func TestObserverAndBatchExclusive(t *testing.T) {
-	prog := sumLoop(5)
-	cfg := Config{Observer: &eventLog{}, Batch: &batchLog{}}
-	if _, err := Run(prog, cfg); !errors.Is(err, errObserverAndBatch) {
-		t.Fatalf("Run with Observer and Batch: err = %v, want %v", err, errObserverAndBatch)
-	}
-	if _, err := referenceRun(prog, cfg); !errors.Is(err, errObserverAndBatch) {
-		t.Fatalf("referenceRun with Observer and Batch: err = %v, want %v", err, errObserverAndBatch)
-	}
-}
-
 // TestObserverKeepsDecodedEngine pins that hooks never change how a
-// program executes: with a per-event observer, a batch observer, or a
-// counted batch run attached, every program — register numbers past
-// 255 included — runs on its one memoized decode and returns the bare
-// run's Result.
+// program executes: with a batch observer or a counted batch run
+// attached, every program — register numbers past 255 included — runs
+// on its one memoized decode and returns the bare run's Result.
 func TestObserverKeepsDecodedEngine(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -174,10 +163,6 @@ func TestObserverKeepsDecodedEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: bare run: %v", tc.name, err)
 		}
-		observed, err := Run(tc.prog, Config{Observer: &eventLog{}})
-		if err != nil {
-			t.Fatalf("%s: observed run: %v", tc.name, err)
-		}
 		batched, err := Run(tc.prog, Config{Batch: &batchLog{}})
 		if err != nil {
 			t.Fatalf("%s: batched run: %v", tc.name, err)
@@ -186,7 +171,7 @@ func TestObserverKeepsDecodedEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: counted run with batch observer: %v", tc.name, err)
 		}
-		for _, got := range []*Result{observed, batched, counted} {
+		for _, got := range []*Result{batched, counted} {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: hooked run %+v differs from bare run %+v", tc.name, got, want)
 			}
@@ -232,9 +217,6 @@ func TestRunCountedMatchesRun(t *testing.T) {
 }
 
 func TestRunCountedRejections(t *testing.T) {
-	if _, _, err := EngineFor(sumLoop(5)).RunCounted(Config{Observer: &eventLog{}}); !errors.Is(err, errCountedObserver) {
-		t.Fatalf("counted run with Observer: err = %v, want %v", err, errCountedObserver)
-	}
 	if _, _, err := EngineFor(manyRegs(300)).RunCounted(Config{Batch: &batchLog{}}); !errors.Is(err, ErrTooManyRegisters) {
 		t.Fatalf("counted run on an undecodable program: err = %v, want %v", err, ErrTooManyRegisters)
 	}

@@ -1,10 +1,6 @@
 package interp
 
-import (
-	"errors"
-
-	"pathsched/internal/ir"
-)
+import "pathsched/internal/ir"
 
 // This file turns the decoded engine's per-exit visit counters into
 // exact control-flow profiles after the run completes ("counter-fused
@@ -35,17 +31,12 @@ import (
 // the equalities above need only hold for completed runs — the same
 // contract flushCounts relies on.
 
-var (
-	errObserverAndBatch = errors.New("interp: Config.Observer and Config.Batch are mutually exclusive")
-	errCountedObserver  = errors.New("interp: counted run cannot carry a per-event Observer (use Config.Batch)")
-)
-
 // EdgeCounts is the control-flow side of a counted run (RunCounted):
 // dense per-exit visit counters plus the live multi-destination rows,
 // exposed as deterministic traversals over exact per-procedure block,
 // edge, call and entry counts. Reconstructed profiles are identical —
-// including serialized bytes — to what per-event observers would have
-// gathered on the same run; internal/profile builds its EdgeProfiler
+// including serialized bytes — to what per-event counters would have
+// gathered on the same run; internal/profile builds its EdgeProfile
 // and call-graph counts from these traversals.
 type EdgeCounts struct {
 	eng     *Engine
@@ -105,8 +96,8 @@ func newEdgeCounts(e *Engine, counts [][]int64, multi [][][]int64) *EdgeCounts {
 func (ec *EdgeCounts) NumProcs() int { return len(ec.eng.procs) }
 
 // Entries returns how many activations of p began (call-site totals
-// into p, plus one for main) — the count an observer's EnterProc
-// would have seen.
+// into p, plus one for main) — the number of BeginProc(p, ·) events a
+// batched run delivers.
 func (ec *EdgeCounts) Entries(p ir.ProcID) int64 { return ec.entries[p] }
 
 // ForEachCall visits the executed (caller, callee) call-site totals in

@@ -11,7 +11,7 @@ import (
 // This file gates the pre-decoded engine (decode.go/exec.go) against
 // referenceRun, the preserved seed engine (reference_test.go): for any
 // verifier-clean program and any Config, the two must produce
-// byte-identical Results, identical observer event streams, identical
+// byte-identical Results, identical batch event streams, identical
 // fetch traffic, and identical success/failure. Hand cases pin the
 // tricky semantics (merged superblocks with mid-block NoBlock exits,
 // speculative loads, switch fallthrough, scheduled cycle accounting);
@@ -20,19 +20,19 @@ import (
 // schedule/superblock annotations, and sparse register renumberings.
 
 // diffRun executes prog under both engines in three configurations
-// (bare, observed, with a fetch sink) and fails the test on any
+// (bare, batch-observed, with a fetch sink) and fails the test on any
 // divergence. It returns the bare-run reference result for extra
 // assertions.
 func diffRun(t *testing.T, name string, prog *ir.Program) *Result {
 	t.Helper()
 	var bare *Result
-	for _, mode := range []string{"bare", "observer", "fetch"} {
+	for _, mode := range []string{"bare", "batch", "fetch"} {
 		refCfg, decCfg := Config{}, Config{}
-		var refLog, decLog eventLog
+		var refLog, decLog batchLog
 		var refFetch, decFetch fetchLog
 		switch mode {
-		case "observer":
-			refCfg.Observer, decCfg.Observer = &refLog, &decLog
+		case "batch":
+			refCfg.Batch, decCfg.Batch = &refLog, &decLog
 		case "fetch":
 			refFetch.stall, decFetch.stall = 3, 3
 			refCfg.Fetch, decCfg.Fetch = &refFetch, &decFetch
@@ -52,7 +52,7 @@ func diffRun(t *testing.T, name string, prog *ir.Program) *Result {
 			t.Fatalf("%s/%s: results diverge\nreference: %+v\ndecoded:   %+v", name, mode, want, got)
 		}
 		if !reflect.DeepEqual(refLog, decLog) {
-			t.Fatalf("%s/%s: observer event streams diverge\nreference: %+v\ndecoded:   %+v",
+			t.Fatalf("%s/%s: batch event streams diverge\nreference: %+v\ndecoded:   %+v",
 				name, mode, refLog, decLog)
 		}
 		if !reflect.DeepEqual(refFetch.ranges, decFetch.ranges) {
@@ -448,8 +448,8 @@ func dumpCounts(ec *EdgeCounts) string {
 }
 
 // diffRenamed fails unless renamed, a renameRegs twin of prog, runs
-// exactly like prog on both engines — Result or error, observer
-// stream, batch stream — and gives the same RunCounted counts. Dense
+// exactly like prog on both engines — Result or error, batch stream —
+// and gives the same RunCounted counts. Dense
 // frame slots follow first mention, so the twins must also decode to
 // identical code.
 func diffRenamed(t *testing.T, name string, prog, renamed *ir.Program) {
@@ -461,17 +461,13 @@ func diffRenamed(t *testing.T, name string, prog, renamed *ir.Program) {
 		name string
 		run  func(*ir.Program, Config) (*Result, error)
 	}{{"decoded", Run}, {"reference", referenceRun}} {
-		var logs [2]eventLog
 		var bats [2]batchLog
-		for _, mode := range []string{"bare", "observer", "batch"} {
+		for _, mode := range []string{"bare", "batch"} {
 			var res [2]*Result
 			var errs [2]error
 			for i, p := range []*ir.Program{prog, renamed} {
 				var cfg Config
-				switch mode {
-				case "observer":
-					cfg.Observer = &logs[i]
-				case "batch":
+				if mode == "batch" {
 					cfg.Batch = &bats[i]
 				}
 				res[i], errs[i] = eng.run(p, cfg)
@@ -481,7 +477,7 @@ func diffRenamed(t *testing.T, name string, prog, renamed *ir.Program) {
 					name, eng.name, mode, res[0], errs[0], res[1], errs[1])
 			}
 		}
-		if !reflect.DeepEqual(logs[0], logs[1]) || !reflect.DeepEqual(bats[0], bats[1]) {
+		if !reflect.DeepEqual(bats[0], bats[1]) {
 			t.Fatalf("%s/%s: renamed event streams diverge", name, eng.name)
 		}
 	}

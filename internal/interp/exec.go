@@ -23,20 +23,19 @@ import (
 //   - the step limit is checked once per block against the block's
 //     full instruction count instead of once per instruction
 //     (Config.MaxSteps documents the resulting budget semantics);
-//   - observer events and the fetch model are behind per-block nil
+//   - batch delivery and the fetch model are behind per-block nil
 //     checks, so unhooked measurement runs pay only two predictable
 //     branches per block.
 //
-// Event order on hooked runs is exactly the reference engine's:
-// EnterProc, then per block Edge(prev, cur) (skipped for the entry
-// block) followed by Block(cur), and ExitProc on return.
+// A batched run delivers exactly the batch stream the reference
+// engine's per-block events produce through the same buffer.
 
 var errUnmappedLoad = errors.New("interp: load from unmapped address")
 
 // Run executes the decoded program's main procedure, or returns the
 // program's decode error (ErrTooManyRegisters, or a call passing more
 // than ir.MaxArgs arguments). The differential tests in decode_test.go
-// pin Results, errors and event streams byte-identical to the seed
+// pin Results, errors and batch streams byte-identical to the seed
 // engine, kept as the test oracle in reference_test.go.
 func (e *Engine) Run(cfg Config) (*Result, error) {
 	res, _, err := e.runCore(cfg, false)
@@ -49,22 +48,14 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 // counts.go) — a pure edge-profiled run therefore executes with no
 // per-edge observer work at all. cfg.Batch may still be set (the
 // training pipeline runs the path profiler batched and the edge
-// profiler counted in one pass); cfg.Observer may not, as counted
-// runs exist to avoid exactly that per-event cost. Decode errors are
-// returned as by Run.
+// profiler counted in one pass). Decode errors are returned as by Run.
 func (e *Engine) RunCounted(cfg Config) (*Result, *EdgeCounts, error) {
-	if cfg.Observer != nil {
-		return nil, nil, errCountedObserver
-	}
 	return e.runCore(cfg, true)
 }
 
 func (e *Engine) runCore(cfg Config, counted bool) (*Result, *EdgeCounts, error) {
 	if e.err != nil {
 		return nil, nil, e.err
-	}
-	if cfg.Observer != nil && cfg.Batch != nil {
-		return nil, nil, errObserverAndBatch
 	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = defaultMaxSteps
@@ -83,7 +74,6 @@ func (e *Engine) runCore(cfg Config, counted bool) (*Result, *EdgeCounts, error)
 		counts:   make([][]int64, len(e.procs)),
 		maxSteps: cfg.MaxSteps,
 		maxDepth: cfg.MaxDepth,
-		obs:      cfg.Observer,
 		fetch:    cfg.Fetch,
 	}
 	if cfg.Batch != nil {
@@ -131,7 +121,6 @@ type dmachine struct {
 	steps    int64
 	maxSteps int64
 	maxDepth int
-	obs      Observer
 	bat      *batcher    // batch event delivery (Config.Batch), or nil
 	mcounts  [][][]int64 // counted runs: per proc, per multi-slot row
 	fetch    FetchSink
@@ -225,7 +214,6 @@ func (m *dmachine) call(id int32, args []int64, depth int) (int64, error) {
 // compare. Error paths never flush anything — an error abandons the
 // Result.
 func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64, depth int) (int64, error) {
-	obs := m.obs
 	bat := m.bat
 	fetch := m.fetch
 	ranges := p.ranges
@@ -237,18 +225,13 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 	// Entry-block setup: same checks and events as the transfer tail,
 	// minus the departure accounting (there is no block to depart).
 	cur := p.entry
-	if obs != nil {
-		obs.EnterProc(p.id, ir.BlockID(p.entry))
-	} else if bat != nil {
+	if bat != nil {
 		bat.flush() // deliver the caller's pending records first
 		bat.bo.BeginProc(p.id, ir.BlockID(p.entry))
 	}
 	// uint32 compare folds the cur < 0 check into the bounds test.
 	if uint32(cur) >= uint32(len(ranges)) {
 		return 0, fmt.Errorf("interp: proc %s: bad block b%d", p.name, cur)
-	}
-	if obs != nil {
-		obs.Block(p.id, p.blocks[cur].id)
 	}
 	r := ranges[cur]
 	lo := int32(r)
@@ -833,9 +816,7 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 				m.res.Cycles += stall
 				m.res.FetchStall += stall
 			}
-			if obs != nil {
-				obs.ExitProc(p.id)
-			} else if bat != nil {
+			if bat != nil {
 				bat.flush()
 				bat.bo.EndProc(p.id)
 			}
@@ -894,13 +875,10 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 		if uint32(next) >= uint32(len(ranges)) {
 			return 0, fmt.Errorf("interp: proc %s: bad block b%d", p.name, next)
 		}
-		if obs != nil {
-			obs.Edge(p.id, p.blocks[cur].id, p.blocks[next].id)
-			obs.Block(p.id, p.blocks[next].id)
-		} else if bat != nil {
-			// Batched delivery: one append instead of two interface
-			// calls; mirrors batcher.Edge exactly so both engines
-			// produce identical batch streams.
+		if bat != nil {
+			// Batched delivery: one append; mirrors the oracle's
+			// batcher.Edge exactly so both engines produce identical
+			// batch streams.
 			bat.proc = p.id
 			bat.buf[bat.n] = EdgeRec{From: p.blocks[cur].id, To: p.blocks[next].id}
 			if bat.n++; bat.n == batchCap {

@@ -64,23 +64,75 @@ func BenchmarkInterpDispatch(b *testing.B) {
 	}
 }
 
+// edgeTally counts a batch stream per procedure — activations, block
+// entries and edge traversals — which is the edge profile a per-event
+// counter gathers from the same run.
+type edgeTally struct {
+	entries map[ir.ProcID]int64
+	blocks  map[[2]int64]int64 // (proc, block)
+	edges   map[[3]int64]int64 // (proc, from, to)
+}
+
+func newEdgeTally() *edgeTally {
+	return &edgeTally{entries: map[ir.ProcID]int64{}, blocks: map[[2]int64]int64{}, edges: map[[3]int64]int64{}}
+}
+
+func (et *edgeTally) BeginProc(p ir.ProcID, entry ir.BlockID) {
+	et.entries[p]++
+	et.blocks[[2]int64{int64(p), int64(entry)}]++
+}
+
+func (et *edgeTally) EdgeBatch(p ir.ProcID, recs []interp.EdgeRec) {
+	for _, r := range recs {
+		et.blocks[[2]int64{int64(p), int64(r.To)}]++
+		et.edges[[3]int64{int64(p), int64(r.From), int64(r.To)}]++
+	}
+}
+
+func (et *edgeTally) EndProc(p ir.ProcID) {}
+
 // TestTrainWideTwinMatchesOracle carries dense frame slots through to
-// the profiles: profile.Train on the r297–r300 twin must equal the
-// per-event profilers fed by the oracle engine and Train on its narrow
-// twin — edge and path profiles byte for byte, call counts equal.
+// the profiles: profile.Train on the r297–r300 twin must equal what
+// the oracle engine's batch stream gives a path profiler and an edge
+// tally, and Train on its narrow twin — edge and path profiles exactly,
+// call counts equal.
 func TestTrainWideTwinMatchesOracle(t *testing.T) {
 	wide, narrow := interp.WideTwin(297), interp.WideTwin(1)
 	tp, err := profile.Train(wide, profile.PathConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep := profile.NewEdgeProfiler(wide)
 	pp := profile.NewPathProfiler(wide, profile.PathConfig{})
-	if _, err := interp.ReferenceRun(wide, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
-		t.Fatal(err)
+	tally := newEdgeTally()
+	for _, obs := range []interp.BatchObserver{pp, tally} {
+		if _, err := interp.ReferenceRun(wide, interp.Config{Batch: obs}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got, want := tp.Edge.WriteText(), ep.Profile().WriteText(); got != want {
-		t.Fatalf("Train edge profile differs from the oracle's\ntrain:\n%s\noracle:\n%s", got, want)
+	blocks, edges := 0, 0
+	for _, p := range wide.Procs {
+		if got, want := tp.Edge.Entries(p.ID), tally.entries[p.ID]; got != want {
+			t.Fatalf("%s: Train counts %d entries, the oracle %d", p.Name, got, want)
+		}
+		for _, b := range p.Blocks {
+			got, want := tp.Edge.BlockFreq(p.ID, b.ID), tally.blocks[[2]int64{int64(p.ID), int64(b.ID)}]
+			if got != want {
+				t.Fatalf("%s b%d: Train counts %d entries, the oracle %d", p.Name, b.ID, got, want)
+			}
+			if got != 0 {
+				blocks++
+			}
+			tp.Edge.ForEachSucc(p.ID, b.ID, func(to ir.BlockID, n int64) {
+				edges++
+				if want := tally.edges[[3]int64{int64(p.ID), int64(b.ID), int64(to)}]; n != want {
+					t.Fatalf("%s b%d->b%d: Train counts %d, the oracle %d", p.Name, b.ID, to, n, want)
+				}
+			})
+		}
+	}
+	if blocks != len(tally.blocks) || edges != len(tally.edges) {
+		t.Fatalf("Train records %d blocks and %d edges, the oracle %d and %d",
+			blocks, edges, len(tally.blocks), len(tally.edges))
 	}
 	// Frozen path profiles have a canonical layout, so equal profiles
 	// are reflect.DeepEqual.

@@ -2,10 +2,12 @@
 // reproduction, mirroring the two uses of execution in Young and
 // Smith's methodology (MICRO-31, 1998, §3):
 //
-//  1. Profiling runs: observers receive every executed CFG edge of the
-//     original program, exactly like the paper's instrumentation pass
-//     feeding an analysis routine (§3.1). The edge and path profilers
-//     in internal/profile are such observers.
+//  1. Profiling runs: a BatchObserver receives every executed CFG edge
+//     of the original program, in bulk, like the paper's
+//     instrumentation pass feeding an analysis routine (§3.1). The path
+//     profilers in internal/profile are such observers; a counted run
+//     (RunCounted) yields the edge and call-graph profiles without any
+//     observer at all.
 //  2. Measurement runs ("compiled simulation", §3.2): transformed,
 //     scheduled programs carry per-instruction cycle annotations; the
 //     interpreter executes them for semantic fidelity while summing
@@ -37,46 +39,25 @@ import (
 	"pathsched/internal/ir"
 )
 
-// Observer receives control-flow events from a run. Implementations
-// must be fast; the interpreter invokes them on every block boundary.
-type Observer interface {
-	// EnterProc fires when a procedure activation begins, before any
-	// block event of that activation.
-	EnterProc(p ir.ProcID, entry ir.BlockID)
-	// ExitProc fires when a procedure activation returns. Enter/Exit
-	// pairs nest properly, so observers can keep per-activation state
-	// on a stack (the path profiler does, to survive recursion).
-	ExitProc(p ir.ProcID)
-	// Edge fires for every executed intra-procedure CFG edge.
-	Edge(p ir.ProcID, from, to ir.BlockID)
-	// Block fires each time a basic block begins execution (including
-	// the entry block of each activation).
-	Block(p ir.ProcID, b ir.BlockID)
-}
-
 // EdgeRec is one executed intra-procedure CFG edge, as delivered in
 // bulk to a BatchObserver.
 type EdgeRec struct {
 	From, To ir.BlockID
 }
 
-// BatchObserver is the bulk alternative to Observer: instead of one
-// interface dispatch per executed edge, the engine appends edge
-// records to a fixed buffer and delivers them in chunks. The event
-// stream is a lossless re-encoding of the per-event one —
-//
-//	BeginProc(p, entry) ≡ EnterProc(p, entry); Block(p, entry)
-//	each EdgeRec{f, t}  ≡ Edge(p, f, t); Block(p, t)
-//	EndProc(p)          ≡ ExitProc(p)
-//
-// — so an observer that can fold the implied Block events (every
-// profiler here can: a Block event always follows its Edge) loses no
-// information. Batches never span activations: the engine flushes
-// pending records before every BeginProc and EndProc, so all records
-// of one EdgeBatch belong to the activation of the closest preceding
-// BeginProc, in execution order. The engine's batch stream equals,
-// call for call, what the per-event test oracle produces through the
-// same buffer; the differential tests in batch_test.go pin this.
+// BatchObserver is the interpreter's one event interface: instead of
+// one interface dispatch per executed edge, the engine appends edge
+// records to a fixed buffer and delivers them in chunks. The stream
+// encodes a run's block-level control flow losslessly: BeginProc(p,
+// entry) starts an activation of p at its entry block, each EdgeRec{f,
+// t} is an executed edge f→t and the entry of t, and EndProc(p) is the
+// activation's return. Batches never span activations: the engine
+// flushes pending records before every BeginProc and EndProc, so all
+// records of one EdgeBatch belong to the activation of the closest
+// preceding BeginProc, in execution order. The engine's batch stream
+// equals, call for call, what the seed engine kept as the test oracle
+// produces through the same buffer; the differential tests in
+// batch_test.go pin this.
 type BatchObserver interface {
 	// BeginProc fires when an activation begins; entry is its entry
 	// block, already "entered" (no separate record is delivered for it).
@@ -107,10 +88,8 @@ type Config struct {
 	MaxSteps int64
 	// MaxDepth bounds the call stack (0 means a generous default).
 	MaxDepth int
-	// Observer, when non-nil, receives control-flow events.
-	Observer Observer
 	// Batch, when non-nil, receives control-flow events in bulk (see
-	// BatchObserver). Setting both Observer and Batch is an error.
+	// BatchObserver).
 	Batch BatchObserver
 	// Fetch, when non-nil, receives instruction-fetch address ranges
 	// and contributes stall cycles (the I-cache model).

@@ -213,7 +213,8 @@ func TestDepthLimit(t *testing.T) {
 	}
 }
 
-// eventLog records observer callbacks for inspection.
+// eventLog records per-event callbacks (the oracle's eventObserver
+// stream, or a flattened batch stream) for inspection.
 type eventLog struct {
 	enters []ir.BlockID
 	exits  []ir.ProcID
@@ -228,9 +229,13 @@ func (e *eventLog) Edge(p ir.ProcID, from, to ir.BlockID) {
 }
 func (e *eventLog) Block(p ir.ProcID, b ir.BlockID) { e.blocks = append(e.blocks, b) }
 
+// TestObserverEvents pins the batch stream of a small loop, flattened
+// to per-block events: one activation, every block entered in order,
+// one edge between each consecutive pair, one return.
 func TestObserverEvents(t *testing.T) {
-	log := &eventLog{}
-	res := run(t, sumLoop(3), Config{Observer: log})
+	bl := &batchLog{}
+	res := run(t, sumLoop(3), Config{Batch: bl})
+	log := bl.flatten()
 	if res.Ret != 3 {
 		t.Fatalf("ret = %d", res.Ret)
 	}

@@ -6,6 +6,18 @@ import (
 	"pathsched/internal/ir"
 )
 
+// eventObserver is the per-event form of BatchObserver that the seed
+// engine delivers: EnterProc at an activation's start, Edge(prev, cur)
+// and Block(cur) for each block entered (no Edge for the entry block),
+// and ExitProc on return. A batch stream flattened back to these
+// events must equal the seed engine's (batch_test.go pins this).
+type eventObserver interface {
+	EnterProc(p ir.ProcID, entry ir.BlockID)
+	ExitProc(p ir.ProcID)
+	Edge(p ir.ProcID, from, to ir.BlockID)
+	Block(p ir.ProcID, b ir.BlockID)
+}
+
 // referenceRun executes prog with the original per-instruction
 // switch-walk engine, re-reading the ir.Instr stream on every step.
 //
@@ -16,18 +28,22 @@ import (
 // change against this implementation. Its frames are MaxReg()+1 wide,
 // so it runs any register numbering. export_test.go exposes it to the
 // BenchmarkInterpDispatch speedup microbenchmark.
+//
+// The reference engine has no native batch path: cfg.Batch is fed from
+// its per-event stream through a batcher, which uses the same buffer
+// capacity and flush points as the decoded engine so the two produce
+// identical batch streams.
 func referenceRun(prog *ir.Program, cfg Config) (*Result, error) {
+	var obs eventObserver
 	if cfg.Batch != nil {
-		// The reference engine has no native batch path: adapt the
-		// per-event stream through a batcher, which uses the same
-		// buffer capacity and flush points as the decoded engine so
-		// the two produce identical batch streams.
-		if cfg.Observer != nil {
-			return nil, errObserverAndBatch
-		}
-		cfg.Observer = &batcher{bo: cfg.Batch}
-		cfg.Batch = nil
+		obs = &batcher{bo: cfg.Batch}
 	}
+	return referenceRunEvents(prog, cfg, obs)
+}
+
+// referenceRunEvents is referenceRun delivering the seed engine's
+// per-event stream to obs (nil for none); cfg.Batch is ignored.
+func referenceRunEvents(prog *ir.Program, cfg Config, obs eventObserver) (*Result, error) {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = defaultMaxSteps
 	}
@@ -41,6 +57,7 @@ func referenceRun(prog *ir.Program, cfg Config) (*Result, error) {
 	m := &machine{
 		prog: prog,
 		cfg:  cfg,
+		obs:  obs,
 		mem:  mem,
 		res:  &Result{},
 	}
@@ -55,6 +72,7 @@ func referenceRun(prog *ir.Program, cfg Config) (*Result, error) {
 type machine struct {
 	prog  *ir.Program
 	cfg   Config
+	obs   eventObserver
 	mem   []int64
 	res   *Result
 	steps int64
@@ -96,7 +114,7 @@ func (m *machine) call(id ir.ProcID, args []int64, depth int) (int64, error) {
 		regs[int(ir.RegArg0)+i] = v
 	}
 
-	obs := m.cfg.Observer
+	obs := m.obs
 	if obs != nil {
 		obs.EnterProc(id, p.Entry().ID)
 	}
@@ -323,7 +341,7 @@ func exitUnits(b *ir.Block, i int) int32 {
 	return b.SBSize
 }
 
-// Observer adaptation for the reference engine: Block events are
+// Per-event adaptation for the reference engine: Block events are
 // dropped (they are implied — see the BatchObserver contract), Edge
 // events append, Enter/Exit flush and forward.
 

@@ -50,7 +50,7 @@ func manyRegs(n int) *ir.Program {
 // program numbering its registers r297–r300 decodes without error
 // into a 12-slot frame (r0–r7 plus its four) and runs on the decoded
 // engine exactly like both the oracle and its narrow twin — Run
-// results, observer and batch streams, and RunCounted counts.
+// results, batch streams, and RunCounted counts.
 func TestWideRegisterNumbersDecodeDensely(t *testing.T) {
 	narrow, wide := wideTwin(1), wideTwin(297)
 	if err := ir.Verify(narrow); err != nil {
@@ -70,8 +70,9 @@ func TestWideRegisterNumbersDecodeDensely(t *testing.T) {
 		t.Fatalf("narrow twin frameLen = %d, want 8 (r1-r4 keep slots 1-4)", got)
 	}
 
-	// Each twin against the oracle: Results, observer streams and fetch
-	// traffic (diffRun), batch streams with flush boundaries (diffBatch).
+	// Each twin against the oracle: Results, batch streams and fetch
+	// traffic (diffRun), batch streams with flush boundaries and their
+	// per-event flattening (diffBatch).
 	wideRes := diffRun(t, "wide", wide)
 	narrowRes := diffRun(t, "narrow", narrow)
 	diffBatch(t, "wide", wide)
@@ -84,13 +85,9 @@ func TestWideRegisterNumbersDecodeDensely(t *testing.T) {
 	if want := int64(135); wideRes.Ret != want {
 		t.Fatalf("ret = %d, want %d", wideRes.Ret, want)
 	}
-	var logs [2]eventLog
 	var bats [2]batchLog
 	var counts [2]string
 	for i, prog := range []*ir.Program{wide, narrow} {
-		if _, err := Run(prog, Config{Observer: &logs[i]}); err != nil {
-			t.Fatal(err)
-		}
 		res, ec, err := EngineFor(prog).RunCounted(Config{Batch: &bats[i]})
 		if err != nil {
 			t.Fatal(err)
@@ -100,8 +97,8 @@ func TestWideRegisterNumbersDecodeDensely(t *testing.T) {
 		}
 		counts[i] = dumpCounts(ec)
 	}
-	if !reflect.DeepEqual(logs[0], logs[1]) || !reflect.DeepEqual(bats[0], bats[1]) {
-		t.Fatal("twins' observer or batch streams diverge")
+	if !reflect.DeepEqual(bats[0], bats[1]) {
+		t.Fatal("twins' batch streams diverge")
 	}
 	if counts[0] != counts[1] {
 		t.Fatalf("twins' counted profiles diverge:\nwide:\n%s\nnarrow:\n%s", counts[0], counts[1])
@@ -117,7 +114,7 @@ func TestTooManyRegistersRejected(t *testing.T) {
 		t.Fatalf("256-register program: ret = %d, want 7", res.Ret)
 	}
 	prog := manyRegs(300)
-	for _, cfg := range []Config{{}, {Observer: &eventLog{}}, {Batch: &batchLog{}}, {Fetch: &fetchLog{}}} {
+	for _, cfg := range []Config{{}, {Batch: &batchLog{}}, {Fetch: &fetchLog{}}} {
 		_, err := Run(prog, cfg)
 		if !errors.Is(err, ErrTooManyRegisters) || !strings.Contains(err.Error(), "main names 300") {
 			t.Fatalf("Run: err = %v, want %v naming main and 300", err, ErrTooManyRegisters)

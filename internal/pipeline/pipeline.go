@@ -147,11 +147,6 @@ type Options struct {
 	BLIterations int
 	// PathDepth overrides the general-path depth (default 15).
 	PathDepth int
-	// PathCrossActivation keeps path windows per procedure instead of
-	// per activation (see profile.PathConfig.CrossActivation). Only
-	// supported by the window profiler: Ball–Larus state is strictly
-	// per-activation.
-	PathCrossActivation bool
 	// Form tweaks the formation config after scheme defaults apply
 	// (used by ablation benches). It may be called from several
 	// goroutines at once; it must only mutate the config it is given.
@@ -355,14 +350,8 @@ func NewRunner(opts Options) *Runner {
 func (r *Runner) train(trainProg *ir.Program) (*profile.TrainingProfiles, error) {
 	switch r.opts.Profiler {
 	case "", ProfilerWindow:
-		return profile.Train(trainProg, profile.PathConfig{
-			Depth:           r.opts.PathDepth,
-			CrossActivation: r.opts.PathCrossActivation,
-		})
+		return profile.Train(trainProg, profile.PathConfig{Depth: r.opts.PathDepth})
 	case ProfilerBL:
-		if r.opts.PathCrossActivation {
-			return nil, fmt.Errorf("profiler %q does not support cross-activation windows", r.opts.Profiler)
-		}
 		return profile.TrainBL(trainProg, profile.BLConfig{
 			Depth:      r.opts.PathDepth,
 			Iterations: r.opts.BLIterations,
@@ -397,7 +386,7 @@ func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, sc
 
 	// One training run feeds all profile consumers: batched path
 	// profiling plus counter-fused edge and call-graph reconstruction,
-	// identical to what per-event observers gather.
+	// exact counts of every event of the run.
 	tp, err := r.train(trainProg)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s: training run: %w", b.Name, err)
@@ -687,18 +676,17 @@ func (r *Runner) compileKey(progFP, trainFP ir.Digest, cfg core.Config, haveCfg 
 		w.u64(uint64(bc.Depth))
 		w.u64(uint64(bc.MaxBlocks))
 		w.u64(uint64(bc.Iterations))
-		w.bool(false)
 	} else {
-		pc := profile.PathConfig{
-			Depth:           r.opts.PathDepth,
-			CrossActivation: r.opts.PathCrossActivation,
-		}.Normalized()
+		pc := profile.PathConfig{Depth: r.opts.PathDepth}.Normalized()
 		w.str(string(ProfilerWindow))
 		w.u64(uint64(pc.Depth))
 		w.u64(uint64(pc.MaxBlocks))
 		w.u64(0)
-		w.bool(pc.CrossActivation)
 	}
+	// Both schemes once keyed a cross-activation window flag here, always
+	// false for Ball–Larus. The option is gone; writing its constant
+	// keeps every key, and so every stored compile, unchanged.
+	w.bool(false)
 	return w.sum()
 }
 

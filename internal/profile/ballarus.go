@@ -167,17 +167,15 @@ type blAct struct {
 	cur  *blNode
 }
 
-// BLProfiler implements interp.Observer and interp.BatchObserver,
-// gathering Ball–Larus numbered path counts with the k-iteration
-// extension.
+// BLProfiler implements interp.BatchObserver, gathering Ball–Larus
+// numbered path counts with the k-iteration extension.
 type BLProfiler struct {
 	cfg   BLConfig
 	procs []*blProc
 	acts  []blAct
 
-	dynEdges  int64
 	batches   int64
-	batchRecs int64
+	batchRecs int64 // also the number of dynamic edges observed
 }
 
 // NewBLProfiler numbers every procedure of prog and returns a profiler
@@ -411,8 +409,9 @@ func blSeqEqual(a, b []int64) bool {
 	return true
 }
 
-// EnterProc implements interp.Observer.
-func (bl *BLProfiler) EnterProc(p ir.ProcID, entry ir.BlockID) {
+// BeginProc implements interp.BatchObserver: a new activation starts
+// a path at its entry block.
+func (bl *BLProfiler) BeginProc(p ir.ProcID, entry ir.BlockID) {
 	st := bl.procs[p]
 	base := int64(-1)
 	if int(entry) < len(st.offset) {
@@ -421,11 +420,11 @@ func (bl *BLProfiler) EnterProc(p ir.ProcID, entry ir.BlockID) {
 	bl.acts = append(bl.acts, blAct{proc: p, base: base})
 }
 
-// ExitProc implements interp.Observer: the activation's in-flight path
-// ends at its ret block (weight 1, so the accumulator already holds
-// the final id). Mismatched exits are ignored defensively, mirroring
-// PathProfiler.ExitProc.
-func (bl *BLProfiler) ExitProc(p ir.ProcID) {
+// EndProc implements interp.BatchObserver: the activation's in-flight
+// path ends at its ret block (weight 1, so the accumulator already
+// holds the final id). Mismatched ends are ignored defensively,
+// mirroring PathProfiler.EndProc.
+func (bl *BLProfiler) EndProc(p ir.ProcID) {
 	n := len(bl.acts)
 	if n == 0 || bl.acts[n-1].proc != p {
 		return
@@ -437,53 +436,14 @@ func (bl *BLProfiler) ExitProc(p ir.ProcID) {
 	bl.acts = bl.acts[:n-1]
 }
 
-// Edge implements interp.Observer: one arithmetic increment per edge,
-// one counter increment per completed path.
-func (bl *BLProfiler) Edge(p ir.ProcID, from, to ir.BlockID) {
-	bl.dynEdges++
-	n := len(bl.acts)
-	if n == 0 || bl.acts[n-1].proc != p {
-		return // events from an unmatched activation; ignore defensively
-	}
-	a := &bl.acts[n-1]
-	st := bl.procs[p]
-	if int(from) >= len(st.rows) {
-		return
-	}
-	row := st.rows[from]
-	for j := range row {
-		if row[j].to != to {
-			continue
-		}
-		if e := &row[j]; e.cut {
-			a.cur = st.record(a.cur, a.base+a.r+e.val)
-			a.base = st.offset[to]
-			a.r = 0
-		} else {
-			a.r += e.val
-		}
-		return
-	}
-}
-
-// Block implements interp.Observer. All accounting rides on edges;
-// the entry block is covered by EnterProc and path completion.
-func (bl *BLProfiler) Block(p ir.ProcID, b ir.BlockID) {}
-
-// BeginProc implements interp.BatchObserver.
-func (bl *BLProfiler) BeginProc(p ir.ProcID, entry ir.BlockID) { bl.EnterProc(p, entry) }
-
-// EndProc implements interp.BatchObserver.
-func (bl *BLProfiler) EndProc(p ir.ProcID) { bl.ExitProc(p) }
-
-// EdgeBatch implements interp.BatchObserver: the hot path of batched
-// training runs. The activation state is loaded into locals once per
-// batch; the steady-state per-record work is one small row scan and
-// one add into a local — no stores at all until a path completes.
+// EdgeBatch implements interp.BatchObserver: the hot path of training
+// runs. The activation state is loaded into locals once per batch; the
+// steady-state per-record work is one small row scan and one add into
+// a local — no stores at all until a path completes (then one counter
+// increment per completed path).
 func (bl *BLProfiler) EdgeBatch(p ir.ProcID, recs []interp.EdgeRec) {
 	bl.batches++
 	bl.batchRecs += int64(len(recs))
-	bl.dynEdges += int64(len(recs))
 	if len(recs) == 0 {
 		return
 	}
@@ -515,10 +475,7 @@ func (bl *BLProfiler) EdgeBatch(p ir.ProcID, recs []interp.EdgeRec) {
 	a.base, a.r, a.cur = base, r, cur
 }
 
-var (
-	_ interp.Observer      = (*BLProfiler)(nil)
-	_ interp.BatchObserver = (*BLProfiler)(nil)
-)
+var _ interp.BatchObserver = (*BLProfiler)(nil)
 
 // Config returns the profiler's normalized configuration.
 func (bl *BLProfiler) Config() BLConfig { return bl.cfg }
@@ -608,7 +565,7 @@ func (bl *BLProfiler) Stats() (nodes int, dynEdges int64) {
 	for _, st := range bl.procs {
 		nodes += st.nodes
 	}
-	return nodes, bl.dynEdges
+	return nodes, bl.batchRecs
 }
 
 // AutomatonStats reports the k-tuple automaton size per procedure.
@@ -621,8 +578,7 @@ func (bl *BLProfiler) AutomatonStats() []ProcAutomatonStats {
 	return out
 }
 
-// BatchStats reports EdgeBatch delivery statistics (zero on per-event
-// runs).
+// BatchStats reports EdgeBatch delivery statistics.
 func (bl *BLProfiler) BatchStats() (batches, records int64) {
 	return bl.batches, bl.batchRecs
 }

@@ -138,7 +138,8 @@ func requireSameProfiles(t *testing.T, ctx string, a, b *PathProfile) {
 
 // On loop-free procedures every activation is a single numbered path,
 // so the Ball–Larus profile must equal the window profiler's exactly —
-// per-event and batched, at default and at tight non-default bounds.
+// both fed by one run and each trained on its own, at default and at
+// tight non-default bounds.
 func TestBLDifferentialLoopFree(t *testing.T) {
 	for _, cfg := range []struct {
 		name       string
@@ -151,10 +152,10 @@ func TestBLDifferentialLoopFree(t *testing.T) {
 			prog := blCallProg()
 			wp := NewPathProfiler(prog, PathConfig{Depth: cfg.depth, MaxBlocks: cfg.max})
 			bl := NewBLProfiler(prog, BLConfig{Depth: cfg.depth, MaxBlocks: cfg.max})
-			if _, err := interp.Run(prog, interp.Config{Observer: Multi{wp, bl}}); err != nil {
+			if _, err := interp.Run(prog, interp.Config{Batch: fanout{wp, bl}}); err != nil {
 				t.Fatal(err)
 			}
-			requireSameProfiles(t, "per-event", wp.Profile(), bl.Profile())
+			requireSameProfiles(t, "one run", wp.Profile(), bl.Profile())
 
 			tpw, err := Train(prog, PathConfig{Depth: cfg.depth, MaxBlocks: cfg.max})
 			if err != nil {
@@ -170,7 +171,7 @@ func TestBLDifferentialLoopFree(t *testing.T) {
 			if tpb.BL == nil {
 				t.Fatal("TrainBL did not surface the raw profiler")
 			}
-			requireSameProfiles(t, "batched", tpw.Path, tpb.Path)
+			requireSameProfiles(t, "trained", tpw.Path, tpb.Path)
 		})
 	}
 }

@@ -7,28 +7,26 @@ import (
 
 // Counter-fused profiling: the engine's per-exit visit counters
 // (interp.RunCounted) carry the complete point profile of a run, so
-// the edge and call-graph profiles can be reconstructed after the fact
+// the edge and call-graph profiles are reconstructed after the fact
 // instead of observing every event. Train and PointProfiles below are
 // the entry points the pipeline uses. Reconstruction is exact: the
-// profiles (and their serialized bytes) are identical to what the
-// per-event observers would have gathered, which the differential
-// tests in fused_test.go pin.
+// profiles (and their serialized bytes) are identical to what
+// per-event counters gather on the same run, which the differential
+// tests in fused_test.go pin against per-event oracles.
 
-// EdgeProfilerFromCounts rebuilds the edge profiler a per-event run
-// would have produced from a counted run's counters. Determinism:
-// blocks and edges are inserted in decode order (block, exit slot,
-// destination), and every EdgeProfile query and its serialization are
-// insertion-order independent.
-func EdgeProfilerFromCounts(prog *ir.Program, ec *interp.EdgeCounts) *EdgeProfiler {
-	ep := NewEdgeProfiler(prog)
-	for pid := range ep.procs {
+// EdgeProfileFromCounts builds the edge profile of a counted run from
+// its counters. Determinism: blocks and edges are inserted in decode
+// order (block, exit slot, destination), and every EdgeProfile query
+// and its serialization are insertion-order independent.
+func EdgeProfileFromCounts(prog *ir.Program, ec *interp.EdgeCounts) *EdgeProfile {
+	e := newEdgeProfile(prog)
+	for pid, pe := range e.procs {
 		p := ir.ProcID(pid)
-		pe := ep.procs[pid]
 		pe.entries = ec.Entries(p)
-		ec.ForEachBlock(p, func(b ir.BlockID, n int64) { pe.addBlock(b, n) })
+		ec.ForEachBlock(p, func(b ir.BlockID, n int64) { pe.block[b] += n })
 		ec.ForEachEdge(p, func(from, to ir.BlockID, n int64) { pe.addEdge(from, to, n) })
 	}
-	return ep
+	return e
 }
 
 // CallCountsFromCounts rebuilds the call-graph profile: dynamic
@@ -76,8 +74,7 @@ type TrainingProfiles struct {
 // Train executes prog once and gathers its edge, path and call-graph
 // profiles: the path profiler observes batched edge records while the
 // edge and call-graph halves are reconstructed from the engine's visit
-// counters (no per-event work at all). The profiles are identical to
-// what per-event observers gather. Decode errors (e.g.
+// counters (no per-event work at all). Decode errors (e.g.
 // interp.ErrTooManyRegisters) are returned unwrapped.
 func Train(prog *ir.Program, cfg PathConfig) (*TrainingProfiles, error) {
 	return train(prog, NewPathProfiler(prog, cfg), TrainSchemeWindow)
@@ -118,7 +115,7 @@ func train(prog *ir.Program, pp pathTrainer, scheme string) (*TrainingProfiles, 
 	}
 	tee.tr.blocks = res.DynBlocks
 	tp := &TrainingProfiles{
-		Edge:  EdgeProfilerFromCounts(prog, ec).Profile(),
+		Edge:  EdgeProfileFromCounts(prog, ec),
 		Path:  pp.Profile(),
 		Calls: CallCountsFromCounts(ec),
 		Trace: tee.tr,
@@ -138,5 +135,5 @@ func PointProfiles(prog *ir.Program) (*EdgeProfile, map[[2]ir.ProcID]int64, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	return EdgeProfilerFromCounts(prog, ec).Profile(), CallCountsFromCounts(ec), nil
+	return EdgeProfileFromCounts(prog, ec), CallCountsFromCounts(ec), nil
 }

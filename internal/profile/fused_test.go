@@ -11,11 +11,12 @@ import (
 	"pathsched/internal/ir/irtest"
 )
 
-// Differential gates for the fast profiling paths: a batched-observer
-// path profile and a counter-fused edge/call profile must be
-// byte-identical (via the text serialization) to what the legacy
-// per-event observers gather on the same run. Run under -race in CI,
-// these also shake out unsynchronized state in the batch seam.
+// Differential gates for the profiling paths: the batched path
+// profiler and the counter-fused edge/call profiles must equal what the
+// per-event oracles (oracle_test.go) gather from the same run's batch
+// stream — the edge profile byte for byte via its text serialization,
+// the path profile sequence for sequence. Run under -race in CI, these
+// also shake out unsynchronized state in the batch seam.
 
 // loopCallProg builds an executable program with a counted loop, a
 // conditional, and a call into a leaf, so one run exercises edges,
@@ -104,39 +105,33 @@ func manyRegsProg() *ir.Program {
 	return bd.Finish()
 }
 
-// diffTrain pins every fast path against the legacy observers on one
-// program and config: batched path profiles, counter-fused edge and
-// call profiles, and the Train entry point itself.
+// diffTrain pins every profiling path against the per-event oracles on
+// one program and config: one counted run feeds a batched path
+// profiler and, through perEvent, the oracles; its path profile, its
+// counter-fused edge and call profiles, and Train's profiles must all
+// equal what the oracles gathered.
 func diffTrain(t *testing.T, name string, prog *ir.Program, cfg PathConfig) {
 	t.Helper()
 
-	lep := NewEdgeProfiler(prog)
-	lpp := NewPathProfiler(prog, cfg)
-	lcg := NewCallGraphProfiler()
-	if _, err := interp.Run(prog, interp.Config{Observer: Multi{lep, lpp, lcg}}); err != nil {
-		t.Fatalf("%s: legacy run: %v", name, err)
-	}
-
-	fpp := NewPathProfiler(prog, cfg)
-	_, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: fpp})
+	oep := newEdgeCounter(prog)
+	opp := NewOraclePathProfiler(prog, cfg)
+	ocg := NewCallGraphProfiler()
+	pp := NewPathProfiler(prog, cfg)
+	_, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: fanout{pp, perEvent{oep, opp, ocg}}})
 	if err != nil {
 		t.Fatalf("%s: counted run: %v", name, err)
 	}
-
-	if got, want := fpp.WriteText(), lpp.WriteText(); got != want {
-		t.Fatalf("%s: batched path profile differs from legacy\nbatched:\n%s\nlegacy:\n%s",
-			name, got, want)
-	}
-	if batches, recs := fpp.BatchStats(); batches == 0 || recs == 0 {
+	if batches, recs := pp.BatchStats(); batches == 0 || recs == 0 {
 		t.Fatalf("%s: batched run delivered no batches (batches=%d records=%d)", name, batches, recs)
 	}
-	fep := EdgeProfilerFromCounts(prog, ec)
-	if got, want := fep.Profile().WriteText(), lep.Profile().WriteText(); got != want {
-		t.Fatalf("%s: fused edge profile differs from legacy\nfused:\n%s\nlegacy:\n%s",
+	requireOracleProfile(t, name+": batched path profile", pp.Profile(), opp)
+	want := oep.Profile().WriteText()
+	if got := EdgeProfileFromCounts(prog, ec).WriteText(); got != want {
+		t.Fatalf("%s: fused edge profile differs from the per-event oracle\nfused:\n%s\noracle:\n%s",
 			name, got, want)
 	}
-	if got, want := CallCountsFromCounts(ec), lcg.Counts(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: fused call counts = %v, legacy = %v", name, got, want)
+	if got := CallCountsFromCounts(ec); !reflect.DeepEqual(got, ocg.Counts()) {
+		t.Fatalf("%s: fused call counts = %v, oracle = %v", name, got, ocg.Counts())
 	}
 
 	tp, err := Train(prog, cfg)
@@ -146,23 +141,17 @@ func diffTrain(t *testing.T, name string, prog *ir.Program, cfg PathConfig) {
 	if tp.Stats.Batches == 0 || tp.Stats.Records == 0 {
 		t.Fatalf("%s: Train stats = %+v, want batched delivery", name, tp.Stats)
 	}
-	if got, want := tp.Edge.WriteText(), lep.Profile().WriteText(); got != want {
-		t.Fatalf("%s: Train edge profile differs from legacy", name)
+	if tp.Edge.WriteText() != want {
+		t.Fatalf("%s: Train edge profile differs from the per-event oracle", name)
 	}
-	lpf := lpp.Profile()
-	for p := 0; p < tp.Path.NumProcs(); p++ {
-		pid := ir.ProcID(p)
-		if !reflect.DeepEqual(tp.Path.procs[p], lpf.procs[p]) {
-			t.Fatalf("%s: proc %d: Train path index differs from legacy", name, p)
-		}
-		gw, gd := tp.Path.Windows(pid)
-		ww, wd := lpf.Windows(pid)
-		if gw != ww || gd != wd {
-			t.Fatalf("%s: proc %d: windows (%d,%d) != legacy (%d,%d)", name, p, gw, gd, ww, wd)
-		}
+	requireOracleProfile(t, name+": Train path profile", tp.Path, opp)
+	// Frozen path profiles have a canonical layout, so equal profiles
+	// are reflect.DeepEqual.
+	if !reflect.DeepEqual(tp.Path, pp.Profile()) {
+		t.Fatalf("%s: Train path profile differs from the directly driven profiler's", name)
 	}
-	if !reflect.DeepEqual(tp.Calls, lcg.Counts()) {
-		t.Fatalf("%s: Train calls = %v, legacy = %v", name, tp.Calls, lcg.Counts())
+	if !reflect.DeepEqual(tp.Calls, ocg.Counts()) {
+		t.Fatalf("%s: Train calls = %v, oracle = %v", name, tp.Calls, ocg.Counts())
 	}
 }
 
@@ -176,7 +165,6 @@ func TestFastTrainMatchesLegacyHandCases(t *testing.T) {
 		{"loopCallShallow", loopCallProg(40), PathConfig{Depth: 2}},
 		{"loopCallShortWindows", loopCallProg(25), PathConfig{MaxBlocks: 3}},
 		{"recurse", recurseProg(12), PathConfig{}},
-		{"recurseCrossAct", recurseProg(12), PathConfig{CrossActivation: true}},
 	} {
 		diffTrain(t, tc.name, tc.prog, tc.cfg)
 	}
@@ -199,21 +187,21 @@ func TestPointProfilesMatchesLegacy(t *testing.T) {
 		progs = append(progs, irtest.RandExecProg(seed, int(seed%11)+4))
 	}
 	for _, prog := range progs {
-		lep := NewEdgeProfiler(prog)
-		lcg := NewCallGraphProfiler()
-		if _, err := interp.Run(prog, interp.Config{Observer: Multi{lep, lcg}}); err != nil {
-			t.Fatalf("%s: legacy run: %v", prog.Name, err)
+		oep := newEdgeCounter(prog)
+		ocg := NewCallGraphProfiler()
+		if _, err := interp.Run(prog, interp.Config{Batch: perEvent{oep, ocg}}); err != nil {
+			t.Fatalf("%s: oracle run: %v", prog.Name, err)
 		}
 		ep, calls, err := PointProfiles(prog)
 		if err != nil {
 			t.Fatalf("%s: PointProfiles: %v", prog.Name, err)
 		}
-		if got, want := ep.WriteText(), lep.Profile().WriteText(); got != want {
-			t.Fatalf("%s: fused point profile differs from legacy\nfused:\n%s\nlegacy:\n%s",
+		if got, want := ep.WriteText(), oep.Profile().WriteText(); got != want {
+			t.Fatalf("%s: fused point profile differs from the per-event oracle\nfused:\n%s\noracle:\n%s",
 				prog.Name, got, want)
 		}
-		if !reflect.DeepEqual(calls, lcg.Counts()) {
-			t.Fatalf("%s: fused calls = %v, legacy = %v", prog.Name, calls, lcg.Counts())
+		if !reflect.DeepEqual(calls, ocg.Counts()) {
+			t.Fatalf("%s: fused calls = %v, oracle = %v", prog.Name, calls, ocg.Counts())
 		}
 	}
 }
@@ -221,7 +209,7 @@ func TestPointProfilesMatchesLegacy(t *testing.T) {
 // TestTrainWideRegisterNumbers pins the profiles of a program whose
 // registers are numbered past 255: Train runs it on the one engine
 // with batched, counter-fused profiling, and its profiles equal both
-// the legacy per-event observers' and those of its narrow twin.
+// the per-event oracles' and those of its narrow twin.
 func TestTrainWideRegisterNumbers(t *testing.T) {
 	prog := wideProg(300)
 	diffTrain(t, "wide", prog, PathConfig{})
@@ -247,7 +235,7 @@ func TestTooManyRegistersRejected(t *testing.T) {
 	prog := manyRegsProg()
 	// In order: RunCounted, Run, Train, TrainBL, PointProfiles.
 	_, _, ecErr := interp.EngineFor(prog).RunCounted(interp.Config{})
-	_, runErr := interp.Run(prog, interp.Config{Observer: NewEdgeProfiler(prog)})
+	_, runErr := interp.Run(prog, interp.Config{Batch: NewPathProfiler(prog, PathConfig{})})
 	_, trainErr := Train(prog, PathConfig{})
 	_, blErr := TrainBL(prog, BLConfig{})
 	_, _, pointErr := PointProfiles(prog)

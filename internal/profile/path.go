@@ -17,14 +17,6 @@ type PathConfig struct {
 	// MaxBlocks caps a window's block length. Zero means
 	// DefaultMaxBlocks.
 	MaxBlocks int
-	// CrossActivation keeps one window per *procedure* rather than per
-	// activation: a recursive call interleaves its blocks into the
-	// caller's window instead of starting fresh. This approximates an
-	// instrumentation scheme with global per-procedure analysis state
-	// (plausibly the paper's, which observes a flat edge stream); the
-	// default per-activation windows are cleaner but see only very
-	// short histories in heavily recursive code such as li.
-	CrossActivation bool
 }
 
 // Normalized resolves zero fields to their defaults. Two configs with
@@ -88,40 +80,25 @@ type procPaths struct {
 	nodes     int // total distinct nodes, for overhead statistics
 }
 
-// PathProfiler is an interp.Observer implementing the efficient
+// PathProfiler is an interp.BatchObserver implementing the efficient
 // general-path profiling algorithm of §3.1: it maintains the current
 // path node per activation and follows (or lazily creates) successor
-// pointers on each executed edge, so steady-state work per edge is a
-// single map probe.
+// pointers on each executed edge, so steady-state work per edge is an
+// array index or a single map probe.
 type PathProfiler struct {
 	cfg   PathConfig
 	procs []*procPaths
 
-	// stack holds the current path node per live activation; Enter and
-	// Exit events keep it aligned with the call stack, so recursion in
+	// stack holds the current path node per live activation; BeginProc
+	// and EndProc keep it aligned with the call stack, so recursion in
 	// the profiled program does not corrupt windows.
 	stack []*pathNode
 	// procStack mirrors stack with the owning procedure.
 	procStack []ir.ProcID
-	// prevStack mirrors stack with the previously executed block of
-	// each activation (NoBlock before the first).
-	prevStack []ir.BlockID
-
-	// procCur and procPrev replace the activation stack when
-	// CrossActivation is set: one cursor per procedure.
-	procCur  []*pathNode
-	procPrev []ir.BlockID
-
-	// forward, when true, truncates windows at loop back edges,
-	// turning the profiler into a forward-path profiler (see
-	// NewForwardPathProfiler). backEdges is per procedure.
-	forward   bool
-	backEdges []map[[2]ir.BlockID]bool
-
-	dynEdges int64
 
 	// Batch-delivery statistics (see EdgeBatch), surfaced by
-	// BatchStats for cmd/experiments -profstats.
+	// BatchStats for cmd/experiments -profstats. batchRecs is also the
+	// number of dynamic edges observed.
 	batches   int64
 	batchRecs int64
 }
@@ -145,80 +122,34 @@ func NewPathProfiler(prog *ir.Program, cfg PathConfig) *PathProfiler {
 		}
 		pp.procs[i] = st
 	}
-	if cfg.CrossActivation {
-		pp.procCur = make([]*pathNode, len(prog.Procs))
-		pp.procPrev = make([]ir.BlockID, len(prog.Procs))
-		for i := range pp.procPrev {
-			pp.procPrev[i] = ir.NoBlock
-		}
-	}
 	return pp
 }
 
-// EnterProc implements interp.Observer.
-func (pp *PathProfiler) EnterProc(p ir.ProcID, entry ir.BlockID) {
-	pp.stack = append(pp.stack, nil)
+// BeginProc implements interp.BatchObserver: push a window cursor for
+// the new activation and extend it by the entry block.
+func (pp *PathProfiler) BeginProc(p ir.ProcID, entry ir.BlockID) {
+	pp.stack = append(pp.stack, pp.step(pp.procs[p], nil, entry))
 	pp.procStack = append(pp.procStack, p)
-	pp.prevStack = append(pp.prevStack, ir.NoBlock)
 }
 
-// ExitProc implements interp.Observer. A mismatched exit — one whose
-// procedure is not the innermost live activation, as a malformed or
-// replayed event stream can produce — is ignored defensively, mirroring
-// Block; popping unconditionally would silently corrupt the caller's
-// window.
-func (pp *PathProfiler) ExitProc(p ir.ProcID) {
+// EndProc implements interp.BatchObserver. A mismatched end — one
+// whose procedure is not the innermost live activation, as a malformed
+// or replayed event stream can produce — is ignored defensively,
+// mirroring EdgeBatch; popping unconditionally would silently corrupt
+// the caller's window.
+func (pp *PathProfiler) EndProc(p ir.ProcID) {
 	n := len(pp.stack)
 	if n == 0 || pp.procStack[n-1] != p {
 		return
 	}
 	pp.stack = pp.stack[:n-1]
 	pp.procStack = pp.procStack[:n-1]
-	pp.prevStack = pp.prevStack[:n-1]
-}
-
-// Edge implements interp.Observer. All window extension happens in
-// Block events; edges only feed the overhead statistic.
-func (pp *PathProfiler) Edge(p ir.ProcID, from, to ir.BlockID) { pp.dynEdges++ }
-
-// Block implements interp.Observer: extend the current window by b and
-// count the resulting path. The window cursor lives per activation by
-// default, or per procedure under CrossActivation.
-func (pp *PathProfiler) Block(p ir.ProcID, b ir.BlockID) {
-	var cur *pathNode
-	var prev ir.BlockID
-	if pp.procCur != nil {
-		cur, prev = pp.procCur[p], pp.procPrev[p]
-	} else {
-		top := len(pp.stack) - 1
-		if top < 0 || pp.procStack[top] != p {
-			return // events from an unmatched activation; ignore defensively
-		}
-		cur, prev = pp.stack[top], pp.prevStack[top]
-	}
-	nxt := pp.step(p, pp.procs[p], cur, prev, b)
-	if pp.procCur != nil {
-		pp.procCur[p] = nxt
-		pp.procPrev[p] = b
-	} else {
-		top := len(pp.stack) - 1
-		pp.stack[top] = nxt
-		pp.prevStack[top] = b
-	}
 }
 
 // step advances one automaton transition: extend the window ending at
-// cur by block b, counting the resulting path. Shared by the per-event
-// Block path and the batched EdgeBatch path so both observe identical
-// automatons.
-func (pp *PathProfiler) step(p ir.ProcID, st *procPaths, cur *pathNode, prev, b ir.BlockID) *pathNode {
-	if pp.forward && cur != nil {
-		// Forward paths end at back edges: crossing one starts a new
-		// window at b.
-		if prev != ir.NoBlock && pp.backEdges[p][[2]ir.BlockID{prev, b}] {
-			cur = nil
-		}
-	}
+// cur (nil for a fresh activation) by block b, counting the resulting
+// path.
+func (pp *PathProfiler) step(st *procPaths, cur *pathNode, b ir.BlockID) *pathNode {
 	nxt := st.lookup(cur, b)
 	if nxt == nil {
 		nxt = pp.stepNew(st, cur, b)
@@ -273,43 +204,24 @@ func (pp *PathProfiler) stepNew(st *procPaths, cur *pathNode, b ir.BlockID) *pat
 	return nxt
 }
 
-// BeginProc implements interp.BatchObserver: an activation begins with
-// its entry block already entered (BeginProc ≡ EnterProc + Block).
-func (pp *PathProfiler) BeginProc(p ir.ProcID, entry ir.BlockID) {
-	pp.EnterProc(p, entry)
-	pp.Block(p, entry)
-}
-
-// EndProc implements interp.BatchObserver.
-func (pp *PathProfiler) EndProc(p ir.ProcID) { pp.ExitProc(p) }
-
-// EdgeBatch implements interp.BatchObserver: the hot path of batched
-// training runs. The activation cursor is loaded once per batch
-// instead of once per event, and in dense non-forward mode (the
-// pipeline's configuration) the steady-state step is two pointer loads
-// and an increment per edge. The automaton built is identical to the
-// per-event path's — each record is exactly one Block event whose
-// Edge half carried no extra information.
+// EdgeBatch implements interp.BatchObserver: the hot path of training
+// runs. The activation cursor is loaded once per batch, and in dense
+// mode (the pipeline's configuration) the steady-state step is two
+// pointer loads and an increment per edge. Each record extends the
+// window by its To block; its From block is the window's last.
 func (pp *PathProfiler) EdgeBatch(p ir.ProcID, recs []interp.EdgeRec) {
 	pp.batches++
 	pp.batchRecs += int64(len(recs))
-	pp.dynEdges += int64(len(recs))
 	if len(recs) == 0 {
 		return
 	}
-	var cur *pathNode
-	var prev ir.BlockID
-	if pp.procCur != nil {
-		cur, prev = pp.procCur[p], pp.procPrev[p]
-	} else {
-		top := len(pp.stack) - 1
-		if top < 0 || pp.procStack[top] != p {
-			return // records from an unmatched activation; ignore defensively
-		}
-		cur, prev = pp.stack[top], pp.prevStack[top]
+	top := len(pp.stack) - 1
+	if top < 0 || pp.procStack[top] != p {
+		return // records from an unmatched activation; ignore defensively
 	}
+	cur := pp.stack[top]
 	st := pp.procs[p]
-	if st.dense && !pp.forward {
+	if st.dense {
 		for i := range recs {
 			b := recs[i].To
 			var nxt *pathNode
@@ -326,20 +238,10 @@ func (pp *PathProfiler) EdgeBatch(p ir.ProcID, recs []interp.EdgeRec) {
 		}
 	} else {
 		for i := range recs {
-			b := recs[i].To
-			cur = pp.step(p, st, cur, prev, b)
-			prev = b
+			cur = pp.step(st, cur, recs[i].To)
 		}
 	}
-	prev = recs[len(recs)-1].To
-	if pp.procCur != nil {
-		pp.procCur[p] = cur
-		pp.procPrev[p] = prev
-	} else {
-		top := len(pp.stack) - 1
-		pp.stack[top] = cur
-		pp.prevStack[top] = prev
-	}
+	pp.stack[top] = cur
 }
 
 // extend computes the window that follows cur when block b executes:
@@ -437,7 +339,7 @@ func (pp *PathProfiler) Stats() (nodes int, dynEdges int64) {
 	for _, st := range pp.procs {
 		nodes += st.nodes
 	}
-	return nodes, pp.dynEdges
+	return nodes, pp.batchRecs
 }
 
 // ProcAutomatonStats describes one procedure's path automaton for
@@ -459,8 +361,7 @@ func (pp *PathProfiler) AutomatonStats() []ProcAutomatonStats {
 }
 
 // BatchStats reports how many EdgeBatch deliveries the profiler
-// received and how many edge records they carried in total (zero on
-// per-event runs).
+// received and how many edge records they carried in total.
 func (pp *PathProfiler) BatchStats() (batches, records int64) {
 	return pp.batches, pp.batchRecs
 }
@@ -497,13 +398,6 @@ func (pf *PathProfile) Depth() int { return pf.cfg.Depth }
 // gathered with — the value cache keys over profiling parameters must
 // reproduce after a serialize→parse round trip.
 func (pf *PathProfile) Config() PathConfig { return pf.cfg }
-
-// CrossActivation reports whether the profile was gathered with one
-// window per procedure (recursion interleaves) rather than one per
-// activation. Consumers comparing path-derived point statistics against
-// an edge profile of the same run can expect exact agreement only when
-// this is false.
-func (pf *PathProfile) CrossActivation() bool { return pf.cfg.CrossActivation }
 
 // NumProcs returns the number of procedures the profile covers.
 func (pf *PathProfile) NumProcs() int { return len(pf.procs) }

@@ -6,7 +6,7 @@ import (
 	"pathsched/internal/ir"
 )
 
-// twoProcProg builds a program with two procedures so Enter/Exit events
+// twoProcProg builds a program with two procedures so Begin/End events
 // can legally carry different proc ids: proc 0 is a three-block jump
 // chain, proc 1 a single returning block.
 func twoProcProg() *ir.Program {
@@ -22,38 +22,35 @@ func twoProcProg() *ir.Program {
 	return bd.Program()
 }
 
-// A mismatched ExitProc — one whose procedure is not the innermost live
-// activation — must not pop the caller's window. The old unconditional
-// pop discarded proc 0's activation here, so the window restarted at b1
-// and the two-block path [b0,b1] was never counted.
+// A mismatched EndProc — one whose procedure is not the innermost live
+// activation — must not pop the caller's window. An unconditional pop
+// would discard proc 0's activation here, so the window would restart
+// at b1 and the two-block path [b0,b1] would never be counted.
 func TestExitProcMismatchedDoesNotCorruptCallerWindow(t *testing.T) {
 	prog := twoProcProg()
 	pp := NewPathProfiler(prog, PathConfig{Depth: 15})
 
-	pp.EnterProc(0, 0)
-	pp.Block(0, 0)
-	pp.ExitProc(1) // unbalanced: proc 1 never entered
-	pp.Block(0, 1)
-	pp.ExitProc(0)
+	pp.BeginProc(0, 0)
+	pp.EndProc(1) // unbalanced: proc 1 never entered
+	pp.EdgeBatch(0, walkRecs([]ir.BlockID{0, 1}))
+	pp.EndProc(0)
 
 	pf := pp.Profile()
 	if got := pf.Freq(0, []ir.BlockID{0, 1}); got != 1 {
-		t.Fatalf("Freq([b0,b1]) = %d, want 1: mismatched ExitProc corrupted the caller's window", got)
+		t.Fatalf("Freq([b0,b1]) = %d, want 1: mismatched EndProc corrupted the caller's window", got)
 	}
 }
 
-// The same guard must keep a properly nested callee's exit working.
+// The same guard must keep a properly nested callee's end working.
 func TestExitProcBalancedStillPops(t *testing.T) {
 	prog := twoProcProg()
 	pp := NewPathProfiler(prog, PathConfig{Depth: 15})
 
-	pp.EnterProc(0, 0)
-	pp.Block(0, 0)
-	pp.EnterProc(1, 0)
-	pp.Block(1, 0)
-	pp.ExitProc(1) // matched: pops the callee
-	pp.Block(0, 1) // caller's window resumes at [b0]
-	pp.ExitProc(0)
+	pp.BeginProc(0, 0)
+	pp.BeginProc(1, 0)
+	pp.EndProc(1)                                 // matched: pops the callee
+	pp.EdgeBatch(0, walkRecs([]ir.BlockID{0, 1})) // caller's window resumes at [b0]
+	pp.EndProc(0)
 
 	pf := pp.Profile()
 	if got := pf.Freq(0, []ir.BlockID{0, 1}); got != 1 {
@@ -65,19 +62,18 @@ func TestExitProcBalancedStillPops(t *testing.T) {
 }
 
 // An unbalanced event stream must leave later, well-formed activations
-// intact: after a stray exit drains nothing, a fresh Enter/Block/Exit
+// intact: after a stray end drains nothing, a fresh Begin/Batch/End
 // round still profiles normally.
 func TestExitProcUnbalancedStreamKeepsProfiling(t *testing.T) {
 	prog := twoProcProg()
 	pp := NewPathProfiler(prog, PathConfig{Depth: 15})
 
-	pp.ExitProc(0) // stray exit on an empty stack
-	pp.EnterProc(0, 0)
-	pp.Block(0, 0)
-	pp.Block(0, 1)
-	pp.ExitProc(1) // stray exit for the wrong proc
-	pp.Block(0, 2)
-	pp.ExitProc(0)
+	pp.EndProc(0) // stray end on an empty stack
+	pp.BeginProc(0, 0)
+	pp.EdgeBatch(0, walkRecs([]ir.BlockID{0, 1}))
+	pp.EndProc(1) // stray end for the wrong proc
+	pp.EdgeBatch(0, walkRecs([]ir.BlockID{1, 2}))
+	pp.EndProc(0)
 
 	pf := pp.Profile()
 	if got := pf.Freq(0, []ir.BlockID{0, 1, 2}); got != 1 {

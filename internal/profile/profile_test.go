@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -29,16 +30,21 @@ func chainProg(branchy []bool) *ir.Program {
 	return bd.Program() // skip Finish: no ret; we never execute it
 }
 
-// walkFeeder drives observers with a synthetic activation walk.
-func feedWalk(obs interp.Observer, walk []ir.BlockID) {
-	obs.EnterProc(0, walk[0])
-	for i, b := range walk {
-		if i > 0 {
-			obs.Edge(0, walk[i-1], b)
-		}
-		obs.Block(0, b)
+// walkRecs returns the edge records of a block walk.
+func walkRecs(walk []ir.BlockID) []interp.EdgeRec {
+	recs := make([]interp.EdgeRec, 0, len(walk))
+	for i := 1; i < len(walk); i++ {
+		recs = append(recs, interp.EdgeRec{From: walk[i-1], To: walk[i]})
 	}
-	obs.ExitProc(0)
+	return recs
+}
+
+// feedWalk drives an observer with one synthetic activation of proc 0
+// walking the given blocks.
+func feedWalk(obs interp.BatchObserver, walk []ir.BlockID) {
+	obs.BeginProc(0, walk[0])
+	obs.EdgeBatch(0, walkRecs(walk))
+	obs.EndProc(0)
 }
 
 // legalWalk produces a length-m walk over prog's proc 0 following
@@ -182,9 +188,9 @@ func TestFigure1PathProfilesDisambiguate(t *testing.T) {
 	exit.Ret(0)
 	prog := bd.Finish()
 
-	ep := NewEdgeProfiler(prog)
+	ep := newEdgeCounter(prog)
 	pp := NewPathProfiler(prog, PathConfig{})
-	obs := Multi{ep, pp}
+	obs := fanout{perEvent{ep}, pp}
 	// Scenario: ABC 500 times, XBY 500 times. Edge counts then show
 	// A→B 500, X→B 500, B→C 500, B→Y 500: perfectly ambiguous.
 	for i := 0; i < 500; i++ {
@@ -207,8 +213,8 @@ func TestFigure1PathProfilesDisambiguate(t *testing.T) {
 
 func TestEdgeProfilerQueries(t *testing.T) {
 	prog := chainProg([]bool{true, true, true})
-	ep := NewEdgeProfiler(prog)
-	feedWalk(ep, []ir.BlockID{0, 1, 2, 0, 1, 0})
+	ep := newEdgeCounter(prog)
+	feedWalk(perEvent{ep}, []ir.BlockID{0, 1, 2, 0, 1, 0})
 	e := ep.Profile()
 	if e.Entries(0) != 1 {
 		t.Fatalf("entries = %d", e.Entries(0))
@@ -237,9 +243,9 @@ func TestPathProfileMatchesEdgeProfileOnPointQueries(t *testing.T) {
 	}
 	branchy[0] = true
 	prog := chainProg(branchy)
-	ep := NewEdgeProfiler(prog)
+	ep := newEdgeCounter(prog)
 	pp := NewPathProfiler(prog, PathConfig{Depth: 5})
-	obs := Multi{ep, pp}
+	obs := fanout{perEvent{ep}, pp}
 	for a := 0; a < 20; a++ {
 		walk := legalWalk(prog, rng, 50+rng.Intn(100))
 		feedWalk(obs, walk)
@@ -262,7 +268,8 @@ func TestPathProfileMatchesEdgeProfileOnPointQueries(t *testing.T) {
 
 // TestOracleEquivalence is the central property test: on random CFGs
 // and random walks (including nested activations), the efficient
-// profiler and the brute-force oracle agree on every queried sequence.
+// profiler and the brute-force oracle agree on every queried sequence,
+// and the profile indexes exactly the sequences the oracle counted.
 func TestOracleEquivalence(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -277,7 +284,7 @@ func TestOracleEquivalence(t *testing.T) {
 		cfgP := PathConfig{Depth: depth, MaxBlocks: maxBlocks}
 		pp := NewPathProfiler(prog, cfgP)
 		op := NewOraclePathProfiler(prog, cfgP)
-		obs := Multi{pp, op}
+		obs := fanout{pp, perEvent{op}}
 
 		var walks [][]ir.BlockID
 		for a := 0; a < 1+rng.Intn(5); a++ {
@@ -285,24 +292,21 @@ func TestOracleEquivalence(t *testing.T) {
 			walks = append(walks, w)
 			// Occasionally nest a recursive activation mid-walk.
 			if rng.Intn(2) == 0 {
-				obs.EnterProc(0, w[0])
-				for i, b := range w {
-					if i > 0 {
-						obs.Edge(0, w[i-1], b)
-					}
-					obs.Block(0, b)
-					if i == len(w)/2 {
-						inner := legalWalk(prog, rng, 5+rng.Intn(40))
-						walks = append(walks, inner)
-						feedWalk(obs, inner)
-					}
-				}
-				obs.ExitProc(0)
+				recs := walkRecs(w)
+				mid := len(w) / 2
+				obs.BeginProc(0, w[0])
+				obs.EdgeBatch(0, recs[:mid])
+				inner := legalWalk(prog, rng, 5+rng.Intn(40))
+				walks = append(walks, inner)
+				feedWalk(obs, inner)
+				obs.EdgeBatch(0, recs[mid:])
+				obs.EndProc(0)
 			} else {
 				feedWalk(obs, w)
 			}
 		}
 		pf := pp.Profile()
+		requireOracleProfile(t, fmt.Sprintf("seed %d", seed), pf, op)
 		// Query every subsequence of every walk up to 6 blocks, plus
 		// random garbage sequences.
 		for _, w := range walks {
@@ -342,15 +346,13 @@ func TestRecursionKeepsWindowsSeparate(t *testing.T) {
 	// Outer activation walks 0,1; inner activation walks 2,3; outer
 	// resumes with 2. The sequence [1,2] must NOT be counted (the 2 ran
 	// in a different activation), but outer [0,1,2] must be.
-	pp.EnterProc(0, 0)
-	pp.Block(0, 0)
-	pp.Block(0, 1)
-	pp.EnterProc(0, 2)
-	pp.Block(0, 2)
-	pp.Block(0, 3)
-	pp.ExitProc(0)
-	pp.Block(0, 2)
-	pp.ExitProc(0)
+	pp.BeginProc(0, 0)
+	pp.EdgeBatch(0, walkRecs([]ir.BlockID{0, 1}))
+	pp.BeginProc(0, 2)
+	pp.EdgeBatch(0, walkRecs([]ir.BlockID{2, 3}))
+	pp.EndProc(0)
+	pp.EdgeBatch(0, walkRecs([]ir.BlockID{1, 2}))
+	pp.EndProc(0)
 	pf := pp.Profile()
 	if got := pf.Freq(0, []ir.BlockID{0, 1, 2}); got != 1 {
 		t.Fatalf("outer path [0,1,2] freq = %d, want 1", got)
@@ -397,7 +399,7 @@ func TestProfilerOnRealProgram(t *testing.T) {
 	prog := bd.Finish()
 
 	pp := NewPathProfiler(prog, PathConfig{})
-	if _, err := interp.Run(prog, interp.Config{Observer: pp}); err != nil {
+	if _, err := interp.Run(prog, interp.Config{Batch: pp}); err != nil {
 		t.Fatal(err)
 	}
 	pf := pp.Profile()
@@ -411,52 +413,5 @@ func TestProfilerOnRealProgram(t *testing.T) {
 	if w, d := pf.Windows(0); w != 103 || d == 0 {
 		// entry + head + (body+head)*50 + exit = 103 block events.
 		t.Fatalf("windows = (%d,%d), want 103 total", w, d)
-	}
-}
-
-func TestCrossActivationWindowsSpanCalls(t *testing.T) {
-	prog := chainProg([]bool{true, true, true, true})
-	pp := NewPathProfiler(prog, PathConfig{Depth: 15, CrossActivation: true})
-	// Outer activation runs 0,1; a recursive activation runs 2,3; the
-	// outer activation resumes with 2. Under cross-activation windows
-	// the sequence 0,1,2,3,2 is one window of the procedure.
-	pp.EnterProc(0, 0)
-	pp.Block(0, 0)
-	pp.Block(0, 1)
-	pp.EnterProc(0, 2)
-	pp.Block(0, 2)
-	pp.Block(0, 3)
-	pp.ExitProc(0)
-	pp.Block(0, 2)
-	pp.ExitProc(0)
-	pf := pp.Profile()
-	if got := pf.Freq(0, []ir.BlockID{0, 1, 2, 3, 2}); got != 1 {
-		t.Fatalf("interleaved window freq = %d, want 1", got)
-	}
-	// Per-activation semantics would record [0,1,2] as contiguous; the
-	// cross-activation stream interposes the inner blocks.
-	if got := pf.Freq(0, []ir.BlockID{0, 1, 2, 3}); got != 1 {
-		t.Fatalf("f(0,1,2,3) = %d, want 1 under cross-activation", got)
-	}
-	if got := pf.Freq(0, []ir.BlockID{1, 2, 3}); got != 1 {
-		t.Fatalf("f(1,2,3) = %d", got)
-	}
-}
-
-func TestCrossActivationMatchesDefaultWithoutRecursion(t *testing.T) {
-	// Without recursion or interleaving, the two window policies agree.
-	prog := chainProg([]bool{true, true, true})
-	a := NewPathProfiler(prog, PathConfig{Depth: 6})
-	b := NewPathProfiler(prog, PathConfig{Depth: 6, CrossActivation: true})
-	walk := []ir.BlockID{0, 1, 2, 0, 1, 2, 0, 1}
-	feedWalk(Multi{a, b}, walk)
-	pa, pb := a.Profile(), b.Profile()
-	for s := 0; s < len(walk); s++ {
-		for l := 1; l <= 5 && s+l <= len(walk); l++ {
-			seq := walk[s : s+l]
-			if pa.Freq(0, seq) != pb.Freq(0, seq) {
-				t.Fatalf("policies diverge on %s without recursion", FmtSeq(seq))
-			}
-		}
 	}
 }

@@ -177,7 +177,7 @@ func Replay(pristine, bin *ir.Program, tr *BranchTrace) (*EdgeProfile, map[[2]ir
 		return nil, nil, fmt.Errorf("profile: replay: %w", err)
 	}
 
-	ep := NewEdgeProfiler(bin)
+	ep := newEdgeProfile(bin)
 	calls := map[[2]ir.ProcID]int64{}
 	for pid, rp := range procs {
 		pe := ep.procs[pid]
@@ -200,7 +200,7 @@ func Replay(pristine, bin *ir.Program, tr *BranchTrace) (*EdgeProfile, map[[2]ir
 			}
 		}
 	}
-	return ep.Profile(), calls, nil
+	return ep, calls, nil
 }
 
 // replayTables builds the unit tables of bin, a compile of pristine

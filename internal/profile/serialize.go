@@ -23,15 +23,17 @@ import (
 // Path profiles serialize the distinct windows the profiler recorded
 // (not the derived suffix trie, which is rebuilt on load):
 //
-//	pathprofile depth=<d> maxblocks=<m> [crossact=1]
+//	pathprofile depth=<d> maxblocks=<m>
 //	proc <id>
 //	path <count>: b<i> b<j> ...
 //
-// crossact appears only when set, so profiles written without it keep
-// their exact historical bytes. The header must carry the complete
-// normalized configuration: cache keys fingerprint the parsed config,
-// and a field that doesn't survive the round trip silently conflates
-// differently-gathered profiles.
+// The header must carry the complete normalized configuration: cache
+// keys fingerprint the parsed config, and a field that doesn't survive
+// the round trip silently conflates differently-gathered profiles.
+//
+// Both parsers take the program the profile describes and reject, with
+// the offending line's number, any procedure or block id it does not
+// have: a profile names blocks that formation indexes directly.
 
 // WriteText serializes an edge profile.
 func (e *EdgeProfile) WriteText() string {
@@ -58,11 +60,19 @@ func (e *EdgeProfile) WriteText() string {
 	return sb.String()
 }
 
-// ParseEdgeProfile reads the text form back. nprocs sizes the profile
-// (use len(prog.Procs)).
-func ParseEdgeProfile(nprocs int, text string) (*EdgeProfile, error) {
-	ep := NewEdgeProfiler(&ir.Program{Procs: make([]*ir.Proc, nprocs)})
+// blockErr reports a block id outside its procedure's blocks, or nil.
+func blockErr(line int, b ir.BlockID, proc, nblocks int) error {
+	if b < 0 || int(b) >= nblocks {
+		return fmt.Errorf("profile: line %d: block b%d out of range: proc %d has %d blocks", line, b, proc, nblocks)
+	}
+	return nil
+}
+
+// ParseEdgeProfile reads the text form of a profile of prog back.
+func ParseEdgeProfile(prog *ir.Program, text string) (*EdgeProfile, error) {
+	ep := newEdgeProfile(prog)
 	var cur *procEdges
+	curProc := -1
 	lines := strings.Split(text, "\n")
 	if len(lines) == 0 || strings.TrimSpace(lines[0]) != "edgeprofile" {
 		return nil, fmt.Errorf("profile: missing edgeprofile header")
@@ -79,14 +89,14 @@ func ParseEdgeProfile(nprocs int, text string) (*EdgeProfile, error) {
 				return nil, fmt.Errorf("profile: line %d: malformed proc line", no+2)
 			}
 			id, err := strconv.Atoi(fields[1])
-			if err != nil || id < 0 || id >= nprocs {
+			if err != nil || id < 0 || id >= len(ep.procs) {
 				return nil, fmt.Errorf("profile: line %d: bad proc id", no+2)
 			}
 			n, err := strconv.ParseInt(fields[2][len("entries="):], 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("profile: line %d: bad entries", no+2)
 			}
-			cur = ep.procs[id]
+			cur, curProc = ep.procs[id], id
 			cur.entries = n
 		case strings.HasPrefix(line, "block "):
 			if cur == nil {
@@ -97,10 +107,10 @@ func ParseEdgeProfile(nprocs int, text string) (*EdgeProfile, error) {
 			if _, err := fmt.Sscanf(line, "block b%d: %d", &b, &n); err != nil {
 				return nil, fmt.Errorf("profile: line %d: %v", no+2, err)
 			}
-			if b < 0 {
-				return nil, fmt.Errorf("profile: line %d: negative block id", no+2)
+			if err := blockErr(no+2, b, curProc, len(cur.block)); err != nil {
+				return nil, err
 			}
-			cur.addBlock(b, n)
+			cur.block[b] += n
 		case strings.HasPrefix(line, "edge "):
 			if cur == nil {
 				return nil, fmt.Errorf("profile: line %d: edge before proc", no+2)
@@ -110,25 +120,23 @@ func ParseEdgeProfile(nprocs int, text string) (*EdgeProfile, error) {
 			if _, err := fmt.Sscanf(line, "edge b%d->b%d: %d", &f, &t, &n); err != nil {
 				return nil, fmt.Errorf("profile: line %d: %v", no+2, err)
 			}
-			if f < 0 || t < 0 {
-				return nil, fmt.Errorf("profile: line %d: negative block id", no+2)
+			for _, b := range []ir.BlockID{f, t} {
+				if err := blockErr(no+2, b, curProc, len(cur.block)); err != nil {
+					return nil, err
+				}
 			}
 			cur.addEdge(f, t, n)
 		default:
 			return nil, fmt.Errorf("profile: line %d: unrecognized %q", no+2, line)
 		}
 	}
-	return ep.Profile(), nil
+	return ep, nil
 }
 
 // WriteText serializes the profiler's recorded windows.
 func (pp *PathProfiler) WriteText() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "pathprofile depth=%d maxblocks=%d", pp.cfg.Depth, pp.cfg.MaxBlocks)
-	if pp.cfg.CrossActivation {
-		sb.WriteString(" crossact=1")
-	}
-	sb.WriteString("\n")
+	fmt.Fprintf(&sb, "pathprofile depth=%d maxblocks=%d\n", pp.cfg.Depth, pp.cfg.MaxBlocks)
 	for pid, st := range pp.procs {
 		if len(st.nodesList) == 0 {
 			continue
@@ -153,18 +161,18 @@ func (pp *PathProfiler) WriteText() string {
 // queryable PathProfile. prog supplies the branch classification
 // TrimToDepth depends on.
 func ParsePathProfile(prog *ir.Program, text string) (*PathProfile, error) {
-	pp, err := ParsePathProfiler(prog, text)
+	pp, err := parsePathProfiler(prog, text)
 	if err != nil {
 		return nil, err
 	}
 	return pp.Profile(), nil
 }
 
-// ParsePathProfiler reads the text form back into a live profiler, so
-// callers can re-serialize: WriteText∘ParsePathProfiler∘WriteText is
+// parsePathProfiler reads the text form back into a live profiler, so
+// it can be re-serialized: WriteText∘parsePathProfiler∘WriteText is
 // the identity, which keeps cache keys over serialized profiles
 // stable.
-func ParsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
+func parsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
 	lines := strings.Split(text, "\n")
 	if len(lines) == 0 || !strings.HasPrefix(strings.TrimSpace(lines[0]), "pathprofile") {
 		return nil, fmt.Errorf("profile: missing pathprofile header")
@@ -184,8 +192,6 @@ func ParsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
 				return nil, fmt.Errorf("profile: bad maxblocks %q", f)
 			}
 			cfg.MaxBlocks = v
-		case f == "crossact=1":
-			cfg.CrossActivation = true
 		default:
 			return nil, fmt.Errorf("profile: unknown header field %q", f)
 		}
@@ -217,6 +223,7 @@ func ParsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
 			if err != nil || count < 0 {
 				return nil, fmt.Errorf("profile: line %d: bad count", no+2)
 			}
+			st := pp.procs[curProc]
 			var seq []ir.BlockID
 			for _, f := range strings.Fields(rest[colon+1:]) {
 				if !strings.HasPrefix(f, "b") {
@@ -226,13 +233,21 @@ func ParsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
 				if err != nil {
 					return nil, fmt.Errorf("profile: line %d: bad block %q", no+2, f)
 				}
+				if err := blockErr(no+2, ir.BlockID(v), curProc, st.nblocks); err != nil {
+					return nil, err
+				}
 				seq = append(seq, ir.BlockID(v))
 			}
 			if len(seq) == 0 {
 				return nil, fmt.Errorf("profile: line %d: empty path", no+2)
 			}
-			st := pp.procs[curProc]
+			if count == 0 {
+				continue // records nothing, so WriteText would drop it
+			}
 			nd := st.internNode(seq)
+			if nd.count+count < nd.count {
+				return nil, fmt.Errorf("profile: line %d: count overflows", no+2)
+			}
 			nd.count += count
 		default:
 			return nil, fmt.Errorf("profile: line %d: unrecognized %q", no+2, line)

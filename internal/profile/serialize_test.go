@@ -5,20 +5,21 @@ import (
 	"strings"
 	"testing"
 
+	"pathsched/internal/bench"
 	"pathsched/internal/interp"
 	"pathsched/internal/ir"
 )
 
 func TestEdgeProfileRoundTrip(t *testing.T) {
 	prog := chainProg([]bool{true, true, false, true})
-	ep := NewEdgeProfiler(prog)
+	ep := newEdgeCounter(prog)
 	rng := rand.New(rand.NewSource(9))
 	for a := 0; a < 5; a++ {
-		feedWalk(ep, legalWalk(prog, rng, 40))
+		feedWalk(perEvent{ep}, legalWalk(prog, rng, 40))
 	}
 	orig := ep.Profile()
 	text := orig.WriteText()
-	back, err := ParseEdgeProfile(len(prog.Procs), text)
+	back, err := ParseEdgeProfile(prog, text)
 	if err != nil {
 		t.Fatalf("ParseEdgeProfile: %v\n%s", err, text)
 	}
@@ -93,7 +94,7 @@ func TestPathProfileRoundTripOnRealRun(t *testing.T) {
 	prog := bd.Finish()
 
 	pp := NewPathProfiler(prog, PathConfig{})
-	if _, err := interp.Run(prog, interp.Config{Observer: pp}); err != nil {
+	if _, err := interp.Run(prog, interp.Config{Batch: pp}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ParsePathProfile(prog, pp.WriteText())
@@ -117,8 +118,6 @@ func TestPathProfileConfigRoundTrip(t *testing.T) {
 		{Depth: 4, MaxBlocks: 10},
 		{Depth: 7},
 		{MaxBlocks: 9},
-		{Depth: 4, MaxBlocks: 10, CrossActivation: true},
-		{CrossActivation: true},
 	}
 	for _, cfg := range configs {
 		pp := NewPathProfiler(prog, cfg)
@@ -127,9 +126,9 @@ func TestPathProfileConfigRoundTrip(t *testing.T) {
 			feedWalk(pp, legalWalk(prog, rng, 30))
 		}
 		text := pp.WriteText()
-		back, err := ParsePathProfiler(prog, text)
+		back, err := parsePathProfiler(prog, text)
 		if err != nil {
-			t.Fatalf("%+v: ParsePathProfiler: %v", cfg, err)
+			t.Fatalf("%+v: parsePathProfiler: %v", cfg, err)
 		}
 		if got, want := back.Profile().Config(), cfg.Normalized(); got != want {
 			t.Errorf("%+v: config after round trip = %+v, want %+v", cfg, got, want)
@@ -151,7 +150,7 @@ func TestProfileParseErrors(t *testing.T) {
 		"edgeprofile\nproc 0 entries=1\nnonsense\n",
 	}
 	for _, text := range edgeCases {
-		if _, err := ParseEdgeProfile(1, text); err == nil {
+		if _, err := ParseEdgeProfile(prog, text); err == nil {
 			t.Errorf("edge parse accepted %q", text)
 		}
 	}
@@ -169,18 +168,50 @@ func TestProfileParseErrors(t *testing.T) {
 			t.Errorf("path parse accepted %q", text)
 		}
 	}
+
+	// Block ids outside the procedure are rejected with the line that
+	// names them, before anything is indexed or sized by them (the
+	// program has one procedure of two blocks).
+	for _, tc := range []struct {
+		path bool
+		text string
+		want string
+	}{
+		{true, "pathprofile depth=15 maxblocks=64\nproc 0\npath 3: b0 b999\n",
+			"line 3: block b999 out of range: proc 0 has 2 blocks"},
+		{true, "pathprofile depth=15 maxblocks=64\nproc 0\npath 3: b-1\n",
+			"line 3: block b-1 out of range"},
+		{false, "edgeprofile\nproc 0 entries=1\nblock b0: 1\nblock b999: 1\n",
+			"line 4: block b999 out of range: proc 0 has 2 blocks"},
+		{false, "edgeprofile\nproc 0 entries=1\nedge b0->b999: 1\n",
+			"line 3: block b999 out of range"},
+		{false, "edgeprofile\nproc 0 entries=1\nedge b999->b0: 1\n",
+			"line 3: block b999 out of range"},
+		{false, "edgeprofile\nproc 0 entries=1\nblock b2000000000: 1\n",
+			"line 3: block b2000000000 out of range"},
+	} {
+		var err error
+		if tc.path {
+			_, err = ParsePathProfile(prog, tc.text)
+		} else {
+			_, err = ParseEdgeProfile(prog, tc.text)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("parse %q: err = %v, want one containing %q", tc.text, err, tc.want)
+		}
+	}
 }
 
 func TestProfileTextIsStable(t *testing.T) {
 	// Serialization must be deterministic (sorted) so diffs are usable.
 	prog := chainProg([]bool{true, true, true})
 	mk := func() (string, string) {
-		ep := NewEdgeProfiler(prog)
+		ep := newEdgeCounter(prog)
 		pp := NewPathProfiler(prog, PathConfig{Depth: 3})
 		rng := rand.New(rand.NewSource(5))
 		for a := 0; a < 4; a++ {
 			w := legalWalk(prog, rng, 30)
-			feedWalk(Multi{ep, pp}, w)
+			feedWalk(fanout{perEvent{ep}, pp}, w)
 		}
 		return ep.Profile().WriteText(), pp.WriteText()
 	}
@@ -192,4 +223,53 @@ func TestProfileTextIsStable(t *testing.T) {
 	if !strings.Contains(p1, "pathprofile depth=3") {
 		t.Fatalf("header malformed:\n%s", p1)
 	}
+}
+
+// FuzzParseProfiles feeds arbitrary text to both profile parsers over
+// the alt and wc programs. Parsing must never panic, and a text either
+// parser accepts must reach a fixed point of WriteText∘parse after one
+// round. The seeds are the two programs' real edge and path profiles.
+func FuzzParseProfiles(f *testing.F) {
+	var progs []*ir.Program
+	for _, name := range []string{"alt", "wc"} {
+		bm := bench.ByName(name)
+		prog := bm.Build(bm.Train)
+		pp := NewPathProfiler(prog, PathConfig{})
+		_, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: pp})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(EdgeProfileFromCounts(prog, ec).WriteText())
+		f.Add(pp.WriteText())
+		progs = append(progs, prog)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, prog := range progs {
+			if ep, err := ParseEdgeProfile(prog, text); err == nil {
+				once := ep.WriteText()
+				again, err := ParseEdgeProfile(prog, once)
+				if err != nil {
+					t.Fatalf("%s: edge profile written from an accepted text does not parse: %v\n%s", prog.Name, err, once)
+				}
+				if twice := again.WriteText(); twice != once {
+					t.Fatalf("%s: edge profile text is not a fixed point:\n%s\nvs\n%s", prog.Name, once, twice)
+				}
+			}
+			if _, err := ParsePathProfile(prog, text); err != nil {
+				continue
+			}
+			pp, err := parsePathProfiler(prog, text)
+			if err != nil {
+				t.Fatalf("%s: ParsePathProfile accepted a text parsePathProfiler rejects: %v", prog.Name, err)
+			}
+			once := pp.WriteText()
+			again, err := parsePathProfiler(prog, once)
+			if err != nil {
+				t.Fatalf("%s: path profile written from an accepted text does not parse: %v\n%s", prog.Name, err, once)
+			}
+			if twice := again.WriteText(); twice != once {
+				t.Fatalf("%s: path profile text is not a fixed point:\n%s\nvs\n%s", prog.Name, once, twice)
+			}
+		}
+	})
 }

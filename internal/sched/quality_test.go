@@ -141,14 +141,13 @@ func TestCompactionAllAblationsStillCorrect(t *testing.T) {
 func TestProfileTransferAcrossBuilds(t *testing.T) {
 	train := hotTrace(100)
 	test := hotTrace(700)
-	ep := profile.NewEdgeProfiler(train)
-	pp := profile.NewPathProfiler(train, profile.PathConfig{})
-	if _, err := interp.Run(train, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
+	tp, err := profile.Train(train, profile.PathConfig{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Method = core.PathBased
-	cfg.Edge, cfg.Path = ep.Profile(), pp.Profile()
+	cfg.Edge, cfg.Path = tp.Edge, tp.Path
 	cfg.MinExecFreq = 2
 	formed, err := core.Form(test, cfg)
 	if err != nil {

@@ -15,14 +15,13 @@ import (
 // config for method.
 func trainedConfig(t *testing.T, prog *ir.Program, method core.Method) core.Config {
 	t.Helper()
-	ep := profile.NewEdgeProfiler(prog)
-	pp := profile.NewPathProfiler(prog, profile.PathConfig{})
-	if _, err := interp.Run(prog, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
+	tp, err := profile.Train(prog, profile.PathConfig{})
+	if err != nil {
 		t.Fatalf("training run: %v", err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Method = method
-	cfg.Edge, cfg.Path = ep.Profile(), pp.Profile()
+	cfg.Edge, cfg.Path = tp.Edge, tp.Path
 	cfg.MinExecFreq = 2
 	return cfg
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pathsched/internal/core"
-	"pathsched/internal/interp"
 	"pathsched/internal/ir"
 	"pathsched/internal/profile"
 	"pathsched/internal/sched"
@@ -77,9 +76,8 @@ func compileScheme(t *testing.T, prog *ir.Program, scheme string) *ir.Program {
 		}
 		return work
 	}
-	ep := profile.NewEdgeProfiler(prog)
-	pp := profile.NewPathProfiler(prog, profile.PathConfig{})
-	if _, err := interp.Run(prog, interp.Config{Observer: profile.Multi{ep, pp}}); err != nil {
+	tp, err := profile.Train(prog, profile.PathConfig{})
+	if err != nil {
 		t.Fatalf("training run: %v", err)
 	}
 	cfg := core.DefaultConfig()
@@ -87,7 +85,7 @@ func compileScheme(t *testing.T, prog *ir.Program, scheme string) *ir.Program {
 	if scheme == "path" {
 		cfg.Method = core.PathBased
 	}
-	cfg.Edge, cfg.Path = ep.Profile(), pp.Profile()
+	cfg.Edge, cfg.Path = tp.Edge, tp.Path
 	cfg.MinExecFreq = 2
 	res, err := core.Form(work, cfg)
 	if err != nil {

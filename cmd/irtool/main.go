@@ -387,7 +387,10 @@ func compileCmd(args []string) {
 	_ = fs.Parse(args)
 	prog := loadFile(fs.Args())
 
-	profs := &root.Profiles{Calls: map[[2]ir.ProcID]int64{}}
+	// Profiles read from files carry no run to replay for layout
+	// weights, so the compile is printed unplaced; the text format
+	// shows no addresses anyway.
+	profs := &root.Profiles{}
 	if *edgeIn != "" {
 		data, err := os.ReadFile(*edgeIn)
 		if err != nil {
@@ -411,8 +414,8 @@ func compileCmd(args []string) {
 		profs.Path = p
 	}
 	if profs.Edge == nil {
-		// Layout weights and edge-based schemes need an edge profile;
-		// derive one by running the program if absent.
+		// Formation needs an edge profile; derive one by running the
+		// program if absent.
 		e, _, err := profile.PointProfiles(prog)
 		if err != nil {
 			fatal(err)

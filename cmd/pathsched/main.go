@@ -1,11 +1,10 @@
 // Command pathsched compiles and measures one benchmark under one
-// scheme, printing the full measurement and optionally the scheduled
-// code.
+// scheme, printing the full measurement. To see the scheduled code,
+// run `irtool dump -bench alt -scheme M16`.
 //
 // Usage:
 //
 //	pathsched -bench m88k -scheme P4
-//	pathsched -bench alt -scheme M16 -dump     # show scheduled IR
 //	pathsched -bench gcc -scheme P4e -nocache
 //	pathsched -list                            # show the suite
 package main

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"hash"
 	"math"
 
 	"pathsched/internal/ir"
@@ -11,7 +8,7 @@ import (
 
 // Fingerprint returns a stable digest of every config field that
 // influences the formed program: the method and all selection,
-// duplication, and enlargement thresholds.
+// duplication, and enlargement thresholds, framed by ir.Encoder.
 //
 // Two inputs are deliberately excluded and must be keyed separately by
 // callers that use the digest as a cache key:
@@ -23,34 +20,15 @@ import (
 //   - Parallelism only changes how the work is scheduled; formation is
 //     pinned worker-count-independent, so it cannot affect the output.
 func (c Config) Fingerprint() ir.Digest {
-	h := sha256.New()
-	word(h, uint64(len("pathsched-core-cfg-v1")))
-	h.Write([]byte("pathsched-core-cfg-v1"))
-	word(h, uint64(c.Method))
-	word(h, uint64(c.UnrollFactor))
-	word(h, uint64(c.MaxLoopHeads))
-	wbool(h, c.StopNonLoopAtFirstHead)
-	word(h, uint64(c.MinExecFreq))
-	word(h, math.Float64bits(c.CompletionMin))
-	word(h, math.Float64bits(c.ExpandProb))
-	word(h, uint64(c.MaxSBInstrs))
-	wbool(h, c.GrowUpward)
-
-	var d ir.Digest
-	h.Sum(d[:0])
-	return d
-}
-
-func word(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
-}
-
-func wbool(h hash.Hash, b bool) {
-	if b {
-		word(h, 1)
-	} else {
-		word(h, 0)
-	}
+	e := ir.NewEncoder("pathsched-core-cfg-v2")
+	e.I64(int64(c.Method))
+	e.I64(int64(c.UnrollFactor))
+	e.I64(int64(c.MaxLoopHeads))
+	e.Bool(c.StopNonLoopAtFirstHead)
+	e.I64(c.MinExecFreq)
+	e.U64(math.Float64bits(c.CompletionMin))
+	e.U64(math.Float64bits(c.ExpandProb))
+	e.I64(int64(c.MaxSBInstrs))
+	e.Bool(c.GrowUpward)
+	return e.Sum()
 }

@@ -1,111 +1,171 @@
 package ir
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 )
 
-// Binary program codec for the disk artifact store.
+// Binary program codec: the one encoding of a program's identity.
 //
-// The textual format (text.go) deliberately captures only the
-// architectural program — it drops schedule annotations, superblock
-// metadata, and layout addresses, which is exactly what a disk cache of
-// *compiled* programs must preserve: a compiled master that loses its
-// Cycles would be re-measured at one cycle per instruction and its
-// translation-validation metadata (UnitOrigins) would vanish. This
-// codec therefore round-trips every field Fingerprint hashes, and
-// nothing else, so
+// EncodeProgram writes every field that identifies a program — its
+// name, entry, memory size, data segments in declaration order, and
+// every block's instructions (opcodes, register operands, immediates,
+// branch targets, call descriptors, speculation flags) plus the block
+// metadata downstream consumers read (superblock annotations, schedule
+// cycles, span, layout address). Fingerprint is the sha256 of those
+// bytes, and the disk artifact store keeps the same bytes. The textual
+// format (text.go) cannot serve either purpose: it deliberately drops
+// schedule annotations, superblock metadata and layout addresses, and a
+// compiled program that lost its Cycles would be re-measured at one
+// cycle per instruction, its translation-validation metadata
+// (UnitOrigins) gone.
 //
-//	Fingerprint(DecodeProgram(EncodeProgram(p))) == Fingerprint(p)
+// The encoding is length-prefixed varints throughout (Encoder), with a
+// presence flag wherever nil and empty differ, and it has one canonical
+// form per program: EncodeProgram(DecodeProgram(b)) == b for any b that
+// EncodeProgram wrote. The store checks an entry by decoding it and
+// re-fingerprinting the result, which tests exactly that round trip.
+// Any truncation or corruption surfaces as a decode error or a
+// fingerprint mismatch, never as a silently different program.
 //
-// holds by construction and the store can integrity-check an entry by
-// re-fingerprinting what it decoded. The encoding is length-prefixed
-// varints throughout; any truncation or corruption surfaces as a
-// decode error (never a silently different program — the fingerprint
-// cross-check backstops even a codec bug).
-//
-// Derived state is excluded exactly as Fingerprint excludes it: the
-// memoized execution decode and the virtual-register cursor. Decoding
-// resets the cursor above the highest register in use, so a consumer
-// that (unexpectedly) asks a decoded procedure for a fresh virtual
-// register can never collide with an existing one.
+// Derived state is excluded: the memoized execution decode and the
+// virtual-register cursor. Decoding resets the cursor above the highest
+// register in use, so a consumer that (unexpectedly) asks a decoded
+// procedure for a fresh virtual register can never collide with an
+// existing one.
 
 // codecMagic versions the binary program encoding. Bump on any layout
 // change: entries written by other versions then fail to decode and
 // are rebuilt, which is always safe.
 const codecMagic = "pathsched-ir-bin-v1\n"
 
+// Encoder appends varint-framed fields to a buffer. It is the one
+// framing of every content address in the repository: EncodeProgram
+// writes programs through it, and the formation-config digest and the
+// pipeline's compile keys frame their fields with it too. Every
+// variable-length field is length-prefixed, so distinct field
+// sequences cannot collide by sliding bytes across field boundaries.
+type Encoder struct {
+	buf []byte
+}
+
+// NewEncoder starts an encoding with domain, written raw: a constant
+// that names what is encoded and its version. No domain is a prefix
+// of another, so encodings of different kinds never share bytes, and
+// bumping a domain's version retires every earlier encoding of its
+// kind.
+func NewEncoder(domain string) *Encoder { return &Encoder{buf: []byte(domain)} }
+
+// U64 appends v as a uvarint.
+func (e *Encoder) U64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+
+// I64 appends v as a zigzag varint.
+func (e *Encoder) I64(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
+
+// Str appends s, length-prefixed.
+func (e *Encoder) Str(s string) { e.U64(uint64(len(s))); e.buf = append(e.buf, s...) }
+
+// Bool appends b as a uvarint 0 or 1.
+func (e *Encoder) Bool(b bool) {
+	if b {
+		e.U64(1)
+	} else {
+		e.U64(0)
+	}
+}
+
+// Digest appends d's 32 bytes; its width is fixed, so it needs no
+// length prefix.
+func (e *Encoder) Digest(d Digest) { e.buf = append(e.buf, d[:]...) }
+
+// Bytes returns the encoding so far.
+func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Sum returns the sha256 of the encoding so far.
+func (e *Encoder) Sum() Digest { return sha256.Sum256(e.buf) }
+
+// encInts appends a length-prefixed list of 32-bit values.
+func encInts[T ~int32](e *Encoder, s []T) {
+	e.U64(uint64(len(s)))
+	for _, v := range s {
+		e.I64(int64(v))
+	}
+}
+
+// encOptInts appends presence (nil and empty differ: nil Cycles means
+// unscheduled) followed by the list.
+func encOptInts[T ~int32](e *Encoder, s []T) {
+	e.Bool(s != nil)
+	if s != nil {
+		encInts(e, s)
+	}
+}
+
 // EncodeProgram serializes prog into the binary codec format.
 func EncodeProgram(prog *Program) []byte {
-	e := &progEncoder{buf: make([]byte, 0, 1<<14)}
-	e.raw([]byte(codecMagic))
-	e.str(prog.Name)
-	e.i64(int64(prog.Main))
-	e.i64(prog.MemSize)
+	e := NewEncoder(codecMagic)
+	e.Str(prog.Name)
+	e.I64(int64(prog.Main))
+	e.I64(prog.MemSize)
 
-	e.u64(uint64(len(prog.Data)))
+	e.U64(uint64(len(prog.Data)))
 	for _, seg := range prog.Data {
-		e.i64(seg.Addr)
-		e.u64(uint64(len(seg.Values)))
+		e.I64(seg.Addr)
+		e.U64(uint64(len(seg.Values)))
 		for _, v := range seg.Values {
-			e.i64(v)
+			e.I64(v)
 		}
 	}
 
-	e.u64(uint64(len(prog.Procs)))
+	e.U64(uint64(len(prog.Procs)))
 	for _, p := range prog.Procs {
+		e.Bool(p != nil)
 		if p == nil {
-			e.u64(0)
 			continue
 		}
-		e.u64(1)
-		e.str(p.Name)
-		e.i64(int64(p.ID))
-		e.u64(uint64(len(p.Blocks)))
+		e.Str(p.Name)
+		e.I64(int64(p.ID))
+		e.U64(uint64(len(p.Blocks)))
 		for _, b := range p.Blocks {
 			e.block(b)
 		}
 	}
-	return e.buf
+	return e.Bytes()
 }
 
-func (e *progEncoder) block(b *Block) {
-	e.i64(int64(b.ID))
-	e.i64(int64(b.Origin))
-	e.i64(int64(b.SBID))
-	e.i64(int64(b.SBIndex))
-	e.i64(int64(b.SBSize))
-	e.i64(int64(b.Span))
-	e.i64(b.Addr)
-	e.i32Slice(b.ExitUnits)
-	e.i32Slice(b.Units)
-	e.blockIDSlice(b.UnitOrigins)
-	e.i32Slice(b.Cycles)
-	e.u64(uint64(len(b.Instrs)))
+func (e *Encoder) block(b *Block) {
+	e.I64(int64(b.ID))
+	e.I64(int64(b.Origin))
+	e.I64(int64(b.SBID))
+	e.I64(int64(b.SBIndex))
+	e.I64(int64(b.SBSize))
+	e.I64(int64(b.Span))
+	e.I64(b.Addr)
+	encOptInts(e, b.ExitUnits)
+	encOptInts(e, b.Units)
+	encOptInts(e, b.UnitOrigins)
+	encOptInts(e, b.Cycles)
+	e.U64(uint64(len(b.Instrs)))
 	for i := range b.Instrs {
 		ins := &b.Instrs[i]
-		e.u64(uint64(ins.Op))
-		e.i64(int64(ins.Dst))
-		e.i64(int64(ins.Src1))
-		e.i64(int64(ins.Src2))
-		e.i64(ins.Imm)
-		e.bool(ins.Spec)
-		e.u64(uint64(len(ins.Targets)))
-		for _, t := range ins.Targets {
-			e.i64(int64(t))
-		}
-		e.i64(int64(ins.Callee))
-		e.u64(uint64(len(ins.Args)))
-		for _, a := range ins.Args {
-			e.i64(int64(a))
-		}
+		e.U64(uint64(ins.Op))
+		e.I64(int64(ins.Dst))
+		e.I64(int64(ins.Src1))
+		e.I64(int64(ins.Src2))
+		e.I64(ins.Imm)
+		e.Bool(ins.Spec)
+		encInts(e, ins.Targets)
+		e.I64(int64(ins.Callee))
+		encInts(e, ins.Args)
 	}
 }
 
 // DecodeProgram parses data written by EncodeProgram. It validates
 // framing (magic, lengths, trailing bytes) but not program semantics:
 // callers that need a verified program run ir.Verify, and the artifact
-// store additionally re-fingerprints the result against its key.
+// store additionally re-fingerprints the result against the
+// fingerprint recorded with it.
 func DecodeProgram(data []byte) (*Program, error) {
 	d := &progDecoder{buf: data}
 	magic, err := d.rawN(len(codecMagic))
@@ -138,7 +198,7 @@ func DecodeProgram(data []byte) (*Program, error) {
 		prog.Procs = make([]*Proc, 0, nproc)
 	}
 	for i := uint64(0); i < nproc && d.err == nil; i++ {
-		if d.u64() == 0 {
+		if !d.bool() {
 			prog.Procs = append(prog.Procs, nil)
 			continue
 		}
@@ -153,7 +213,7 @@ func DecodeProgram(data []byte) (*Program, error) {
 			p.Blocks = append(p.Blocks, d.block())
 		}
 		// Reset the virtual-register cursor above every register in
-		// use (Fingerprint excludes it, so the encoding does too).
+		// use (the encoding excludes it).
 		if d.err == nil {
 			p.nextVirt = p.MaxReg() + 1
 			if p.nextVirt < VirtBase {
@@ -181,10 +241,10 @@ func (d *progDecoder) block() *Block {
 		Span:    int32(d.i64()),
 		Addr:    d.i64(),
 	}
-	b.ExitUnits = d.i32Slice()
-	b.Units = d.i32Slice()
-	b.UnitOrigins = d.blockIDSlice()
-	b.Cycles = d.i32Slice()
+	b.ExitUnits = decOptInts[int32](d)
+	b.Units = decOptInts[int32](d)
+	b.UnitOrigins = decOptInts[BlockID](d)
+	b.Cycles = decOptInts[int32](d)
 	nins := d.count()
 	if d.err == nil && nins > 0 {
 		b.Instrs = make([]Instr, nins)
@@ -197,64 +257,11 @@ func (d *progDecoder) block() *Block {
 		ins.Src2 = Reg(d.i64())
 		ins.Imm = d.i64()
 		ins.Spec = d.bool()
-		if nt := d.count(); d.err == nil && nt > 0 {
-			ins.Targets = make([]BlockID, nt)
-			for j := range ins.Targets {
-				ins.Targets[j] = BlockID(d.i64())
-			}
-		}
+		ins.Targets = decInts[BlockID](d)
 		ins.Callee = ProcID(d.i64())
-		if na := d.count(); d.err == nil && na > 0 {
-			ins.Args = make([]Reg, na)
-			for j := range ins.Args {
-				ins.Args[j] = Reg(d.i64())
-			}
-		}
+		ins.Args = decInts[Reg](d)
 	}
 	return b
-}
-
-// progEncoder appends varint-framed fields to a buffer.
-type progEncoder struct {
-	buf []byte
-}
-
-func (e *progEncoder) raw(b []byte) { e.buf = append(e.buf, b...) }
-func (e *progEncoder) u64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *progEncoder) i64(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *progEncoder) str(s string) { e.u64(uint64(len(s))); e.raw([]byte(s)) }
-func (e *progEncoder) bool(b bool) {
-	if b {
-		e.u64(1)
-	} else {
-		e.u64(0)
-	}
-}
-
-// i32Slice encodes presence (nil and empty differ: nil Cycles means
-// unscheduled) followed by the values.
-func (e *progEncoder) i32Slice(s []int32) {
-	if s == nil {
-		e.u64(0)
-		return
-	}
-	e.u64(1)
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.i64(int64(v))
-	}
-}
-
-func (e *progEncoder) blockIDSlice(s []BlockID) {
-	if s == nil {
-		e.u64(0)
-		return
-	}
-	e.u64(1)
-	e.u64(uint64(len(s)))
-	for _, v := range s {
-		e.i64(int64(v))
-	}
 }
 
 // progDecoder consumes the buffer with sticky error handling: after
@@ -311,6 +318,7 @@ func (d *progDecoder) bool() bool { return d.u64() != 0 }
 // count reads a length prefix and sanity-checks it against the bytes
 // remaining: every counted element needs at least one byte, so a count
 // beyond len(buf) proves corruption without attempting the allocation.
+// It reads 0 once decoding has failed.
 func (d *progDecoder) count() uint64 {
 	n := d.u64()
 	if d.err == nil && n > uint64(len(d.buf)) {
@@ -333,32 +341,28 @@ func (d *progDecoder) str() string {
 	return string(b)
 }
 
-func (d *progDecoder) i32Slice() []int32 {
-	if d.u64() == 0 {
-		return nil
-	}
+// decInts reads a list written by encInts; an empty list reads as nil.
+func decInts[T ~int32](d *progDecoder) []T {
 	n := d.count()
-	if d.err != nil {
+	if n == 0 {
 		return nil
 	}
-	s := make([]int32, n)
+	s := make([]T, n)
 	for i := range s {
-		s[i] = int32(d.i64())
+		s[i] = T(d.i64())
 	}
 	return s
 }
 
-func (d *progDecoder) blockIDSlice() []BlockID {
-	if d.u64() == 0 {
+// decOptInts reads a list written by encOptInts: absent reads as nil,
+// present but empty as an empty, non-nil list.
+func decOptInts[T ~int32](d *progDecoder) []T {
+	if !d.bool() {
 		return nil
 	}
-	n := d.count()
-	if d.err != nil {
-		return nil
-	}
-	s := make([]BlockID, n)
-	for i := range s {
-		s[i] = BlockID(d.i64())
+	s := decInts[T](d)
+	if s == nil {
+		s = []T{}
 	}
 	return s
 }

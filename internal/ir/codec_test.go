@@ -145,3 +145,24 @@ func TestCodecBitFlipNeverForgesFingerprint(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFingerprint fingerprints the suite's 28 pristine builds,
+// every benchmark's training and testing input: the set-up work each
+// cmd/bench child does before its timed run, besides building and
+// verifying them.
+func BenchmarkFingerprint(b *testing.B) {
+	var progs []*ir.Program
+	for _, bm := range bench.All() {
+		progs = append(progs, bm.Build(bm.Train), bm.Build(bm.Test))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			fingerprintSink = ir.Fingerprint(p)
+		}
+	}
+}
+
+// fingerprintSink keeps BenchmarkFingerprint's calls from being
+// optimized away.
+var fingerprintSink ir.Digest

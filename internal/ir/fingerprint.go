@@ -2,10 +2,7 @@ package ir
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"sort"
 )
 
 // Digest is a collision-robust structural hash. The pipeline's
@@ -19,171 +16,11 @@ type Digest [sha256.Size]byte
 // Short returns an abbreviated hex form for logs and test failures.
 func (d Digest) Short() string { return hex.EncodeToString(d[:6]) }
 
-// Fingerprint returns a stable structural digest of prog: program
-// metadata (name, entry, memory size), every data segment, and every
-// procedure's blocks with their full instruction contents (opcodes,
-// register operands, immediates, branch targets, call descriptors,
-// speculation flags) plus the block metadata that downstream consumers
-// read (superblock annotations, schedule cycles, span, layout address).
-//
-// The encoding is order-sensitive wherever the IR is: procedure,
-// block, and instruction order are identity (ids index into those
-// slices), as are Targets and Args. Data segments are the one
-// order-insensitive seam — when no two segments overlap, initMem
-// produces the same memory image under any permutation, so they are
-// hashed in a canonical (Addr-sorted) order; overlapping segments fall
-// back to declaration order, which then is semantic (later copies
-// win).
-//
-// Derived, non-structural state is excluded: the memoized execution
-// decode (execCache) and the virtual-register allocation cursor.
-// CloneProgram therefore preserves the fingerprint exactly, and any
-// mutation of the hashed fields changes it (pinned by the fuzz test).
-func Fingerprint(prog *Program) Digest {
-	w := fpWriter{h: sha256.New()}
-	w.str("pathsched-ir-fp-v2")
-	w.str(prog.Name)
-	w.i64(int64(prog.Main))
-	w.i64(prog.MemSize)
-
-	w.u64(uint64(len(prog.Data)))
-	for _, i := range canonicalSegOrder(prog.Data) {
-		seg := prog.Data[i]
-		w.i64(seg.Addr)
-		w.u64(uint64(len(seg.Values)))
-		for _, v := range seg.Values {
-			w.i64(v)
-		}
-	}
-
-	w.u64(uint64(len(prog.Procs)))
-	for _, p := range prog.Procs {
-		if p == nil {
-			w.str("\x00nilproc")
-			continue
-		}
-		w.str(p.Name)
-		w.i64(int64(p.ID))
-		w.u64(uint64(len(p.Blocks)))
-		for _, b := range p.Blocks {
-			w.hashBlock(b)
-		}
-	}
-
-	var d Digest
-	w.h.Sum(d[:0])
-	return d
-}
-
-func (w *fpWriter) hashBlock(b *Block) {
-	w.i64(int64(b.ID))
-	w.i64(int64(b.Origin))
-	w.i64(int64(b.SBID))
-	w.i64(int64(b.SBIndex))
-	w.i64(int64(b.SBSize))
-	w.i64(int64(b.Span))
-	w.i64(b.Addr)
-	// nil and empty differ semantically for both annotations (nil
-	// Cycles means unscheduled, nil ExitUnits means every exit retires
-	// SBSize blocks), so presence is part of the encoding.
-	w.i32Slice(b.ExitUnits)
-	w.i32Slice(b.Units)
-	w.blockIDSlice(b.UnitOrigins)
-	w.i32Slice(b.Cycles)
-	w.u64(uint64(len(b.Instrs)))
-	for i := range b.Instrs {
-		ins := &b.Instrs[i]
-		w.u64(uint64(ins.Op))
-		w.i64(int64(ins.Dst))
-		w.i64(int64(ins.Src1))
-		w.i64(int64(ins.Src2))
-		w.i64(ins.Imm)
-		if ins.Spec {
-			w.u64(1)
-		} else {
-			w.u64(0)
-		}
-		w.u64(uint64(len(ins.Targets)))
-		for _, t := range ins.Targets {
-			w.i64(int64(t))
-		}
-		w.i64(int64(ins.Callee))
-		w.u64(uint64(len(ins.Args)))
-		for _, a := range ins.Args {
-			w.i64(int64(a))
-		}
-	}
-}
-
-// canonicalSegOrder returns the order in which to hash data segments:
-// Addr-sorted (ties broken by length, then by declaration order) when
-// no two segments overlap, declaration order otherwise.
-func canonicalSegOrder(segs []DataSeg) []int {
-	order := make([]int, len(segs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := segs[order[a]], segs[order[b]]
-		if sa.Addr != sb.Addr {
-			return sa.Addr < sb.Addr
-		}
-		return len(sa.Values) < len(sb.Values)
-	})
-	for k := 0; k+1 < len(order); k++ {
-		cur, next := segs[order[k]], segs[order[k+1]]
-		if cur.Addr+int64(len(cur.Values)) > next.Addr {
-			// Overlap: declaration order is semantic (later segments
-			// overwrite earlier ones in initMem).
-			for i := range order {
-				order[i] = i
-			}
-			return order
-		}
-	}
-	return order
-}
-
-// fpWriter frames values into the hash. Every variable-length field is
-// length-prefixed, so distinct structures cannot collide by sliding
-// bytes across field boundaries.
-type fpWriter struct {
-	h   hash.Hash
-	buf [8]byte
-}
-
-func (w *fpWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
-}
-
-func (w *fpWriter) i64(v int64) { w.u64(uint64(v)) }
-
-func (w *fpWriter) str(s string) {
-	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
-}
-
-func (w *fpWriter) i32Slice(s []int32) {
-	if s == nil {
-		w.u64(0)
-		return
-	}
-	w.u64(1)
-	w.u64(uint64(len(s)))
-	for _, v := range s {
-		w.i64(int64(v))
-	}
-}
-
-func (w *fpWriter) blockIDSlice(s []BlockID) {
-	if s == nil {
-		w.u64(0)
-		return
-	}
-	w.u64(1)
-	w.u64(uint64(len(s)))
-	for _, v := range s {
-		w.i64(int64(v))
-	}
-}
+// Fingerprint returns prog's identity: the sha256 of its codec bytes
+// (EncodeProgram). The codec is the one definition of which fields
+// identify a program and in what order, so the fingerprint is
+// order-sensitive exactly where the encoding is — procedures, blocks,
+// instructions, Targets, Args and data segments alike — and excludes
+// exactly the derived state the codec excludes, which is why
+// CloneProgram preserves it.
+func Fingerprint(prog *Program) Digest { return sha256.Sum256(EncodeProgram(prog)) }

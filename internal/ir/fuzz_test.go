@@ -6,8 +6,7 @@ import (
 
 // FuzzFingerprint checks the two properties the pipeline cache rests
 // on: cloning a program never changes its fingerprint, and any single
-// structural mutation does — except permuting non-overlapping data
-// segments, which the canonical segment order deliberately ignores.
+// structural mutation does, reordering data segments included.
 //
 // The fuzz input is a mutation script: byte 0 selects the mutation
 // kind, the remaining bytes parameterize it (which proc/block/instr,
@@ -28,15 +27,11 @@ func FuzzFingerprint(f *testing.F) {
 		}
 
 		mut := CloneProgram(base)
-		changed, wantSame := applyFuzzMutation(mut, data)
-		if !changed {
+		if !applyFuzzMutation(mut, data) {
 			return
 		}
 		h1 := Fingerprint(mut)
-		if wantSame && h1 != h0 {
-			t.Fatalf("mutation %d should be hash-neutral but changed the digest", data[0]%fuzzMutationKinds)
-		}
-		if !wantSame && h1 == h0 {
+		if h1 == h0 {
 			t.Fatalf("structural mutation %d did not change the digest", data[0]%fuzzMutationKinds)
 		}
 
@@ -68,12 +63,11 @@ func (c *fuzzCursor) next() byte {
 	return b
 }
 
-// applyFuzzMutation mutates prog per the script. It reports whether
-// anything changed and whether the change must leave the fingerprint
-// intact (only true for non-overlapping data-segment permutation).
-func applyFuzzMutation(prog *Program, data []byte) (changed, wantSame bool) {
+// applyFuzzMutation mutates prog per the script and reports whether
+// anything changed.
+func applyFuzzMutation(prog *Program, data []byte) bool {
 	if len(data) == 0 {
-		return false, false
+		return false
 	}
 	cur := &fuzzCursor{data: data[1:]}
 	pr := prog.Procs[1] // "main": the structurally rich proc
@@ -87,37 +81,37 @@ func applyFuzzMutation(prog *Program, data []byte) (changed, wantSame bool) {
 	case 0: // swap the operands of a three-address instruction
 		ins := &pr.Blocks[0].Instrs[1] // Load: Src1 used, Src2 zero
 		ins.Src1, ins.Src2 = ins.Src2, ins.Src1
-		return true, false
+		return true
 	case 1: // flip a terminator target
 		b := pr.Blocks[pick(len(pr.Blocks))]
 		term := b.Terminator()
 		if term == nil || len(term.Targets) == 0 {
-			return false, false
+			return false
 		}
 		i := pick(len(term.Targets))
 		term.Targets[i] += BlockID(1 + pick(7))
-		return true, false
+		return true
 	case 2: // edit a data byte
 		if len(prog.Data) == 0 {
-			return false, false
+			return false
 		}
 		seg := &prog.Data[pick(len(prog.Data))]
 		if len(seg.Values) == 0 {
-			return false, false
+			return false
 		}
 		seg.Values[pick(len(seg.Values))] ^= 1 << (cur.next() % 63)
-		return true, false
+		return true
 	case 3: // change an immediate
 		b := pr.Blocks[pick(len(pr.Blocks))]
 		if len(b.Instrs) == 0 {
-			return false, false
+			return false
 		}
 		b.Instrs[pick(len(b.Instrs))].Imm += int64(1 + pick(255))
-		return true, false
+		return true
 	case 4: // toggle the speculative flag
 		ins := &pr.Blocks[0].Instrs[pick(len(pr.Blocks[0].Instrs))]
 		ins.Spec = !ins.Spec
-		return true, false
+		return true
 	case 5: // replace an opcode with a different one
 		ins := &pr.Blocks[0].Instrs[0] // MovI
 		if ins.Op == OpNop {
@@ -125,27 +119,24 @@ func applyFuzzMutation(prog *Program, data []byte) (changed, wantSame bool) {
 		} else {
 			ins.Op = OpNop
 		}
-		return true, false
+		return true
 	case 6: // append an instruction
 		b := pr.Blocks[pick(len(pr.Blocks))]
 		n := len(b.Instrs)
 		b.Instrs = append(b.Instrs[:n-1:n-1], Nop(), b.Instrs[n-1])
-		return true, false
-	case 7: // permute data segments: hash-neutral iff none overlap
-		if len(prog.Data) < 2 {
-			return false, false
-		}
-		if fuzzSegsOverlap(prog.Data) {
-			return false, false
-		}
+		return true
+	case 7: // swap two data segments: declaration order is identity
 		i, j := pick(len(prog.Data)), pick(len(prog.Data))
+		if i == j {
+			// The base program's segments are pairwise distinct, so
+			// only a self-swap is a no-op.
+			return false
+		}
 		prog.Data[i], prog.Data[j] = prog.Data[j], prog.Data[i]
-		// Swapping a segment with itself (or an identical twin) is a
-		// no-op, but a no-op trivially satisfies "hash unchanged".
-		return true, true
+		return true
 	case 8: // grow the memory image
 		prog.MemSize += int64(1 + pick(255))
-		return true, false
+		return true
 	default: // toggle schedule metadata on the annotated block
 		b := pr.Blocks[3]
 		if b.Cycles == nil {
@@ -153,25 +144,6 @@ func applyFuzzMutation(prog *Program, data []byte) (changed, wantSame bool) {
 		} else {
 			b.Cycles = nil
 		}
-		return true, false
+		return true
 	}
-}
-
-// fuzzSegsOverlap reports whether any two data segments touch the same
-// word (memory is word-addressed: a segment covers [Addr,
-// Addr+len(Values))); overlapping declarations are order-sensitive in
-// initMem, so only overlap-free programs get the hash-neutral
-// permutation guarantee.
-func fuzzSegsOverlap(segs []DataSeg) bool {
-	for i := range segs {
-		for j := i + 1; j < len(segs); j++ {
-			a, b := segs[i], segs[j]
-			aEnd := a.Addr + int64(len(a.Values))
-			bEnd := b.Addr + int64(len(b.Values))
-			if a.Addr < bEnd && b.Addr < aEnd {
-				return true
-			}
-		}
-	}
-	return false
 }

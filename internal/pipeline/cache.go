@@ -1,10 +1,7 @@
 package pipeline
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"hash"
 	"sync"
 
 	"pathsched/internal/core"
@@ -24,8 +21,10 @@ import (
 // benchmark or scheme name, so any two schemes, ablation configs, or
 // runners that arrive at the same inputs share one computation. The
 // key (compileKey) hashes the pristine-build fingerprint, the
-// training-build fingerprint and the config digest; the value is an
-// immutable laid-out binary that consumers only read.
+// training-build fingerprint, the config digest and the compaction and
+// profiling parameters, all framed by the one ir.Encoder that also
+// defines the fingerprints; the value is an immutable laid-out binary
+// that consumers only read.
 //
 // Lookups are single-flight: the first goroutine to miss a key
 // computes it while any concurrent worker asking for the same key
@@ -132,41 +131,6 @@ type compiled struct {
 	stats  core.Stats
 	gap    *sched.GapStats
 	vstats *validate.Stats
-}
-
-// keyWriter frames cache-key components into a sha256, with the same
-// length-prefixing discipline as ir.Fingerprint.
-type keyWriter struct {
-	h   hash.Hash
-	buf [8]byte
-}
-
-func newKeyWriter() *keyWriter { return &keyWriter{h: sha256.New()} }
-
-func (w *keyWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
-}
-
-func (w *keyWriter) str(s string) {
-	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
-}
-
-func (w *keyWriter) bool(b bool) {
-	if b {
-		w.u64(1)
-	} else {
-		w.u64(0)
-	}
-}
-
-func (w *keyWriter) digest(d ir.Digest) { w.h.Write(d[:]) }
-
-func (w *keyWriter) sum() ir.Digest {
-	var d ir.Digest
-	w.h.Sum(d[:0])
-	return d
 }
 
 // entry is a single-flight cell: ready is closed once val/err are

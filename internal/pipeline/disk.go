@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -103,8 +104,8 @@ func VerifyEntry(kind, key string, payload []byte) error {
 
 // compiledHeader is the JSON side-car of a compiled artifact: the
 // fields of compiled that are not the program, plus the cache key it
-// was published under and the binary's fingerprint for the read-side
-// integrity checks.
+// was published under and FP, the hex sha256 of the body (the binary's
+// ir.Fingerprint), for the read-side integrity checks.
 type compiledHeader struct {
 	Key    string
 	FP     string
@@ -136,18 +137,20 @@ func unframe(payload []byte, header any) (body []byte, err error) {
 	return payload[w+int(n):], nil
 }
 
-// encodeCompiled fingerprints the binary for the read-side integrity
-// check: only the disk tier needs the digest, so memory-only runs never
-// compute it.
+// encodeCompiled encodes the binary once and records the sha256 of
+// those bytes as its fingerprint (ir.Fingerprint is that digest by
+// definition). Only the disk tier needs the digest, so memory-only runs
+// never compute it.
 func encodeCompiled(c *compiled, key string) ([]byte, error) {
-	fp := ir.Fingerprint(c.bin)
+	body := ir.EncodeProgram(c.bin)
+	fp := sha256.Sum256(body)
 	return frame(compiledHeader{
 		Key:    key,
 		FP:     hex.EncodeToString(fp[:]),
 		Stats:  c.stats,
 		Gap:    c.gap,
 		VStats: c.vstats,
-	}, ir.EncodeProgram(c.bin))
+	}, body)
 }
 
 func decodeCompiled(payload []byte, key string) (*compiled, error) {
@@ -167,10 +170,12 @@ func decodeCompiled(payload []byte, key string) (*compiled, error) {
 		return nil, err
 	}
 	// The integrity check the whole tier rests on: the decoded program
-	// must re-fingerprint to what the publisher fingerprinted. This
-	// catches anything the store's framing sha cannot — a codec bug, a
-	// payload swapped whole between keys — because the fingerprint is
-	// recomputed from the decoded structure, not read from the entry.
+	// must re-fingerprint to what the publisher recorded. The
+	// fingerprint is the digest of the program's re-encoding, so this
+	// tests the codec's round trip on this very entry, and it catches
+	// what the store's framing sha cannot — a codec bug, or an entry
+	// written under another encoding — because the digest is recomputed
+	// from the decoded structure, not read from the entry.
 	fp := ir.Fingerprint(bin)
 	if hex.EncodeToString(fp[:]) != hdr.FP {
 		return nil, fmt.Errorf("pipeline: compiled artifact fingerprint mismatch")

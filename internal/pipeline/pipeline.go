@@ -463,11 +463,11 @@ func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, sc
 	return res, nil
 }
 
-// SchemeConfig maps scheme s to its formation config over the given
+// schemeConfig maps scheme s to its formation config over the given
 // training profiles: the core defaults plus the scheme's method, unroll
 // factor and P4e stop. formed is false for the BB baseline, which does
 // not form superblocks; an unknown scheme is an error.
-func SchemeConfig(s Scheme, eprof *profile.EdgeProfile, pprof *profile.PathProfile) (cfg core.Config, formed bool, err error) {
+func schemeConfig(s Scheme, eprof *profile.EdgeProfile, pprof *profile.PathProfile) (cfg core.Config, formed bool, err error) {
 	if s == SchemeBB {
 		return core.Config{}, false, nil
 	}
@@ -492,10 +492,10 @@ func SchemeConfig(s Scheme, eprof *profile.EdgeProfile, pprof *profile.PathProfi
 }
 
 // formConfig resolves the fully configured formation config for scheme
-// s: SchemeConfig, then parallelism and the Form hook. ok is false for
+// s: schemeConfig, then parallelism and the Form hook. ok is false for
 // the BB baseline, which does not form superblocks.
 func (r *Runner) formConfig(s Scheme, eprof *profile.EdgeProfile, pprof *profile.PathProfile) (cfg core.Config, ok bool, err error) {
-	cfg, ok, err = SchemeConfig(s, eprof, pprof)
+	cfg, ok, err = schemeConfig(s, eprof, pprof)
 	if !ok || err != nil {
 		return cfg, ok, err
 	}
@@ -627,40 +627,37 @@ type benchKeys struct {
 // build being compiled, the training build the formation profiles and
 // the layout replay's branch trace derive from, the resolved formation
 // config, the compaction options and machine model, and the profiling
-// parameters. Everything that can change the binary's bytes is in the
-// key; names and schemes are not, so distinct configs that resolve to
-// identical inputs share an entry. Entries carry layout addresses; the
-// v3 domain string keeps them apart from older stores' v2 entries,
-// which are not laid out and so must never be served.
+// parameters, framed by ir.Encoder. Everything that can change the
+// binary's bytes is in the key; names and schemes are not, so distinct
+// configs that resolve to identical inputs share an entry. The v4
+// domain string keeps keys apart from older stores' entries, whose
+// program fingerprints were taken by a different encoding.
 func (r *Runner) compileKey(progFP, trainFP ir.Digest, cfg core.Config, haveCfg bool) ir.Digest {
-	w := newKeyWriter()
-	w.str("pathsched-pipeline-compile-v3")
-	w.digest(progFP)
-	w.digest(trainFP)
+	e := ir.NewEncoder("pathsched-pipeline-compile-v4")
+	e.Digest(progFP)
+	e.Digest(trainFP)
 	// Validation never changes the compiled bytes, but validated
 	// entries carry proof stats that unvalidated ones lack, so the two
 	// kinds must not share cache entries (contrast Check, which stores
 	// nothing on the entry and stays out of the key).
-	w.bool(r.validate)
+	e.Bool(r.validate)
+	e.Bool(haveCfg) // false: the BB baseline, which has no formation config
 	if haveCfg {
-		w.u64(1)
-		w.digest(cfg.Fingerprint())
-	} else {
-		w.u64(0) // BB baseline: no formation config
+		e.Digest(cfg.Fingerprint())
 	}
-	w.bool(r.opts.Sched.DisableRenaming)
-	w.bool(r.opts.Sched.DisableDCE)
-	w.bool(r.opts.Sched.DisableVN)
-	w.u64(uint64(r.opts.Sched.Machine.FuncUnits))
-	w.u64(uint64(r.opts.Sched.Machine.BranchPerCycle))
-	w.bool(r.opts.Sched.Machine.Realistic)
+	e.Bool(r.opts.Sched.DisableRenaming)
+	e.Bool(r.opts.Sched.DisableDCE)
+	e.Bool(r.opts.Sched.DisableVN)
+	e.I64(int64(r.opts.Sched.Machine.FuncUnits))
+	e.I64(int64(r.opts.Sched.Machine.BranchPerCycle))
+	e.Bool(r.opts.Sched.Machine.Realistic)
 	// Exact-mode compiles produce different schedules (and carry gap
 	// stats), so the normalized exact config is its own key dimension;
 	// normalizing keeps explicit-default and zero configs colliding.
 	ec := r.opts.Sched.Exact.Normalized()
-	w.bool(ec.Enabled)
-	w.u64(uint64(ec.NodeBudget))
-	w.u64(uint64(ec.SearchBudget))
+	e.Bool(ec.Enabled)
+	e.I64(int64(ec.NodeBudget))
+	e.I64(int64(ec.SearchBudget))
 	// The formation profiles are functions of (training build,
 	// profiling scheme, path parameters); the build is already keyed
 	// above, so scheme and parameters complete the profile identity.
@@ -672,32 +669,25 @@ func (r *Runner) compileKey(progFP, trainFP ir.Digest, cfg core.Config, haveCfg 
 			Depth:      r.opts.PathDepth,
 			Iterations: r.opts.BLIterations,
 		}.Normalized()
-		w.str(string(ProfilerBL))
-		w.u64(uint64(bc.Depth))
-		w.u64(uint64(bc.MaxBlocks))
-		w.u64(uint64(bc.Iterations))
+		e.Str(string(ProfilerBL))
+		e.I64(int64(bc.Depth))
+		e.I64(int64(bc.MaxBlocks))
+		e.I64(int64(bc.Iterations))
 	} else {
 		pc := profile.PathConfig{Depth: r.opts.PathDepth}.Normalized()
-		w.str(string(ProfilerWindow))
-		w.u64(uint64(pc.Depth))
-		w.u64(uint64(pc.MaxBlocks))
-		w.u64(0)
+		e.Str(string(ProfilerWindow))
+		e.I64(int64(pc.Depth))
+		e.I64(int64(pc.MaxBlocks))
 	}
-	// Both schemes once keyed a cross-activation window flag here, always
-	// false for Ball–Larus. The option is gone; writing its constant
-	// keeps every key, and so every stored compile, unchanged.
-	w.bool(false)
-	return w.sum()
+	return e.Sum()
 }
 
-// buildScheme returns a scheme's laid-out testing binary: it compiles
-// the testing build, replays the training run over the compile for its
-// layout weights, and assigns the compile's code addresses from them.
-// The whole build is memoized by content address and deduplicated
-// across concurrent scheme workers when caching is on, and runs
-// directly when it is off. The returned entry is immutable and may be
-// shared: callers only read it. base is the testing build's
-// def-before-use baseline (nil when checking is off).
+// buildScheme returns a scheme's laid-out testing binary (see build).
+// The build is memoized by content address and deduplicated across
+// concurrent scheme workers when caching is on, and runs directly when
+// it is off. The returned entry is immutable and may be shared: callers
+// only read it. base is the testing build's def-before-use baseline
+// (nil when checking is off).
 func (r *Runner) buildScheme(s Scheme, trainProg, testProg *ir.Program, tp *profile.TrainingProfiles, keys benchKeys, base check.Baseline) (*compiled, error) {
 	cfg, haveCfg, err := r.formConfig(s, tp.Edge, tp.Path)
 	if err != nil {
@@ -708,17 +698,57 @@ func (r *Runner) buildScheme(s Scheme, trainProg, testProg *ir.Program, tp *prof
 		key = r.compileKey(keys.test, keys.train, cfg, haveCfg)
 	}
 	return r.cache.compile(key, func() (*compiled, error) {
-		bin, stats, gap, vstats, err := r.compileWith(testProg, base, cfg, haveCfg)
-		if err != nil {
-			return nil, fmt.Errorf("compile: %w", err)
+		return r.build(cfg, haveCfg, trainProg, testProg, tp.Trace, base)
+	})
+}
+
+// Build compiles prog under scheme s and lays it out, exactly as
+// RunBenchmark builds every scheme it measures, for callers outside
+// the pipeline (pathsched.Compile). tp holds the profiles of one
+// training run of train, a program with prog's CFG shape (the same
+// program on another input, or prog itself). With no branch trace in
+// tp there is nothing to replay for layout weights, and the compile is
+// returned unplaced. The result is the caller's own; nothing caches it.
+func (r *Runner) Build(s Scheme, train, prog *ir.Program, tp *profile.TrainingProfiles) (*ir.Program, error) {
+	if tp.Trace != nil {
+		if err := checkSameShape(train, prog); err != nil {
+			return nil, fmt.Errorf("pipeline: profiled and compiled programs diverge: %w", err)
 		}
-		in, err := r.layoutWeights(trainProg, bin, tp.Trace)
+	}
+	cfg, haveCfg, err := r.formConfig(s, tp.Edge, tp.Path)
+	if err != nil {
+		return nil, err
+	}
+	var base check.Baseline
+	if r.check {
+		base = check.BaselineOf(prog)
+	}
+	c, err := r.build(cfg, haveCfg, train, prog, tp.Trace, base)
+	if err != nil {
+		return nil, err
+	}
+	return c.bin, nil
+}
+
+// build is the one build every scheme runs: it compiles prog under
+// the resolved formation config (haveCfg false selects the BB
+// baseline), replays tr, the branch trace of train's training run,
+// over the compile for its layout weights, and assigns the compile's
+// code addresses from them. A nil tr leaves the compile unplaced.
+// base is prog's def-before-use baseline (nil when checking is off).
+func (r *Runner) build(cfg core.Config, haveCfg bool, train, prog *ir.Program, tr *profile.BranchTrace, base check.Baseline) (*compiled, error) {
+	bin, stats, gap, vstats, err := r.compileWith(prog, base, cfg, haveCfg)
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	if tr != nil {
+		in, err := r.layoutWeights(train, bin, tr)
 		if err != nil {
 			return nil, err
 		}
 		layout.Assign(bin, in)
-		return &compiled{bin: bin, stats: stats, gap: gap, vstats: vstats}, nil
-	})
+	}
+	return &compiled{bin: bin, stats: stats, gap: gap, vstats: vstats}, nil
 }
 
 // layoutWeights replays the training run tr over bin, a compile of the

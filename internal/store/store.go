@@ -10,10 +10,11 @@
 // global lock. Publishing is atomic — payloads are written to a private
 // temp file and renamed into place, so readers only ever observe absent
 // or complete entries. Every entry carries a length and a sha256 of its
-// payload; Get re-checks both, and the pipeline additionally
-// re-fingerprints decoded programs against their keys, so a truncated
-// or bit-flipped entry is a miss (and is deleted), never a wrong
-// answer.
+// payload; Get re-checks both, and the pipeline additionally checks
+// each payload's key binding and re-fingerprints the decoded program
+// against the fingerprint recorded in it (the sha256 of the program's
+// codec bytes), so a truncated, bit-flipped or misfiled entry is a miss
+// (and is deleted), never a wrong answer.
 //
 // Cross-process build deduplication uses optimistic claim files (see
 // claim.go): the first builder of a key creates a claim, concurrent

@@ -42,14 +42,11 @@ import (
 	"fmt"
 
 	"pathsched/internal/bench"
-	"pathsched/internal/core"
 	"pathsched/internal/interp"
 	"pathsched/internal/ir"
-	"pathsched/internal/layout"
 	"pathsched/internal/machine"
 	"pathsched/internal/pipeline"
 	"pathsched/internal/profile"
-	"pathsched/internal/sched"
 	"pathsched/internal/stats"
 )
 
@@ -99,6 +96,13 @@ type Profiles struct {
 	Edge  *profile.EdgeProfile
 	Path  *profile.PathProfile
 	Calls map[[2]ProcID]int64
+
+	// prog is the profiled program and trace its run's branch
+	// decisions, which Compile replays over each compile for its
+	// layout weights. ProfileProgram sets both; a Profiles built by
+	// hand lacks them and compiles unplaced.
+	prog  *Program
+	trace *profile.BranchTrace
 }
 
 // RunResult is the outcome of executing a program.
@@ -132,59 +136,25 @@ func ProfileProgram(prog *Program) (*Profiles, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pathsched: training run: %w", err)
 	}
-	return &Profiles{Edge: tp.Edge, Path: tp.Path, Calls: tp.Calls}, nil
+	return &Profiles{Edge: tp.Edge, Path: tp.Path, Calls: tp.Calls, prog: prog, trace: tp.Trace}, nil
 }
 
 // Compile forms superblocks under the given scheme, compacts them for
-// the experimental VLIW, and lays the code out (Pettis–Hansen order
-// using the training call graph). The input program is not modified.
-// The returned program is executable and carries cycle annotations, so
-// Execute reports scheduled cycle counts.
+// the experimental VLIW, and lays the code out (Pettis–Hansen order),
+// running the same build the experiments measure: the layout weights
+// come from replaying the profiled run over the compile. prog must have
+// the profiled program's CFG shape (the program itself, or the same
+// program built for another input). Profiles not made by ProfileProgram
+// carry no run to replay, so their compile is left unplaced. The input
+// program is not modified. The returned program is executable and
+// carries cycle annotations, so Execute reports scheduled cycle counts.
 func Compile(prog *Program, profs *Profiles, scheme Scheme) (*Program, error) {
-	cfg, formed, err := pipeline.SchemeConfig(scheme, profs.Edge, profs.Path)
+	tp := &profile.TrainingProfiles{Edge: profs.Edge, Path: profs.Path, Trace: profs.trace}
+	bin, err := pipeline.NewRunner(pipeline.Options{DisableProfileCache: true}).Build(scheme, profs.prog, prog, tp)
 	if err != nil {
 		return nil, fmt.Errorf("pathsched: %w", err)
 	}
-	if !formed {
-		bb := ir.CloneProgram(prog)
-		if err := sched.CompactBasicBlocks(bb, sched.Options{}); err != nil {
-			return nil, fmt.Errorf("pathsched: %w", err)
-		}
-		layoutProgram(bb, profs)
-		return bb, nil
-	}
-	// Formation clones its input, so prog is never modified.
-	res, err := core.Form(prog, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("pathsched: %w", err)
-	}
-	if err := sched.Compact(res, sched.Options{}); err != nil {
-		return nil, fmt.Errorf("pathsched: %w", err)
-	}
-	layoutProgram(res.Prog, profs)
-	return res.Prog, nil
-}
-
-// layoutProgram assigns code addresses; block weights come from the
-// original profile via origins (clones inherit their origin's heat).
-func layoutProgram(prog *Program, profs *Profiles) {
-	layout.Assign(prog, layout.Input{
-		CallCounts: profs.Calls,
-		BlockFreq: func(p ProcID, b BlockID) int64 {
-			blk := prog.Proc(p).Block(b)
-			if blk == nil {
-				return 0
-			}
-			return profs.Edge.BlockFreq(p, blk.Origin)
-		},
-		EdgeFreq: func(p ProcID, from, to BlockID) int64 {
-			pf, pt := prog.Proc(p).Block(from), prog.Proc(p).Block(to)
-			if pf == nil || pt == nil {
-				return 0
-			}
-			return profs.Edge.EdgeFreq(p, pf.Origin, pt.Origin)
-		},
-	})
+	return bin, nil
 }
 
 // Benchmarks returns the names of the paper's 14-benchmark suite.

@@ -3,6 +3,10 @@ package pathsched
 import (
 	"strings"
 	"testing"
+
+	"pathsched/internal/bench"
+	"pathsched/internal/machine"
+	"pathsched/internal/pipeline"
 )
 
 // demoProgram builds a small hot loop with a biased branch through the
@@ -87,6 +91,46 @@ func TestPublicAPICacheExecution(t *testing.T) {
 	}
 	if res.FetchStall < 0 || missRate < 0 || missRate > 1 {
 		t.Fatalf("implausible cache results: stall=%d rate=%v", res.FetchStall, missRate)
+	}
+}
+
+// TestCompileMatchesExperiments pins the public API to the
+// experiments: compiling a benchmark's testing build against
+// ProfileProgram of its training build and running it against the
+// I-cache must reproduce RunBenchmark's measurement of every scheme.
+// The benchmarks are those where laying out by the wrong blocks'
+// frequencies once moved cycle or miss counts.
+func TestCompileMatchesExperiments(t *testing.T) {
+	icache := machine.DefaultICache()
+	runner := pipeline.NewRunner(pipeline.Options{Cache: &icache})
+	for _, name := range []string{"wc", "li", "gcc", "m88k"} {
+		b := bench.ByName(name)
+		res, err := runner.RunBenchmark(b, Schemes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		profs, err := ProfileProgram(b.Build(b.Train))
+		if err != nil {
+			t.Fatal(err)
+		}
+		test := b.Build(b.Test)
+		for _, s := range Schemes() {
+			bin, err := Compile(test, profs, s)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, s, err)
+			}
+			got, rate, err := ExecuteWithCache(bin)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, s, err)
+			}
+			// Every miss stalls fetch for the full penalty.
+			misses := got.FetchStall / icache.Penalty
+			want := res.ByScheme[s]
+			if got.Cycles != want.Cycles || got.FetchStall != want.FetchStall || misses != want.CacheMisses || rate != want.MissRate {
+				t.Errorf("%s/%s: Compile+ExecuteWithCache gives %d cycles, %d stall, %d misses; RunBenchmark %d, %d, %d",
+					name, s, got.Cycles, got.FetchStall, misses, want.Cycles, want.FetchStall, want.CacheMisses)
+			}
+		}
 	}
 }
 

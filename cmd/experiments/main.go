@@ -57,6 +57,10 @@ func main() {
 		shardOut  = flag.String("shardout", "", "write this shard's results as a JSON envelope to FILE instead of reports (used by -spawn)")
 	)
 	flag.Parse()
+	if *depth < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -depth %d is negative\n", *depth)
+		os.Exit(2)
+	}
 	if *gapstats {
 		*exact = true
 	}

@@ -156,6 +156,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// checkDepth exits 2, before anything runs, on a negative -depth.
+func checkDepth(cmd string, depth int) {
+	if depth < 0 {
+		fmt.Fprintf(os.Stderr, "irtool: %s: -depth %d is negative\n", cmd, depth)
+		os.Exit(2)
+	}
+}
+
 func loadFile(args []string) *ir.Program {
 	if len(args) != 1 {
 		usage()
@@ -353,6 +361,7 @@ func profileCmd(args []string) {
 	pathOut := fs.String("path", "", "write path profile here")
 	depth := fs.Int("depth", 15, "path depth in branches")
 	_ = fs.Parse(args)
+	checkDepth("profile", *depth)
 	if *edgeOut == "" && *pathOut == "" {
 		fatal(fmt.Errorf("profile: need -edge and/or -path output files"))
 	}
@@ -435,6 +444,7 @@ func paths(args []string) {
 	length := fs.Int("len", 4, "path length in blocks")
 	depth := fs.Int("depth", 15, "profiling depth in branches")
 	_ = fs.Parse(args)
+	checkDepth("paths", *depth)
 	prog := loadFile(fs.Args())
 
 	tp, err := profile.Train(prog, profile.PathConfig{Depth: *depth})

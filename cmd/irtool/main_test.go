@@ -148,10 +148,12 @@ func TestBadProfilesRejected(t *testing.T) {
 	dir := t.TempDir()
 	prog, _ := mustIrtool(t, dir, "dump", "-bench", "alt")
 	files := map[string]string{
-		"alt.ir":     prog,
-		"bad.pprof":  "pathprofile depth=15 maxblocks=64\nproc 0\npath 3: b0 b999\n",
-		"bad.eprof":  "edgeprofile\nproc 0 entries=1\nblock b0: 1\nblock b999: 1\nedge b0->b999: 1\n",
-		"huge.eprof": "edgeprofile\nproc 0 entries=1\nblock b2000000000: 1\n",
+		"alt.ir":         prog,
+		"bad.pprof":      "pathprofile depth=15 maxblocks=64\nproc 0\npath 3: b0 b999\n",
+		"bad.eprof":      "edgeprofile\nproc 0 entries=1\nblock b0: 1\nblock b999: 1\nedge b0->b999: 1\n",
+		"huge.eprof":     "edgeprofile\nproc 0 entries=1\nblock b2000000000: 1\n",
+		"negdepth.pprof": "pathprofile depth=-3 maxblocks=64\nproc 0\npath 3: b0 b1\n",
+		"negmax.pprof":   "pathprofile depth=15 maxblocks=-1\nproc 0\npath 3: b0 b1\n",
 	}
 	for name, text := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
@@ -160,23 +162,32 @@ func TestBadProfilesRejected(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		args []string
+		code int
 		want string
 	}{
-		{[]string{"compile", "-scheme", "P4", "-path", "bad.pprof", "alt.ir"},
+		{[]string{"compile", "-scheme", "P4", "-path", "bad.pprof", "alt.ir"}, 1,
 			"irtool: profile: line 3: block b999 out of range: proc 0 has 7 blocks\n"},
-		{[]string{"compile", "-scheme", "M4", "-edge", "bad.eprof", "alt.ir"},
+		{[]string{"compile", "-scheme", "M4", "-edge", "bad.eprof", "alt.ir"}, 1,
 			"irtool: profile: line 4: block b999 out of range: proc 0 has 7 blocks\n"},
-		{[]string{"check", "-edge", "bad.eprof", "alt.ir"},
+		{[]string{"check", "-edge", "bad.eprof", "alt.ir"}, 1,
 			"irtool: profile: line 4: block b999 out of range: proc 0 has 7 blocks\n"},
-		{[]string{"check", "-path", "bad.pprof", "alt.ir"},
+		{[]string{"check", "-path", "bad.pprof", "alt.ir"}, 1,
 			"irtool: profile: line 3: block b999 out of range: proc 0 has 7 blocks\n"},
-		{[]string{"compile", "-scheme", "M4", "-edge", "huge.eprof", "alt.ir"},
+		{[]string{"compile", "-scheme", "M4", "-edge", "huge.eprof", "alt.ir"}, 1,
 			"irtool: profile: line 3: block b2000000000 out of range: proc 0 has 7 blocks\n"},
+		{[]string{"compile", "-scheme", "P4", "-path", "negdepth.pprof", "alt.ir"}, 1,
+			"irtool: profile: path depth -3 is negative\n"},
+		{[]string{"check", "-path", "negmax.pprof", "alt.ir"}, 1,
+			"irtool: profile: maxblocks -1 is negative\n"},
+		{[]string{"paths", "-depth", "-3", "alt.ir"}, 2,
+			"irtool: paths: -depth -3 is negative\n"},
+		{[]string{"profile", "-depth", "-3", "-path", "out.pprof", "alt.ir"}, 2,
+			"irtool: profile: -depth -3 is negative\n"},
 	} {
 		stdout, stderr, code := irtool(t, dir, tc.args...)
-		if code != 1 || stderr != tc.want || stdout != "" {
-			t.Errorf("irtool %s: exit %d, stdout %q, stderr %q; want exit 1 and stderr %q",
-				strings.Join(tc.args, " "), code, stdout, stderr, tc.want)
+		if code != tc.code || stderr != tc.want || stdout != "" {
+			t.Errorf("irtool %s: exit %d, stdout %q, stderr %q; want exit %d and stderr %q",
+				strings.Join(tc.args, " "), code, stdout, stderr, tc.code, tc.want)
 		}
 	}
 }

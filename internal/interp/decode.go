@@ -8,8 +8,8 @@ import (
 )
 
 // This file implements the decode half of the pre-decoded execution
-// engine. A program is decoded exactly once into flat, cache-resident
-// per-procedure arrays:
+// engine. A program is decoded into flat, cache-resident per-procedure
+// arrays:
 //
 //   - every block's instructions live in one contiguous code array,
 //     addressed by a dense [lo,hi) index range per block;
@@ -84,88 +84,59 @@ const (
 	// block's last instruction lands here, producing the reference
 	// engine's "control fell off end" error.
 
-	// Fused compare+branch superinstructions. When a compare is
-	// immediately followed by a dBr conditioned on its destination —
-	// the closing pattern of nearly every loop block — the decoder
-	// rewrites the compare's opcode to the fused form. The branch slot
-	// stays in place (the fused case reads its packed targets from
-	// code[i+1] and exits through the branch's own index, so the exit
-	// records need no adjustment); it just never gets its own dispatch.
+	// Superinstructions: decoded opcodes that execute two or more ir
+	// instructions under one dispatch. Each one was kept because it
+	// saves at least 0.5% of the dispatches of some measured mix
+	// (training, reference or measurement runs, at suite or 4x input
+	// scale; EXPERIMENTS.md, "Interpreter dispatch mix"); the decoder
+	// rewrites a body's head slot to the superinstruction and leaves
+	// every other slot in place, so exit records, visit counts and the
+	// batch stream are untouched and only the dispatches disappear.
+	// width reports how many slots one covers.
+
+	// Fused compare+branch: a compare immediately followed by a dBr
+	// conditioned on its destination — the closing pattern of nearly
+	// every loop block. The fused case reads the packed targets from
+	// the branch slot and exits through the branch's own index.
 	dCmpEQBr
-	dCmpNEBr
 	dCmpLTBr
-	dCmpLEBr
 	dCmpEQIBr
 	dCmpNEIBr
 	dCmpLTIBr
-	dCmpLEIBr
-	dCmpGTIBr
 	dCmpGEIBr
 
-	// Pair-tile superinstructions: the decoder greedily tiles adjacent
-	// instruction pairs drawn from the dynamically hottest combinations
-	// (side-exit branch runs and the compare/address arithmetic around
-	// them in scheduled superblocks; the compare/jump idioms of
-	// unscheduled block tails) into one dispatch. The second slot stays
-	// in place — the fused case reads it directly from code — so exit
-	// records, visit counts and observer event order are untouched;
-	// only the dispatch for the second instruction disappears. Tiles
-	// whose name ends in Br consume a fused compare+branch as their
-	// second instruction (three ir instructions, one dispatch). BrFT
-	// tiles cover both fall-through branch polarities via the src2
-	// polarity byte (see decodeInstr).
+	// Pair tiles: adjacent instruction pairs — side-exit branches and
+	// the copies and arithmetic around them in scheduled superblocks,
+	// the compare/jump idioms of unscheduled block tails — tiled
+	// greedily left to right. dAndICmpEQIBr consumes a fused
+	// compare+branch as its second instruction (three ir instructions,
+	// one dispatch). BrFT tiles cover both fall-through branch
+	// polarities via the src2 polarity byte (see decodeInstr).
 	dBrFTBrFT
 	dBrFTMov
 	dBrFTCmpEQI
 	dMovBrFT
 	dAddIBrFT
-	dCmpEQICmpEQI
 	dCmpLTIAndI
-	dLoadSpecAddI
-	dAndILoadSpec
 	dAddIAddI
-	dCmpEQIAddI
 	dAddIJmp
 	dMovIJmp
 	dMovJmp
-	dAndICmpEQI
-	dAddICmpEQI
 	dAndICmpEQIBr
-	dAddICmpEQIBr
 	dLoadAddI
 	dMovMov
-	dMovLoadSpec
 	dAndIMov
-	dCmpEQICmpLTI
-	dLoadSpecCmpEQI
-	dMovIAddI
 	dAndIJmp
 
-	// Run superinstructions: three or more consecutive instructions of
-	// the same kind — the side-exit branch chains closing scheduled
-	// superblocks, and the compare/copy bursts trace scheduling packs
-	// together — execute under a single dispatch. The run length is
-	// stashed in an operand byte the head instruction does not use
-	// (dst for branches, src2 for compares and moves); the remaining
-	// slots stay in place and keep their exit records, exactly like
-	// pair tiles.
-	dBrFTRun
-	dCmpEQIRun
+	// dMovRun executes three or more consecutive moves — the copy
+	// bursts trace scheduling packs together — with the run length
+	// stashed in the head's unused src2 byte. dMovBrFTMov is a copy
+	// straddling a side exit.
 	dMovRun
-
-	// Unit patterns: wider fixed shapes the scheduler emits many times
-	// per superblock. dLoadUnit covers the four-instruction speculative
-	// load unit — bounds compare (dCmpLTI), mask (dAndI), speculative
-	// load (dLoadSpec), pointer step (dAddI) — and dLoadUnitBr extends
-	// it with the side-exit branch that closes the unit. dMovBrFTMov is
-	// a copy straddling a side exit. As with pair tiles, every body
-	// slot stays in place with its own exit record.
-	dLoadUnit
-	dLoadUnitBr
 	dMovBrFTMov
 )
 
-// tiles maps an adjacent opcode pair to its pair-tile superinstruction.
+// tiles maps an adjacent opcode pair to its pair tile.
 var tiles = map[[2]dop]dop{
 	{dBrTakenFT, dBrTakenFT}: dBrFTBrFT,
 	{dBrTakenFT, dBrElseFT}:  dBrFTBrFT,
@@ -179,35 +150,44 @@ var tiles = map[[2]dop]dop{
 	{dMov, dBrElseFT}:        dMovBrFT,
 	{dAddI, dBrTakenFT}:      dAddIBrFT,
 	{dAddI, dBrElseFT}:       dAddIBrFT,
-	{dCmpEQI, dCmpEQI}:       dCmpEQICmpEQI,
 	{dCmpLTI, dAndI}:         dCmpLTIAndI,
-	{dLoadSpec, dAddI}:       dLoadSpecAddI,
-	{dAndI, dLoadSpec}:       dAndILoadSpec,
 	{dAddI, dAddI}:           dAddIAddI,
-	{dCmpEQI, dAddI}:         dCmpEQIAddI,
 	{dAddI, dJmp}:            dAddIJmp,
 	{dMovI, dJmp}:            dMovIJmp,
 	{dMov, dJmp}:             dMovJmp,
-	{dAndI, dCmpEQI}:         dAndICmpEQI,
-	{dAddI, dCmpEQI}:         dAddICmpEQI,
 	{dAndI, dCmpEQIBr}:       dAndICmpEQIBr,
-	{dAddI, dCmpEQIBr}:       dAddICmpEQIBr,
 	{dLoad, dAddI}:           dLoadAddI,
 	{dMov, dMov}:             dMovMov,
-	{dMov, dLoadSpec}:        dMovLoadSpec,
 	{dAndI, dMov}:            dAndIMov,
-	{dCmpEQI, dCmpLTI}:       dCmpEQICmpLTI,
-	{dLoadSpec, dCmpEQI}:     dLoadSpecCmpEQI,
-	{dMovI, dAddI}:           dMovIAddI,
 	{dAndI, dJmp}:            dAndIJmp,
 }
 
 // fusedBr maps a compare opcode to its fused compare+branch form, or
-// dNop (zero) when the opcode is not a compare.
-var fusedBr = [dCmpGEIBr + 1]dop{
-	dCmpEQ: dCmpEQBr, dCmpNE: dCmpNEBr, dCmpLT: dCmpLTBr, dCmpLE: dCmpLEBr,
-	dCmpEQI: dCmpEQIBr, dCmpNEI: dCmpNEIBr, dCmpLTI: dCmpLTIBr,
-	dCmpLEI: dCmpLEIBr, dCmpGTI: dCmpGTIBr, dCmpGEI: dCmpGEIBr,
+// dNop (zero) when the opcode has none.
+var fusedBr = [dCmpEQBr]dop{
+	dCmpEQ: dCmpEQBr, dCmpLT: dCmpLTBr, dCmpEQI: dCmpEQIBr,
+	dCmpNEI: dCmpNEIBr, dCmpLTI: dCmpLTIBr, dCmpGEI: dCmpGEIBr,
+}
+
+// width returns how many code slots the instruction at code[k]
+// executes under one dispatch: 1 for a plain instruction, more for a
+// superinstruction. A pair tile's second slot keeps its own opcode, so
+// a tile over a fused compare+branch spans three slots. Every rewrite
+// pass steps by width, which keeps each pass off the bodies of the
+// superinstructions the earlier passes formed.
+func width(code []dinstr, k int) int {
+	switch op := code[k].op; {
+	case op < dCmpEQBr:
+		return 1
+	case op <= dCmpGEIBr:
+		return 2
+	case op == dMovRun:
+		return int(code[k].src2)
+	case op == dMovBrFTMov:
+		return 3
+	default: // pair tile
+		return 1 + width(code, k+1)
+	}
 }
 
 // dinstr is one decoded instruction: 16 bytes, four to a cache line,
@@ -263,16 +243,12 @@ type dexit struct {
 	sbSize   int32
 }
 
-// dblock is the per-block record: its code range plus the entry-time
-// bookkeeping and the shape stamp EngineFor revalidates on cache hits.
+// dblock is the per-block record: its id and code range, and the
+// address the fetch model reads.
 type dblock struct {
-	id      ir.BlockID
-	lo, hi  int32
-	addr    int64 // byte address of the first instruction (fetch model)
-	sbEnter bool  // SBSize > 0 && SBIndex == 0: counts an SB entry
-	sbSize  int32
-	sched   bool  // Cycles != nil when decoded (shape stamp)
-	span    int32 // Span when decoded (shape stamp)
+	id     ir.BlockID
+	lo, hi int32
+	addr   int64 // byte address of the first instruction (fetch model)
 }
 
 // dproc is one decoded procedure.
@@ -314,8 +290,8 @@ type dproc struct {
 }
 
 // Engine is a program decoded for execution. It is immutable after
-// NewEngine returns, so one engine may serve any number of concurrent
-// Runs (the parallel pipeline relies on this).
+// EngineFor returns, so one engine may serve any number of concurrent
+// Runs.
 type Engine struct {
 	prog  *ir.Program
 	procs []dproc
@@ -325,8 +301,12 @@ type Engine struct {
 	err error
 }
 
-// NewEngine decodes prog. The program is read, never mutated.
-func NewEngine(prog *ir.Program) *Engine {
+// EngineFor decodes prog. The program is read, never mutated. The
+// engine is a snapshot of prog's code, so an edit made afterwards
+// reaches only a later EngineFor; Run decodes on every call, and a
+// caller that runs one unchanged program many times can decode it once
+// here and reuse the engine.
+func EngineFor(prog *ir.Program) *Engine {
 	e := &Engine{prog: prog, procs: make([]dproc, len(prog.Procs))}
 	for i, p := range prog.Procs {
 		if err := decodeProc(&e.procs[i], p); err != nil && e.err == nil {
@@ -350,59 +330,6 @@ func NewEngine(prog *ir.Program) *Engine {
 		}
 	}
 	return e
-}
-
-// EngineFor returns the memoized engine for prog, decoding on first
-// use. The decode is stored on the program itself (ir.Program's exec
-// cache), so every run of one build — the reference run, each scheme's
-// measurement run, layout-profiling runs, benchmark iterations —
-// shares a single decode, and the cache dies with the program.
-//
-// A hit is revalidated against the program's block shape (instruction
-// counts, Addr, Span, superblock metadata), which catches the
-// legitimate post-run mutations in this codebase (layout re-assigning
-// addresses, compaction annotating schedules). Callers that mutate
-// instruction *contents* in place after running must drop the cache
-// with prog.StoreExecCache(nil).
-func EngineFor(prog *ir.Program) *Engine {
-	if v := prog.ExecCache(); v != nil {
-		if e, ok := v.(*Engine); ok && e.matches(prog) {
-			return e
-		}
-	}
-	e := NewEngine(prog)
-	prog.StoreExecCache(e)
-	return e
-}
-
-// matches reports whether the engine's decode still reflects prog's
-// shape (see EngineFor).
-func (e *Engine) matches(prog *ir.Program) bool {
-	if e.prog != prog || len(e.procs) != len(prog.Procs) {
-		return false
-	}
-	for i := range e.procs {
-		d, p := &e.procs[i], prog.Procs[i]
-		if p == nil {
-			if !d.missing {
-				return false
-			}
-			continue
-		}
-		if d.missing || len(d.blocks) != len(p.Blocks) {
-			return false
-		}
-		for j := range d.blocks {
-			db, b := &d.blocks[j], p.Blocks[j]
-			if int(db.hi-db.lo) != len(b.Instrs) || db.addr != b.Addr ||
-				db.span != b.Span || db.sbSize != b.SBSize ||
-				db.sched != (b.Cycles != nil) ||
-				db.sbEnter != (b.SBSize > 0 && b.SBIndex == 0) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ErrTooManyRegisters is the decode error of a procedure that names
@@ -461,12 +388,8 @@ func decodeProc(d *dproc, p *ir.Proc) error {
 		db.id = b.ID
 		db.lo = int32(len(d.code))
 		db.addr = b.Addr
-		db.span = b.Span
-		db.sched = b.Cycles != nil
-		db.sbSize = b.SBSize
-		db.sbEnter = b.SBSize > 0 && b.SBIndex == 0
 		var sbEntry, sbSize int32
-		if db.sbEnter {
+		if b.SBSize > 0 && b.SBIndex == 0 {
 			sbEntry, sbSize = 1, b.SBSize
 		}
 		var branches, calls int32
@@ -496,131 +419,42 @@ func decodeProc(d *dproc, p *ir.Proc) error {
 		db.hi = int32(len(d.code))
 		d.ranges[j] = int64(db.lo) | int64(db.hi)<<32
 		d.classifyExits(db)
-		// Fuse compare+branch pairs within the block (never across a
-		// block boundary: db.hi-1 is the last fusable branch slot).
-		for k := int(db.lo); k+1 < int(db.hi); k++ {
+		// Superinstruction passes, in priority order; each steps by
+		// width, so it never rewrites a slot inside an earlier pass's
+		// superinstruction, and none crosses the block boundary.
+		lo, hi := int(db.lo), int(db.hi)
+		// Fuse compare+branch pairs.
+		for k := lo; k+1 < hi; k += width(d.code, k) {
 			if d.code[k+1].op == dBr && d.code[k+1].src1 == d.code[k].dst {
 				if f := fusedBr[d.code[k].op]; f != dNop {
 					d.code[k].op = f
 				}
 			}
 		}
-		// Run detection (before pair tiling, which would break runs
-		// into pairs): ≥3 consecutive fall-through branches, compares
-		// or moves become one run superinstruction.
-		for k := int(db.lo); k < int(db.hi); {
-			op := d.code[k].op
-			isBr := op == dBrTakenFT || op == dBrElseFT
-			if !isBr && op != dCmpEQI && op != dMov {
-				k++
-				continue
+		// Move runs (before pair tiling, which would break them into
+		// pairs): 3 to 255 consecutive moves become one dMovRun.
+		for k := lo; k < hi; k += width(d.code, k) {
+			n := 0
+			for k+n < hi && n < 255 && d.code[k+n].op == dMov {
+				n++
 			}
-			j := k + 1
-			for j < int(db.hi) {
-				o := d.code[j].op
-				if isBr && (o == dBrTakenFT || o == dBrElseFT) || !isBr && o == op {
-					j++
-					continue
-				}
-				break
-			}
-			n := j - k
-			if n < 3 || n > 255 {
-				k = j
-				continue
-			}
-			switch {
-			case isBr:
-				d.code[k].op = dBrFTRun
-				d.code[k].dst = uint8(n)
-			case op == dCmpEQI:
-				d.code[k].op = dCmpEQIRun
-				d.code[k].src2 = uint8(n)
-			default:
+			if n >= 3 {
 				d.code[k].op = dMovRun
 				d.code[k].src2 = uint8(n)
 			}
-			k = j
 		}
-		// Unit patterns (after run detection, which has first claim on
-		// long homogeneous stretches; before pair tiling, which would
-		// split these shapes into pairs): greedy left-to-right match of
-		// the fixed multi-instruction shapes described at the opcode
-		// declarations.
-		for k := int(db.lo); k < int(db.hi); {
-			a := d.code[k].op
-			if a >= dCmpEQBr && a <= dCmpGEIBr {
-				k += 2
-				continue
-			}
-			if a == dBrFTRun {
-				k += int(d.code[k].dst)
-				continue
-			}
-			if a == dCmpEQIRun || a == dMovRun {
-				k += int(d.code[k].src2)
-				continue
-			}
-			if a == dCmpLTI && k+3 < int(db.hi) &&
-				d.code[k+1].op == dAndI && d.code[k+2].op == dLoadSpec && d.code[k+3].op == dAddI {
-				if k+4 < int(db.hi) && (d.code[k+4].op == dBrTakenFT || d.code[k+4].op == dBrElseFT) {
-					d.code[k].op = dLoadUnitBr
-					k += 5
-				} else {
-					d.code[k].op = dLoadUnit
-					k += 4
-				}
-				continue
-			}
-			if a == dMov && k+2 < int(db.hi) &&
-				(d.code[k+1].op == dBrTakenFT || d.code[k+1].op == dBrElseFT) && d.code[k+2].op == dMov {
+		// Copies straddling a side exit (before pair tiling, which
+		// would split them into pairs).
+		for k := lo; k+2 < hi; k += width(d.code, k) {
+			if br := d.code[k+1].op; d.code[k].op == dMov && (br == dBrTakenFT || br == dBrElseFT) && d.code[k+2].op == dMov {
 				d.code[k].op = dMovBrFTMov
-				k += 3
-				continue
 			}
-			k++
 		}
-		// Greedy left-to-right pair tiling over what fusion, run
-		// detection and unit matching left: each instruction joins at
-		// most one tile, a consumed branch slot (the second half of a
-		// fused compare+branch) is skipped, and run/unit bodies are
-		// never re-tiled.
-		for k := int(db.lo); k+1 < int(db.hi); {
-			a := d.code[k].op
-			if a >= dCmpEQBr && a <= dCmpGEIBr {
-				k += 2 // fused compare + its consumed branch slot
-				continue
-			}
-			if a == dBrFTRun {
-				k += int(d.code[k].dst)
-				continue
-			}
-			if a == dCmpEQIRun || a == dMovRun {
-				k += int(d.code[k].src2)
-				continue
-			}
-			if a == dLoadUnitBr {
-				k += 5
-				continue
-			}
-			if a == dLoadUnit {
-				k += 4
-				continue
-			}
-			if a == dMovBrFTMov {
-				k += 3
-				continue
-			}
-			t, ok := tiles[[2]dop{a, d.code[k+1].op}]
-			if !ok {
-				k++
-				continue
-			}
-			d.code[k].op = t
-			if b := d.code[k+1].op; b >= dCmpEQBr && b <= dCmpGEIBr {
-				k += 3 // tile head + fused compare + its branch slot
-			} else {
-				k += 2
+		// Greedy left-to-right pair tiling over the plain instructions
+		// the passes above left.
+		for k := lo; k+1 < hi; k += width(d.code, k) {
+			if t, ok := tiles[[2]dop{d.code[k].op, d.code[k+1].op}]; ok {
+				d.code[k].op = t
 			}
 		}
 		// A block that is nothing but an unconditional jump — common in

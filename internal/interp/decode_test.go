@@ -19,17 +19,22 @@ import (
 // recursion, loops, switches, memory traffic, randomized
 // schedule/superblock annotations, and sparse register renumberings.
 
-// diffRun executes prog under both engines in three configurations
-// (bare, batch-observed, with a fetch sink) and fails the test on any
-// divergence. It returns the bare-run reference result for extra
-// assertions.
+// diffRun executes prog under both engines in four configurations
+// (bare, batch-observed, with a fetch sink, counted) and fails the test
+// on any divergence: error outcome, Result, batch stream, fetch
+// traffic, and the counted run's profile against the one the oracle's
+// per-event stream gives. It returns the bare-run reference result for
+// extra assertions.
 func diffRun(t *testing.T, name string, prog *ir.Program) *Result {
 	t.Helper()
 	var bare *Result
-	for _, mode := range []string{"bare", "batch", "fetch"} {
+	for _, mode := range []string{"bare", "batch", "fetch", "counted"} {
 		refCfg, decCfg := Config{}, Config{}
 		var refLog, decLog batchLog
 		var refFetch, decFetch fetchLog
+		var want, got *Result
+		var wantErr, gotErr error
+		var refTally, decTally *profileTally
 		switch mode {
 		case "batch":
 			refCfg.Batch, decCfg.Batch = &refLog, &decLog
@@ -37,8 +42,18 @@ func diffRun(t *testing.T, name string, prog *ir.Program) *Result {
 			refFetch.stall, decFetch.stall = 3, 3
 			refCfg.Fetch, decCfg.Fetch = &refFetch, &decFetch
 		}
-		want, wantErr := referenceRun(prog, refCfg)
-		got, gotErr := Run(prog, decCfg)
+		if mode == "counted" {
+			refTally = newProfileTally()
+			want, wantErr = referenceRunEvents(prog, refCfg, refTally)
+			var ec *EdgeCounts
+			got, ec, gotErr = EngineFor(prog).RunCounted(decCfg)
+			if gotErr == nil {
+				decTally = tallyCounts(ec)
+			}
+		} else {
+			want, wantErr = referenceRun(prog, refCfg)
+			got, gotErr = Run(prog, decCfg)
+		}
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s/%s: reference err = %v, decoded err = %v", name, mode, wantErr, gotErr)
 		}
@@ -59,11 +74,66 @@ func diffRun(t *testing.T, name string, prog *ir.Program) *Result {
 			t.Fatalf("%s/%s: fetch traffic diverges\nreference: %v\ndecoded:   %v",
 				name, mode, refFetch.ranges, decFetch.ranges)
 		}
+		if refTally != nil {
+			refTally.stack = nil
+			if !reflect.DeepEqual(refTally, decTally) {
+				t.Fatalf("%s/%s: counted profiles diverge\nreference: %+v\ndecoded:   %+v",
+					name, mode, refTally, decTally)
+			}
+		}
 		if mode == "bare" {
 			bare = want
 		}
 	}
 	return bare
+}
+
+// profileTally is a run's control-flow profile as plain maps: the
+// activations, block entries and edges of each procedure, and the
+// (caller, callee) call counts. As an eventObserver it counts the
+// oracle's per-event stream; tallyCounts folds a counted run's
+// EdgeCounts into the same form.
+type profileTally struct {
+	entries map[ir.ProcID]int64
+	calls   map[[2]ir.ProcID]int64
+	blocks  map[[2]int64]int64 // (proc, block)
+	edges   map[[3]int64]int64 // (proc, from, to)
+	stack   []ir.ProcID        // live activations, while observing
+}
+
+func newProfileTally() *profileTally {
+	return &profileTally{entries: map[ir.ProcID]int64{}, calls: map[[2]ir.ProcID]int64{},
+		blocks: map[[2]int64]int64{}, edges: map[[3]int64]int64{}}
+}
+
+func (pt *profileTally) EnterProc(p ir.ProcID, entry ir.BlockID) {
+	pt.entries[p]++
+	if n := len(pt.stack); n > 0 {
+		pt.calls[[2]ir.ProcID{pt.stack[n-1], p}]++
+	}
+	pt.stack = append(pt.stack, p)
+}
+
+func (pt *profileTally) ExitProc(p ir.ProcID) { pt.stack = pt.stack[:len(pt.stack)-1] }
+
+func (pt *profileTally) Edge(p ir.ProcID, from, to ir.BlockID) {
+	pt.edges[[3]int64{int64(p), int64(from), int64(to)}]++
+}
+
+func (pt *profileTally) Block(p ir.ProcID, b ir.BlockID) { pt.blocks[[2]int64{int64(p), int64(b)}]++ }
+
+func tallyCounts(ec *EdgeCounts) *profileTally {
+	pt := newProfileTally()
+	ec.ForEachCall(func(caller, callee ir.ProcID, n int64) { pt.calls[[2]ir.ProcID{caller, callee}] += n })
+	for p := 0; p < ec.NumProcs(); p++ {
+		pid := ir.ProcID(p)
+		if n := ec.Entries(pid); n != 0 {
+			pt.entries[pid] = n
+		}
+		ec.ForEachBlock(pid, func(b ir.BlockID, n int64) { pt.blocks[[2]int64{int64(p), int64(b)}] = n })
+		ec.ForEachEdge(pid, func(from, to ir.BlockID, n int64) { pt.edges[[3]int64{int64(p), int64(from), int64(to)}] += n })
+	}
+	return pt
 }
 
 // specLoadProg exercises speculative and mapped loads side by side: the
@@ -136,6 +206,17 @@ func callFallthroughProg() *ir.Program {
 	return bd.Finish()
 }
 
+// rareOpProg builds a one-block main that sets r1 = 1, then runs body
+// (which should return r2), bypassing the verifier: it reaches the
+// dispatch cases no verifier-clean program does.
+func rareOpProg(name string, body ...ir.Instr) *ir.Program {
+	bd := ir.NewBuilder(name, 8)
+	b := bd.Proc("main").NewBlock()
+	b.Add(ir.MovI(1, 1))
+	b.Add(body...)
+	return bd.Program()
+}
+
 func TestDecodedMatchesReferenceHandCases(t *testing.T) {
 	cases := []struct {
 		name string
@@ -149,6 +230,13 @@ func TestDecodedMatchesReferenceHandCases(t *testing.T) {
 		{"switchFallthroughFT", switchFallthroughProg(1)},
 		{"switchFallthroughDefault", switchFallthroughProg(9)},
 		{"callFallthrough", callFallthroughProg()},
+		// A branch with both slots NoBlock counts and falls through; an
+		// unknown opcode, a call to a missing procedure and control
+		// running off the end of a block are runtime errors.
+		{"branchBothFallThrough", rareOpProg("bothft", ir.Br(1, ir.NoBlock, ir.NoBlock), ir.MovI(2, 5), ir.Ret(2))},
+		{"unknownOpcode", rareOpProg("badop", ir.Instr{Op: ir.Opcode(200), Dst: 2}, ir.Ret(2))},
+		{"unknownCallee", rareOpProg("badcall", ir.Call(2, 7, ir.NoBlock, 1), ir.Ret(2))},
+		{"fellOffEnd", rareOpProg("falloff", ir.MovI(2, 3), ir.Br(1, ir.NoBlock, 0))},
 	}
 	for _, tc := range cases {
 		diffRun(t, tc.name, tc.prog)
@@ -164,6 +252,14 @@ func TestDecodedMatchesReferenceErrors(t *testing.T) {
 	b.Add(ir.Load(2, 1, -5))
 	b.Ret(2)
 	diffRun(t, "unmappedLoad", bd.Finish())
+
+	// The same fault at the head of a load+addi pair tile.
+	bd = ir.NewBuilder("badloadpair", 8)
+	pb = bd.Proc("main")
+	b = pb.NewBlock()
+	b.Add(ir.Load(2, 1, -5), ir.AddI(3, 2, 1))
+	b.Ret(3)
+	diffRun(t, "unmappedLoadPair", bd.Finish())
 
 	// Unmapped store likewise.
 	bd = ir.NewBuilder("badstore", 8)
@@ -220,7 +316,7 @@ func (g *progGen) stmt(depth int) {
 	switch pick := r.intn(10); {
 	case pick < 3: // arithmetic
 		d, a, b := g.reg(), g.reg(), g.reg()
-		switch r.intn(7) {
+		switch r.intn(12) {
 		case 0:
 			g.cur.Add(ir.Add(d, a, b))
 		case 1:
@@ -233,6 +329,16 @@ func (g *progGen) stmt(depth int) {
 			g.cur.Add(ir.ShrI(d, a, r.intn(8)))
 		case 5:
 			g.cur.Add(ir.CmpLTI(d, a, r.intn(100)-50))
+		case 6:
+			g.cur.Add(ir.Shl(d, a, b))
+		case 7:
+			g.cur.Add(ir.Shr(d, a, b))
+		case 8:
+			g.cur.Add(ir.CmpLE(d, a, b))
+		case 9:
+			g.cur.Add(ir.CmpLEI(d, a, r.intn(100)-50))
+		case 10:
+			g.cur.Add(ir.Mov(d, a))
 		default:
 			g.cur.Add(ir.MovI(d, r.intn(2000)-1000))
 		}
@@ -433,20 +539,6 @@ func renameRegs(prog *ir.Program, seed uint64) *ir.Program {
 	return out
 }
 
-// dumpCounts renders a counted run's reconstructed profile: entries,
-// call totals, block and edge counts, in the traversals' fixed order.
-func dumpCounts(ec *EdgeCounts) string {
-	var s string
-	ec.ForEachCall(func(caller, callee ir.ProcID, n int64) { s += fmt.Sprintf("call %d>%d %d\n", caller, callee, n) })
-	for p := 0; p < ec.NumProcs(); p++ {
-		pid := ir.ProcID(p)
-		s += fmt.Sprintf("proc %d entries %d\n", p, ec.Entries(pid))
-		ec.ForEachBlock(pid, func(b ir.BlockID, n int64) { s += fmt.Sprintf(" b%d %d\n", b, n) })
-		ec.ForEachEdge(pid, func(from, to ir.BlockID, n int64) { s += fmt.Sprintf(" b%d>b%d %d\n", from, to, n) })
-	}
-	return s
-}
-
 // diffRenamed fails unless renamed, a renameRegs twin of prog, runs
 // exactly like prog on both engines — Result or error, batch stream —
 // and gives the same RunCounted counts. Dense
@@ -490,7 +582,7 @@ func diffRenamed(t *testing.T, name string, prog, renamed *ir.Program) {
 	}
 	_, c0, err0 := e0.RunCounted(Config{})
 	_, c1, err1 := e1.RunCounted(Config{})
-	if fmt.Sprint(err0) != fmt.Sprint(err1) || (err0 == nil && dumpCounts(c0) != dumpCounts(c1)) {
+	if fmt.Sprint(err0) != fmt.Sprint(err1) || (err0 == nil && !reflect.DeepEqual(tallyCounts(c0), tallyCounts(c1))) {
 		t.Fatalf("%s: renamed counted run diverges (errors %v, %v)", name, err0, err1)
 	}
 }
@@ -513,63 +605,8 @@ func TestDecodedMatchesReferenceRandomPrograms(t *testing.T) {
 
 		r := &genRng{s: seed ^ 0xabcdef}
 		annotateRandom(r, prog)
-		prog.StoreExecCache(nil) // annotations changed the shape stamp anyway, but be explicit
 		diffRun(t, fmt.Sprintf("seed%d/annotated", seed), prog)
 		diffRenamed(t, fmt.Sprintf("seed%d/annotated", seed), prog, renameRegs(prog, seed))
-	}
-}
-
-// --- decode cache behaviour ------------------------------------------
-
-func TestEngineMemoizedOnProgram(t *testing.T) {
-	prog := sumLoop(10)
-	e1 := EngineFor(prog)
-	e2 := EngineFor(prog)
-	if e1 != e2 {
-		t.Fatal("EngineFor must return the memoized engine on an unchanged program")
-	}
-	if _, err := Run(prog, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if EngineFor(prog) != e1 {
-		t.Fatal("running must not invalidate the decode cache")
-	}
-}
-
-func TestEngineRevalidatesShape(t *testing.T) {
-	prog := sumLoop(10)
-	e1 := EngineFor(prog)
-
-	// Layout-style mutation: addresses change after a run.
-	prog.Proc(0).Blocks[0].Addr = 4096
-	e2 := EngineFor(prog)
-	if e2 == e1 {
-		t.Fatal("EngineFor must re-decode after a block address changes")
-	}
-	res, err := Run(prog, Config{Fetch: &fetchLog{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := referenceRun(prog, Config{Fetch: &fetchLog{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, want) {
-		t.Fatalf("post-mutation results diverge: %+v vs %+v", res, want)
-	}
-
-	// Compaction-style mutation: schedule annotations appear.
-	b := prog.Proc(0).Blocks[1]
-	b.Cycles = make([]int32, len(b.Instrs))
-	b.Span = 1
-	if EngineFor(prog) == e2 {
-		t.Fatal("EngineFor must re-decode after schedule annotations appear")
-	}
-
-	// Clones never inherit the cache.
-	clone := ir.CloneProgram(prog)
-	if clone.ExecCache() != nil {
-		t.Fatal("cloned program must start with an empty exec cache")
 	}
 }
 

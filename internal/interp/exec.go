@@ -320,30 +320,8 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 				next = int32(uint32(t >> 32))
 			}
 			goto transfer
-		case dCmpNEBr:
-			v := b2i(regs[ins.src1] != regs[ins.src2])
-			regs[ins.dst] = v
-			t := code[pc].imm
-			pc++
-			if v != 0 {
-				next = int32(uint32(t))
-			} else {
-				next = int32(uint32(t >> 32))
-			}
-			goto transfer
 		case dCmpLTBr:
 			v := b2i(regs[ins.src1] < regs[ins.src2])
-			regs[ins.dst] = v
-			t := code[pc].imm
-			pc++
-			if v != 0 {
-				next = int32(uint32(t))
-			} else {
-				next = int32(uint32(t >> 32))
-			}
-			goto transfer
-		case dCmpLEBr:
-			v := b2i(regs[ins.src1] <= regs[ins.src2])
 			regs[ins.dst] = v
 			t := code[pc].imm
 			pc++
@@ -377,28 +355,6 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 			goto transfer
 		case dCmpLTIBr:
 			v := b2i(regs[ins.src1] < ins.imm)
-			regs[ins.dst] = v
-			t := code[pc].imm
-			pc++
-			if v != 0 {
-				next = int32(uint32(t))
-			} else {
-				next = int32(uint32(t >> 32))
-			}
-			goto transfer
-		case dCmpLEIBr:
-			v := b2i(regs[ins.src1] <= ins.imm)
-			regs[ins.dst] = v
-			t := code[pc].imm
-			pc++
-			if v != 0 {
-				next = int32(uint32(t))
-			} else {
-				next = int32(uint32(t >> 32))
-			}
-			goto transfer
-		case dCmpGTIBr:
-			v := b2i(regs[ins.src1] > ins.imm)
 			regs[ins.dst] = v
 			t := code[pc].imm
 			pc++
@@ -469,43 +425,13 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 				next = int32(ins2.imm)
 				goto transfer
 			}
-		case dCmpEQICmpEQI:
-			regs[ins.dst] = b2i(regs[ins.src1] == ins.imm)
-			ins2 := &code[pc]
-			pc++
-			regs[ins2.dst] = b2i(regs[ins2.src1] == ins2.imm)
 		case dCmpLTIAndI:
 			regs[ins.dst] = b2i(regs[ins.src1] < ins.imm)
 			ins2 := &code[pc]
 			pc++
 			regs[ins2.dst] = regs[ins2.src1] & ins2.imm
-		case dLoadSpecAddI:
-			addr := regs[ins.src1] + ins.imm
-			if uint64(addr) >= uint64(len(mem)) {
-				regs[ins.dst] = 0
-			} else {
-				regs[ins.dst] = mem[addr]
-			}
-			ins2 := &code[pc]
-			pc++
-			regs[ins2.dst] = regs[ins2.src1] + ins2.imm
-		case dAndILoadSpec:
-			regs[ins.dst] = regs[ins.src1] & ins.imm
-			ins2 := &code[pc]
-			pc++
-			addr := regs[ins2.src1] + ins2.imm
-			if uint64(addr) >= uint64(len(mem)) {
-				regs[ins2.dst] = 0
-			} else {
-				regs[ins2.dst] = mem[addr]
-			}
 		case dAddIAddI:
 			regs[ins.dst] = regs[ins.src1] + ins.imm
-			ins2 := &code[pc]
-			pc++
-			regs[ins2.dst] = regs[ins2.src1] + ins2.imm
-		case dCmpEQIAddI:
-			regs[ins.dst] = b2i(regs[ins.src1] == ins.imm)
 			ins2 := &code[pc]
 			pc++
 			regs[ins2.dst] = regs[ins2.src1] + ins2.imm
@@ -524,32 +450,8 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 			next = int32(code[pc].imm)
 			pc++
 			goto transfer
-		case dAndICmpEQI:
-			regs[ins.dst] = regs[ins.src1] & ins.imm
-			ins2 := &code[pc]
-			pc++
-			regs[ins2.dst] = b2i(regs[ins2.src1] == ins2.imm)
-		case dAddICmpEQI:
-			regs[ins.dst] = regs[ins.src1] + ins.imm
-			ins2 := &code[pc]
-			pc++
-			regs[ins2.dst] = b2i(regs[ins2.src1] == ins2.imm)
 		case dAndICmpEQIBr:
 			regs[ins.dst] = regs[ins.src1] & ins.imm
-			ins2 := &code[pc]
-			pc++
-			v := b2i(regs[ins2.src1] == ins2.imm)
-			regs[ins2.dst] = v
-			t := code[pc].imm
-			pc++
-			if v != 0 {
-				next = int32(uint32(t))
-			} else {
-				next = int32(uint32(t >> 32))
-			}
-			goto transfer
-		case dAddICmpEQIBr:
-			regs[ins.dst] = regs[ins.src1] + ins.imm
 			ins2 := &code[pc]
 			pc++
 			v := b2i(regs[ins2.src1] == ins2.imm)
@@ -576,72 +478,20 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 			ins2 := &code[pc]
 			pc++
 			regs[ins2.dst] = regs[ins2.src1]
-		case dMovLoadSpec:
-			regs[ins.dst] = regs[ins.src1]
-			ins2 := &code[pc]
-			pc++
-			addr := regs[ins2.src1] + ins2.imm
-			if uint64(addr) >= uint64(len(mem)) {
-				regs[ins2.dst] = 0
-			} else {
-				regs[ins2.dst] = mem[addr]
-			}
 		case dAndIMov:
 			regs[ins.dst] = regs[ins.src1] & ins.imm
 			ins2 := &code[pc]
 			pc++
 			regs[ins2.dst] = regs[ins2.src1]
-		case dCmpEQICmpLTI:
-			regs[ins.dst] = b2i(regs[ins.src1] == ins.imm)
-			ins2 := &code[pc]
-			pc++
-			regs[ins2.dst] = b2i(regs[ins2.src1] < ins2.imm)
-		case dLoadSpecCmpEQI:
-			addr := regs[ins.src1] + ins.imm
-			if uint64(addr) >= uint64(len(mem)) {
-				regs[ins.dst] = 0
-			} else {
-				regs[ins.dst] = mem[addr]
-			}
-			ins2 := &code[pc]
-			pc++
-			regs[ins2.dst] = b2i(regs[ins2.src1] == ins2.imm)
-		case dMovIAddI:
-			regs[ins.dst] = ins.imm
-			ins2 := &code[pc]
-			pc++
-			regs[ins2.dst] = regs[ins2.src1] + ins2.imm
 		case dAndIJmp:
 			regs[ins.dst] = regs[ins.src1] & ins.imm
 			next = int32(code[pc].imm)
 			pc++
 			goto transfer
 
-		// Run superinstructions (see decode.go): the head instruction
-		// carries the run length in an operand byte it does not use;
-		// the body re-reads each successive slot, so a mid-run branch
-		// exit leaves pc one past the jumping slot as usual.
-		case dBrFTRun:
-			for n := ins.dst; ; {
-				if (regs[ins.src1] != 0) == (ins.src2 != 0) {
-					next = int32(ins.imm)
-					goto transfer
-				}
-				if n--; n == 0 {
-					break
-				}
-				ins = &code[pc]
-				pc++
-			}
-		case dCmpEQIRun:
-			for n := ins.src2; ; {
-				regs[ins.dst] = b2i(regs[ins.src1] == ins.imm)
-				if n--; n == 0 {
-					break
-				}
-				ins = &code[pc]
-				pc++
-			}
+		// Move run (see decode.go): the head carries the run length in
+		// its unused src2 byte, and the body re-reads each successive
+		// slot.
 		case dMovRun:
 			for n := ins.src2; ; {
 				regs[ins.dst] = regs[ins.src1]
@@ -651,50 +501,9 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 				ins = &code[pc]
 				pc++
 			}
-
-		// Unit patterns (see decode.go): the scheduler's fixed
-		// multi-instruction shapes under a single dispatch. Body slots
-		// keep their exit records, so the side-exit branch leaves pc
-		// one past its own slot as usual.
-		case dLoadUnit:
-			regs[ins.dst] = b2i(regs[ins.src1] < ins.imm)
-			ins2 := &code[pc]
-			pc++
-			regs[ins2.dst] = regs[ins2.src1] & ins2.imm
-			ins3 := &code[pc]
-			pc++
-			addr := regs[ins3.src1] + ins3.imm
-			if uint64(addr) >= uint64(len(mem)) {
-				regs[ins3.dst] = 0
-			} else {
-				regs[ins3.dst] = mem[addr]
-			}
-			ins4 := &code[pc]
-			pc++
-			regs[ins4.dst] = regs[ins4.src1] + ins4.imm
-		case dLoadUnitBr:
-			regs[ins.dst] = b2i(regs[ins.src1] < ins.imm)
-			ins2 := &code[pc]
-			pc++
-			regs[ins2.dst] = regs[ins2.src1] & ins2.imm
-			ins3 := &code[pc]
-			pc++
-			addr := regs[ins3.src1] + ins3.imm
-			if uint64(addr) >= uint64(len(mem)) {
-				regs[ins3.dst] = 0
-			} else {
-				regs[ins3.dst] = mem[addr]
-			}
-			ins4 := &code[pc]
-			pc++
-			regs[ins4.dst] = regs[ins4.src1] + ins4.imm
-			ins5 := &code[pc]
-			pc++
-			if (regs[ins5.src1] != 0) == (ins5.src2 != 0) {
-				next = int32(ins5.imm)
-				goto transfer
-			}
 		case dMovBrFTMov:
+			// A copy straddling a side exit: the branch leaves pc one
+			// past its own slot, like a pair tile's.
 			regs[ins.dst] = regs[ins.src1]
 			ins2 := &code[pc]
 			pc++
@@ -771,7 +580,7 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 
 		case dCall, dCallFT:
 			// Inlined call fast path: the callee was validated at
-			// decode time (see NewEngine), so only the depth check
+			// decode time (see EngineFor), so only the depth check
 			// remains, and arguments are written straight into the
 			// callee's frame. depth >= maxDepth here is the
 			// reference's depth+1 > maxDepth check for the callee.

@@ -19,9 +19,11 @@ import (
 // against the seed engine kept as its test oracle (reference, a
 // per-instruction switch over ir.Instr) on the no-observer fast path
 // of a measurement run, on both an unscheduled build and a scheduled
-// P4 binary of the same benchmark. The decoded/reference Minstr/s
-// ratio is the speedup the decode buys; cmd/bench reports decoded
-// throughput end to end as interp.minstr_per_s.
+// P4 binary of the same benchmark. The decoded engine is built once,
+// outside the timed loop, so the benchmark times dispatch alone. The
+// decoded/reference Minstr/s ratio is the speedup the decode buys;
+// cmd/bench reports decoded throughput end to end as
+// interp.minstr_per_s.
 func BenchmarkInterpDispatch(b *testing.B) {
 	bm := bench.ByName("wc")
 	unsched := bm.Build(bm.Train)
@@ -33,12 +35,15 @@ func BenchmarkInterpDispatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	type runFunc func(interp.Config) (*interp.Result, error)
 	engines := []struct {
 		name string
-		run  func(*ir.Program, interp.Config) (*interp.Result, error)
+		prep func(*ir.Program) runFunc
 	}{
-		{"reference", interp.ReferenceRun},
-		{"decoded", interp.Run},
+		{"reference", func(p *ir.Program) runFunc {
+			return func(cfg interp.Config) (*interp.Result, error) { return interp.ReferenceRun(p, cfg) }
+		}},
+		{"decoded", func(p *ir.Program) runFunc { return interp.EngineFor(p).Run }},
 	}
 	progs := []struct {
 		name string
@@ -50,9 +55,11 @@ func BenchmarkInterpDispatch(b *testing.B) {
 	for _, p := range progs {
 		for _, e := range engines {
 			b.Run(p.name+"/"+e.name, func(b *testing.B) {
+				run := e.prep(p.prog)
+				b.ResetTimer()
 				var instrs int64
 				for i := 0; i < b.N; i++ {
-					res, err := e.run(p.prog, interp.Config{})
+					res, err := run(interp.Config{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -60,6 +67,35 @@ func BenchmarkInterpDispatch(b *testing.B) {
 				}
 				b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 			})
+		}
+	}
+}
+
+// TestSuiteMatchesOracle runs every benchmark's pristine testing build
+// and its five compiles under both engines, comparing each run's
+// Result, batch stream, fetch ranges and counted profile (DiffRun).
+// These are the programs the experiments execute, so they reach the
+// superinstructions and decoded opcodes the random generator's
+// programs never form. The compiles come from pathsched.Compile over
+// the training run's profiles, exactly as the experiments build them;
+// only the testing input shrinks (Scale/50), which keeps the static
+// code and shortens the runs.
+func TestSuiteMatchesOracle(t *testing.T) {
+	for _, bm := range bench.All() {
+		profs, err := pathsched.ProfileProgram(bm.Build(bm.Train))
+		if err != nil {
+			t.Fatalf("%s: %v", bm.Name, err)
+		}
+		in := bm.Test
+		in.Scale = max(1, in.Scale/50)
+		test := bm.Build(in)
+		interp.DiffRun(t, bm.Name+"/pristine", test)
+		for _, s := range pathsched.Schemes() {
+			bin, err := pathsched.Compile(test, profs, s)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", bm.Name, s, err)
+			}
+			interp.DiffRun(t, bm.Name+"/"+string(s), bin)
 		}
 	}
 }

@@ -20,17 +20,18 @@
 // mid-block exit at schedule cycle c charges c+1 cycles; falling off
 // the block's end charges the block's Span.
 //
-// Both roles run on one pre-decoded ("threaded-code") engine: each
-// program is decoded once into a flat representation — dense block
-// index ranges over a per-procedure instruction array, registers
-// renumbered into dense frame slots, branch targets resolved to block
-// indices, per-instruction exit cycles and superblock exit units
-// precomputed — and the decode is memoized on the program itself, so
-// repeated runs of one build (reference, layout-profiling,
-// measurement, benchmarking iterations) share it. The original
-// switch-walk engine survives only as the test oracle in
-// reference_test.go; the differential tests in decode_test.go pin the
-// two byte-identical.
+// Both roles run on one pre-decoded ("threaded-code") engine: each run
+// decodes its program into a flat representation — dense block index
+// ranges over a per-procedure instruction array, registers renumbered
+// into dense frame slots, branch targets resolved to block indices,
+// per-instruction exit cycles and superblock exit units precomputed,
+// and the hottest instruction sequences of the measured dispatch mix
+// rewritten into superinstructions (decode.go). Nothing is kept on the
+// program, so a run always executes the program as it stands. The
+// original switch-walk engine survives only as the test oracle in
+// reference_test.go; the differential tests pin the two
+// byte-identical, over random and hand-built programs (decode_test.go)
+// and over every benchmark's builds (external_test.go).
 package interp
 
 import (
@@ -122,11 +123,11 @@ const (
 	defaultMaxDepth = 1 << 14
 )
 
-// Run executes prog's main procedure and returns the result. The
-// program must be verifier-clean; malformed control flow surfaces as an
-// error rather than a panic, as does a procedure naming more than 256
-// registers (ErrTooManyRegisters). The decode is cached on prog (see
-// EngineFor), so back-to-back runs of one program pay it once.
+// Run decodes prog, executes its main procedure and returns the
+// result. The program must be verifier-clean; malformed control flow
+// surfaces as an error rather than a panic, as does a procedure naming
+// more than 256 registers (ErrTooManyRegisters). A caller running one
+// unchanged program many times can decode it once with EngineFor.
 func Run(prog *ir.Program, cfg Config) (*Result, error) {
 	return EngineFor(prog).Run(cfg)
 }

@@ -86,7 +86,7 @@ func TestWideRegisterNumbersDecodeDensely(t *testing.T) {
 		t.Fatalf("ret = %d, want %d", wideRes.Ret, want)
 	}
 	var bats [2]batchLog
-	var counts [2]string
+	var counts [2]*profileTally
 	for i, prog := range []*ir.Program{wide, narrow} {
 		res, ec, err := EngineFor(prog).RunCounted(Config{Batch: &bats[i]})
 		if err != nil {
@@ -95,13 +95,13 @@ func TestWideRegisterNumbersDecodeDensely(t *testing.T) {
 		if !reflect.DeepEqual(res, wideRes) {
 			t.Fatalf("counted run result %+v, want %+v", res, wideRes)
 		}
-		counts[i] = dumpCounts(ec)
+		counts[i] = tallyCounts(ec)
 	}
 	if !reflect.DeepEqual(bats[0], bats[1]) {
 		t.Fatal("twins' batch streams diverge")
 	}
-	if counts[0] != counts[1] {
-		t.Fatalf("twins' counted profiles diverge:\nwide:\n%s\nnarrow:\n%s", counts[0], counts[1])
+	if !reflect.DeepEqual(counts[0], counts[1]) {
+		t.Fatalf("twins' counted profiles diverge:\nwide:   %+v\nnarrow: %+v", counts[0], counts[1])
 	}
 }
 

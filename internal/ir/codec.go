@@ -29,11 +29,10 @@ import (
 // Any truncation or corruption surfaces as a decode error or a
 // fingerprint mismatch, never as a silently different program.
 //
-// Derived state is excluded: the memoized execution decode and the
-// virtual-register cursor. Decoding resets the cursor above the highest
-// register in use, so a consumer that (unexpectedly) asks a decoded
-// procedure for a fresh virtual register can never collide with an
-// existing one.
+// Derived state is excluded: the virtual-register cursor. Decoding
+// resets the cursor above the highest register in use, so a consumer
+// that (unexpectedly) asks a decoded procedure for a fresh virtual
+// register can never collide with an existing one.
 
 // codecMagic versions the binary program encoding. Bump on any layout
 // change: entries written by other versions then fail to decode and

@@ -13,10 +13,7 @@
 // reordered freely by layout.
 package ir
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Reg names an integer register. Registers 0..PhysRegs-1 are physical;
 // anything at or above VirtBase is a virtual register introduced by
@@ -342,30 +339,6 @@ type Program struct {
 	Main    ProcID
 	Data    []DataSeg
 	MemSize int64 // words of addressable data memory
-
-	// execCache holds an opaque, engine-specific pre-decoded
-	// representation of the program (the interpreter's threaded-code
-	// decode). It lives on the program so its lifetime matches the
-	// program's — a global map keyed by pointer would pin dead programs
-	// forever. Stored behind an atomic pointer so concurrent runs of
-	// one program race benignly (decode is deterministic; one winner).
-	// Clones never inherit it: CloneProgram builds a fresh Program.
-	execCache atomic.Pointer[any]
-}
-
-// StoreExecCache publishes a pre-decoded execution representation for
-// this program. The value is opaque to ir; the interpreter owns its
-// type. Callers that mutate a program after it has executed should
-// store nil to drop a stale decode (the interpreter additionally
-// revalidates block shape on every hit).
-func (pr *Program) StoreExecCache(v any) { pr.execCache.Store(&v) }
-
-// ExecCache returns the value last stored by StoreExecCache, or nil.
-func (pr *Program) ExecCache() any {
-	if p := pr.execCache.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // Proc returns the procedure with the given id, or nil.

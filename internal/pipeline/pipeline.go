@@ -781,18 +781,15 @@ func (r *Runner) runScheme(s Scheme, trainProg, testProg *ir.Program, tp *profil
 		return nil, err
 	}
 
-	// Measurement run, straight on the shared binary. A fresh engine
-	// rather than interp.EngineFor: the memoized decode would be
-	// stored on the binary, and the cache keeps every binary alive for
-	// the whole run.
-	eng := interp.NewEngine(c.bin)
+	// Measurement run, straight on the shared binary (the run decodes
+	// it and keeps nothing on it).
 	cfg := interp.Config{}
 	var cache *machine.ICache
 	if r.opts.Cache != nil {
 		cache = machine.NewICache(*r.opts.Cache)
 		cfg.Fetch = cache
 	}
-	got, err := eng.Run(cfg)
+	got, err := interp.Run(c.bin, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("measurement run: %w", err)
 	}

@@ -75,8 +75,12 @@ type TrainingProfiles struct {
 // profiles: the path profiler observes batched edge records while the
 // edge and call-graph halves are reconstructed from the engine's visit
 // counters (no per-event work at all). Decode errors (e.g.
-// interp.ErrTooManyRegisters) are returned unwrapped.
+// interp.ErrTooManyRegisters) are returned unwrapped, and a negative
+// Depth or MaxBlocks is an error before anything runs.
 func Train(prog *ir.Program, cfg PathConfig) (*TrainingProfiles, error) {
+	if err := checkBounds(cfg.Depth, cfg.MaxBlocks); err != nil {
+		return nil, err
+	}
 	return train(prog, NewPathProfiler(prog, cfg), TrainSchemeWindow)
 }
 
@@ -84,8 +88,11 @@ func Train(prog *ir.Program, cfg PathConfig) (*TrainingProfiles, error) {
 // of the window profiler: same batched run and counter-fused edge/call
 // reconstruction, but the path half costs one arithmetic add per edge
 // record. The returned Path is the decoded k-iteration profile; BL
-// keeps the raw numbered counters.
+// keeps the raw numbered counters. Errors are returned as by Train.
 func TrainBL(prog *ir.Program, cfg BLConfig) (*TrainingProfiles, error) {
+	if err := checkBounds(cfg.Depth, cfg.MaxBlocks); err != nil {
+		return nil, err
+	}
 	bl := NewBLProfiler(prog, cfg)
 	tp, err := train(prog, bl, TrainSchemeBallLarus)
 	if err != nil {

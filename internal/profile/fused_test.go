@@ -2,6 +2,7 @@ package profile
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -242,6 +243,34 @@ func TestTooManyRegistersRejected(t *testing.T) {
 	for i, err := range []error{ecErr, runErr, trainErr, blErr, pointErr} {
 		if !errors.Is(err, interp.ErrTooManyRegisters) || !strings.Contains(err.Error(), "main names 300") {
 			t.Errorf("entry point %d: err = %v, want %v naming main and 300", i, err, interp.ErrTooManyRegisters)
+		}
+	}
+}
+
+// TestNegativeBoundsRejected pins that a negative window bound is an
+// error at every entry point that takes one, rather than a panic deep
+// in a profiler: Train and TrainBL before the run, ParsePathProfile
+// from a profile header.
+func TestNegativeBoundsRejected(t *testing.T) {
+	prog := chainProg([]bool{true, false, true})
+	for _, tc := range []struct {
+		depth, maxBlocks int
+		want             string
+	}{
+		{-3, 0, "profile: path depth -3 is negative"},
+		{15, -1, "profile: maxblocks -1 is negative"},
+	} {
+		_, trainErr := Train(prog, PathConfig{Depth: tc.depth, MaxBlocks: tc.maxBlocks})
+		_, blErr := TrainBL(prog, BLConfig{Depth: tc.depth, MaxBlocks: tc.maxBlocks})
+		header := fmt.Sprintf("pathprofile depth=%d maxblocks=%d\nproc 0\npath 1: b0\n", tc.depth, tc.maxBlocks)
+		_, parseErr := ParsePathProfile(prog, header)
+		for _, got := range []struct {
+			name string
+			err  error
+		}{{"Train", trainErr}, {"TrainBL", blErr}, {"ParsePathProfile", parseErr}} {
+			if got.err == nil || got.err.Error() != tc.want {
+				t.Errorf("%s(depth=%d, maxblocks=%d): err = %v, want %q", got.name, tc.depth, tc.maxBlocks, got.err, tc.want)
+			}
 		}
 	}
 }

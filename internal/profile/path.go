@@ -2,6 +2,7 @@ package profile
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -35,6 +36,19 @@ func (c PathConfig) Normalized() PathConfig {
 }
 
 func (c PathConfig) withDefaults() PathConfig { return c.Normalized() }
+
+// checkBounds rejects a negative window bound. Zero selects the
+// default, but no window holds a negative number of branches or
+// blocks, and the profilers would index out of range on one.
+func checkBounds(depth, maxBlocks int) error {
+	switch {
+	case depth < 0:
+		return fmt.Errorf("profile: path depth %d is negative", depth)
+	case maxBlocks < 0:
+		return fmt.Errorf("profile: maxblocks %d is negative", maxBlocks)
+	}
+	return nil
+}
 
 // pathNode is one lazily-created state of the path automaton: the
 // window of recently-executed blocks it represents, the number of

@@ -196,6 +196,9 @@ func parsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
 			return nil, fmt.Errorf("profile: unknown header field %q", f)
 		}
 	}
+	if err := checkBounds(cfg.Depth, cfg.MaxBlocks); err != nil {
+		return nil, err
+	}
 	pp := NewPathProfiler(prog, cfg)
 	curProc := -1
 	for no, raw := range lines[1:] {

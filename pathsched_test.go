@@ -1,10 +1,12 @@
 package pathsched
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"pathsched/internal/bench"
+	"pathsched/internal/ir"
 	"pathsched/internal/machine"
 	"pathsched/internal/pipeline"
 )
@@ -71,6 +73,74 @@ func TestPublicAPICompileAndRun(t *testing.T) {
 		}
 		if !annotated {
 			t.Fatalf("%s: no schedule annotations", scheme)
+		}
+	}
+}
+
+// TestExecuteSeesInPlaceEdits pins that Execute runs a program as it
+// stands: an edit made after a run — to an instruction, to the block
+// addresses layout assigns, or to the schedule annotations compaction
+// adds — shows in the next run.
+func TestExecuteSeesInPlaceEdits(t *testing.T) {
+	// Through Execute alone: starting the loop counter at 42 instead
+	// of 0 must change the sum the program returns.
+	prog := demoProgram()
+	if _, err := Execute(prog); err != nil {
+		t.Fatal(err)
+	}
+	prog.Procs[0].Blocks[0].Instrs[0].Imm = 42
+	res, err := Execute(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for i := int64(42); i < 3000; i++ {
+		want++
+		if i&7 == 7 {
+			want += 100
+		}
+	}
+	if res.Ret != want {
+		t.Fatalf("Execute after the edit returns %d, want %d", res.Ret, want)
+	}
+
+	// Layout- and compaction-style edits, with the I-cache model on: the
+	// run after the edit must differ from the run before it and equal
+	// the run of a never-executed copy of the edited program.
+	for _, tc := range []struct {
+		name string
+		edit func(*Program)
+	}{
+		{"addresses", func(p *Program) {
+			for i, b := range p.Procs[0].Blocks {
+				b.Addr = 4096 * int64(i+1)
+			}
+		}},
+		{"schedule", func(p *Program) {
+			b := p.Procs[0].Blocks[1]
+			b.Cycles = make([]int32, len(b.Instrs))
+			b.Span = 1
+		}},
+	} {
+		prog := demoProgram()
+		before, _, err := ExecuteWithCache(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(prog)
+		got, _, err := ExecuteWithCache(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := ExecuteWithCache(ir.CloneProgram(prog))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: run after the edit %+v, fresh copy %+v", tc.name, got, want)
+		}
+		if reflect.DeepEqual(got, before) {
+			t.Errorf("%s: the edit left the run unchanged: %+v", tc.name, got)
 		}
 	}
 }

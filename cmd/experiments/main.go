@@ -52,9 +52,6 @@ func main() {
 		gapstats  = flag.Bool("gapstats", false, "report the gap-to-optimal table (implies -exact)")
 		storeDir  = flag.String("store", "", "persistent artifact-store directory (disk tier under the cache, shared across processes)")
 		storeGC   = flag.Int64("storegc", 0, "after the run, prune the -store directory to this many bytes (oldest access first)")
-		shardSpec = flag.String("shards", "", "run only shard i of n ('i/n', 0-based) of the benchmark list")
-		spawnN    = flag.Int("spawn", 0, "fork N worker processes sharing one artifact store and merge their results")
-		shardOut  = flag.String("shardout", "", "write this shard's results as a JSON envelope to FILE instead of reports (used by -spawn)")
 	)
 	flag.Parse()
 	if *depth < 0 {
@@ -88,21 +85,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: -storegc requires -store")
 		os.Exit(2)
 	}
-
-	if *spawnN > 0 {
-		// The spawn driver merges child results parsed back from JSON,
-		// which deliberately excludes the per-process observational
-		// fields those reports need.
-		for _, bad := range []struct {
-			set  bool
-			name string
-		}{{*ablate, "-ablate"}, {*profstats, "-profstats"}, {*compstats, "-compilestats"}, {*dovalid, "-validate"}, {*shardSpec != "", "-shards"}, {*shardOut != "", "-shardout"}} {
-			if bad.set {
-				fmt.Fprintf(os.Stderr, "experiments: -spawn is incompatible with %s\n", bad.name)
-				os.Exit(2)
-			}
-		}
-	}
+	defer runStoreGC(st, *storeGC)
 
 	if *ablate {
 		runAblations(*benches, *jobs, *cstats, *nocache, checkMode, validateMode, st)
@@ -114,72 +97,32 @@ func main() {
 		names = strings.Split(*benches, ",")
 	}
 
-	var (
-		results    []*pipeline.Result
-		runner     *pipeline.Runner
-		shardStats []pipeline.CacheStats
-	)
 	start := time.Now()
-	if *spawnN > 0 {
-		var err error
-		results, shardStats, err = spawnWorkers(*spawnN, *storeDir, names)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	} else {
-		if *shardSpec != "" {
-			var index, count int
-			if _, err := fmt.Sscanf(*shardSpec, "%d/%d", &index, &count); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: bad -shards %q (want i/n)\n", *shardSpec)
-				os.Exit(2)
-			}
-			var err error
-			if names, err = pipeline.ShardNames(names, index, count); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(2)
-			}
-		}
-		mc := machine.Default()
-		mc.Realistic = *realistic
-		cache := machine.DefaultICache()
-		cache.Ways = *ways
-		runner = pipeline.NewRunner(pipeline.Options{
-			Machine:             mc,
-			Cache:               &cache,
-			Profiler:            pipeline.ProfilerScheme(*profiler),
-			BLIterations:        *bliters,
-			PathDepth:           *depth,
-			Parallelism:         *jobs,
-			DisableProfileCache: *nocache,
-			Check:               checkMode,
-			Validate:            validateMode,
-			ArtifactStore:       st,
-			Sched: sched.Options{Exact: sched.ExactConfig{
-				Enabled:      *exact,
-				NodeBudget:   *exnodes,
-				SearchBudget: *exsearch,
-			}},
-		})
-		var err error
-		results, err = runner.RunSuite(names, pipeline.AllSchemes())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
-
-	if *shardOut != "" {
-		env := shardEnvelope{Results: results}
-		if s, ok := runner.CacheStats(); ok {
-			env.Stats, env.HaveStats = s, true
-		}
-		if err := writeShardEnvelope(*shardOut, env); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		runStoreGC(st, *storeGC)
-		return
+	mc := machine.Default()
+	mc.Realistic = *realistic
+	cache := machine.DefaultICache()
+	cache.Ways = *ways
+	runner := pipeline.NewRunner(pipeline.Options{
+		Machine:             mc,
+		Cache:               &cache,
+		Profiler:            pipeline.ProfilerScheme(*profiler),
+		BLIterations:        *bliters,
+		PathDepth:           *depth,
+		Parallelism:         *jobs,
+		DisableProfileCache: *nocache,
+		Check:               checkMode,
+		Validate:            validateMode,
+		ArtifactStore:       st,
+		Sched: sched.Options{Exact: sched.ExactConfig{
+			Enabled:      *exact,
+			NodeBudget:   *exnodes,
+			SearchBudget: *exsearch,
+		}},
+	})
+	results, err := runner.RunSuite(names, pipeline.AllSchemes())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
 
 	if *jsonOut {
@@ -189,7 +132,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(out)
-		runStoreGC(st, *storeGC)
 		return
 	}
 	workers := *jobs
@@ -199,20 +141,10 @@ func main() {
 	fmt.Printf("# pathsched experiments — %d benchmarks, schemes %v, %d worker(s), wall clock %.1fs\n\n",
 		len(results), pipeline.AllSchemes(), workers, time.Since(start).Seconds())
 	if *cstats {
-		switch {
-		case shardStats != nil:
-			total := pipeline.CacheStats{}
-			for i, s := range shardStats {
-				fmt.Printf("# cache shard %d: %s\n", i, s)
-				total = total.Add(s)
-			}
-			fmt.Printf("# cache total: %s\n\n", total)
-		case runner != nil:
-			if s, ok := runner.CacheStats(); ok {
-				fmt.Printf("# cache: %s\n\n", s)
-			} else {
-				fmt.Printf("# cache: disabled\n\n")
-			}
+		if s, ok := runner.CacheStats(); ok {
+			fmt.Printf("# cache: %s\n\n", s)
+		} else {
+			fmt.Printf("# cache: disabled\n\n")
 		}
 	}
 
@@ -255,11 +187,11 @@ func main() {
 	if *compstats {
 		printCompileStats(runner.CompileStats())
 	}
-	runStoreGC(st, *storeGC)
 }
 
-// runStoreGC prunes the artifact store to maxBytes after the run (a
-// no-op without -store/-storegc).
+// runStoreGC prunes the artifact store to maxBytes after the run, in
+// every mode, and reports what it removed on stderr so that stdout
+// stays the run's report (a no-op without -store/-storegc).
 func runStoreGC(st *store.Store, maxBytes int64) {
 	if st == nil || maxBytes <= 0 {
 		return
@@ -269,7 +201,7 @@ func runStoreGC(st *store.Store, maxBytes int64) {
 		fmt.Fprintln(os.Stderr, "experiments: store gc:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("# store gc: removed %d entries (%d bytes); %d entries (%d bytes) remain\n",
+	fmt.Fprintf(os.Stderr, "# store gc: removed %d entries (%d bytes); %d entries (%d bytes) remain\n",
 		gc.Removed, gc.RemovedBytes, gc.Entries, gc.Bytes)
 }
 

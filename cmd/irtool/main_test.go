@@ -191,3 +191,23 @@ func TestBadProfilesRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreAdminNeedsExistingDir: the store administration commands
+// inspect a store that exists. On a missing directory each exits 1 with
+// a message and creates nothing, so verifying a mistyped path fails
+// instead of passing over a fresh, empty store.
+func TestStoreAdminNeedsExistingDir(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "nostore")
+	for _, sub := range []string{"ls", "verify", "gc"} {
+		stdout, stderr, code := irtool(t, dir, "store", sub, "-dir", missing)
+		want := "irtool: store " + sub + ": stat " + missing + ": no such file or directory\n"
+		if code != 1 || stdout != "" || stderr != want {
+			t.Errorf("irtool store %s -dir <missing>: exit %d, stdout %q, stderr %q; want exit 1 and stderr %q",
+				sub, code, stdout, stderr, want)
+		}
+		if _, err := os.Stat(missing); !os.IsNotExist(err) {
+			t.Fatalf("irtool store %s created the missing directory: %v", sub, err)
+		}
+	}
+}

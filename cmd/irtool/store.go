@@ -13,7 +13,9 @@ import (
 // storeCmd administers a persistent artifact store directory: list its
 // entries, verify every entry end to end (framing sha plus the
 // kind-specific semantic check — decode, re-fingerprint, key binding),
-// or prune it to a byte budget, oldest access first.
+// or prune it to a byte budget, oldest access first. The directory must
+// exist: store.Open would create a mistyped one and report it as an
+// empty, clean store.
 func storeCmd(args []string) {
 	if len(args) < 1 {
 		storeUsage()
@@ -25,6 +27,9 @@ func storeCmd(args []string) {
 	_ = fs.Parse(args)
 	if *dir == "" {
 		fatal(fmt.Errorf("store %s: -dir is required", sub))
+	}
+	if _, err := os.Stat(*dir); err != nil {
+		fatal(fmt.Errorf("store %s: %w", sub, err))
 	}
 	st, err := store.Open(*dir, store.Options{})
 	if err != nil {
@@ -106,6 +111,6 @@ func storeGC(st *store.Store, maxBytes int64) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("removed %d entries (%d bytes), %d temp files, %d stale claims; %d entries (%d bytes) remain\n",
-		gs.Removed, gs.RemovedBytes, gs.TmpRemoved, gs.ClaimsRemoved, gs.Entries, gs.Bytes)
+	fmt.Printf("removed %d entries (%d bytes), %d temp files; %d entries (%d bytes) remain\n",
+		gs.Removed, gs.RemovedBytes, gs.TmpRemoved, gs.Entries, gs.Bytes)
 }

@@ -65,18 +65,20 @@ func NewDiskCache(st *store.Store) *Cache {
 }
 
 // TierStats counts lookup outcomes for one artifact kind. Every
-// lookup lands in exactly one of MemHits, DiskHits, Dedups, or Builds;
-// ClaimWaits additionally counts the lookups that blocked on another
-// process's in-flight build before resolving.
+// lookup lands in exactly one of MemHits, DiskHits, Dedups, or Builds.
 type TierStats struct {
-	MemHits    int64 // completed entry already in this process's memory
-	DiskHits   int64 // decoded and verified from the artifact store
-	ClaimWaits int64 // waited on another process's claim first
+	MemHits  int64 // completed entry already in this process's memory
+	DiskHits int64 // decoded and verified from the artifact store
+	// ClaimWaits is always zero: processes that share a store no longer
+	// coordinate their builds, so no lookup waits on another process.
+	// The field remains only because the benchmark harness
+	// (cmd/bench/harness.go) still reads it.
+	ClaimWaits int64
 	Builds     int64 // computed from scratch in this process
 	Dedups     int64 // waited on another goroutine's in-flight build
 }
 
-// Add returns the element-wise sum (merging per-shard stats).
+// Add returns the element-wise sum.
 func (t TierStats) Add(o TierStats) TierStats {
 	return TierStats{
 		MemHits:    t.MemHits + o.MemHits,
@@ -88,8 +90,8 @@ func (t TierStats) Add(o TierStats) TierStats {
 }
 
 func (t TierStats) String() string {
-	return fmt.Sprintf("%d mem hits / %d disk hits / %d claim-waits / %d builds / %d dedups",
-		t.MemHits, t.DiskHits, t.ClaimWaits, t.Builds, t.Dedups)
+	return fmt.Sprintf("%d mem hits / %d disk hits / %d builds / %d dedups",
+		t.MemHits, t.DiskHits, t.Builds, t.Dedups)
 }
 
 // CacheStats counts the cache's lookup outcomes.
@@ -99,11 +101,6 @@ type CacheStats struct {
 	// and are counted there. The field remains only because the
 	// benchmark harness (cmd/bench/harness.go) still reads it.
 	Layout TierStats
-}
-
-// Add returns the element-wise sum (merging per-shard stats).
-func (s CacheStats) Add(o CacheStats) CacheStats {
-	return CacheStats{Compile: s.Compile.Add(o.Compile)}
 }
 
 // String renders the counters for the -cachestats report.
@@ -186,7 +183,7 @@ func (c *Cache) bump(f func(*TierStats)) {
 
 // compile memoizes one laid-out compile: the in-memory single-flight
 // map in front (counting MemHits/Dedups), the disk tier inside the
-// build slot (counting DiskHits/ClaimWaits/Builds), so exactly one
+// build slot (counting DiskHits/Builds), so exactly one
 // goroutine per process runs the disk path for a given key. On a nil
 // cache (caching disabled) it just builds.
 func (c *Cache) compile(key ir.Digest, build func() (*compiled, error)) (*compiled, error) {

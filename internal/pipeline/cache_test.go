@@ -147,8 +147,8 @@ func TestCacheErrorsAreCached(t *testing.T) {
 }
 
 func TestCacheStatsString(t *testing.T) {
-	s := CacheStats{Compile: TierStats{MemHits: 1, DiskHits: 2, ClaimWaits: 3, Builds: 4, Dedups: 5}}
-	want := "compile 1 mem hits / 2 disk hits / 3 claim-waits / 4 builds / 5 dedups"
+	s := CacheStats{Compile: TierStats{MemHits: 1, DiskHits: 2, Builds: 4, Dedups: 5}}
+	want := "compile 1 mem hits / 2 disk hits / 4 builds / 5 dedups"
 	if got := s.String(); got != want {
 		t.Fatalf("String() = %q, want %q (the compile tier is the only tier)", got, want)
 	}

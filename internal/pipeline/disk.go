@@ -36,57 +36,35 @@ const StoreKindCompile = "compile"
 // encode records it in the artifact header, decode requires it to
 // match, so an entry that ends up under the wrong key (however valid
 // in itself) is rejected rather than served as a wrong answer.
+//
+// Processes sharing the store do not coordinate: two that miss one key
+// both build it and publish identical bytes through the store's atomic
+// Put. A failed publish (an unwritable or full store) only means the
+// next process builds the key again; the run itself never fails on it.
 func (c *Cache) diskLookup(key ir.Digest, build func() (*compiled, error)) (*compiled, error) {
 	if c.store == nil {
 		c.bump(func(t *TierStats) { t.Builds++ })
 		return build()
 	}
 	hexKey := hex.EncodeToString(key[:])
-	acq, aerr := c.store.Acquire(StoreKindCompile, hexKey)
-	if aerr != nil {
-		// Store trouble (unwritable directory, ...): degrade to
-		// memory-only rather than failing a run the cache exists to
-		// speed up.
-		c.bump(func(t *TierStats) { t.Builds++ })
-		return build()
-	}
-	if acq.Waited {
-		c.bump(func(t *TierStats) { t.ClaimWaits++ })
-	}
-	if acq.Claim == nil {
-		// Published entry: the store already verified framing and
-		// sha256; decode re-verifies key binding and fingerprint.
-		if v, derr := decodeCompiled(acq.Data, hexKey); derr == nil {
+	if data, ok := c.store.Get(StoreKindCompile, hexKey); ok {
+		// The store already verified framing and sha256; decode
+		// re-verifies key binding and fingerprint.
+		if v, err := decodeCompiled(data, hexKey); err == nil {
 			c.bump(func(t *TierStats) { t.DiskHits++ })
 			return v, nil
 		}
-		// Semantically corrupt despite intact framing: evict, rebuild,
-		// republish (claimless — a concurrent duplicate publish writes
-		// identical bytes).
+		// Semantically corrupt despite intact framing: evict and
+		// rebuild.
 		c.store.Delete(StoreKindCompile, hexKey)
-		c.bump(func(t *TierStats) { t.Builds++ })
-		v, err := build()
-		if err == nil {
-			if p, eerr := encodeCompiled(v, hexKey); eerr == nil {
-				c.store.Put(StoreKindCompile, hexKey, p)
-			}
-		}
-		return v, err
 	}
-	// We hold the claim: build and publish. Build errors abandon the
-	// claim so other processes retry instead of inheriting a failure
-	// that may be local (errors stay cached in this process's memory
-	// tier as before).
 	c.bump(func(t *TierStats) { t.Builds++ })
 	v, err := build()
 	if err != nil {
-		acq.Claim.Abandon()
 		return v, err
 	}
-	if p, eerr := encodeCompiled(v, hexKey); eerr == nil {
-		acq.Claim.Publish(p)
-	} else {
-		acq.Claim.Abandon()
+	if p, err := encodeCompiled(v, hexKey); err == nil {
+		c.store.Put(StoreKindCompile, hexKey, p)
 	}
 	return v, nil
 }

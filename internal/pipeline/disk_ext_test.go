@@ -8,8 +8,8 @@ package pipeline_test
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
-	"time"
 
 	"pathsched/internal/machine"
 	"pathsched/internal/pipeline"
@@ -18,14 +18,19 @@ import (
 
 var diskTestNames = []string{"alt", "wc"}
 
+// diskSuite runs the suite serially with a fresh Runner over cache.
+func diskSuite(cache *pipeline.Cache) ([]*pipeline.Result, error) {
+	c := machine.DefaultICache()
+	r := pipeline.NewRunner(pipeline.Options{Cache: &c, Parallelism: 1, ProfileCache: cache})
+	return r.RunSuite(diskTestNames, pipeline.AllSchemes())
+}
+
 // diskRun runs the suite with a fresh Runner over the given cache,
 // returning the rendered report and the cache stats delta.
 func diskRun(t *testing.T, cache *pipeline.Cache) (string, pipeline.CacheStats) {
 	t.Helper()
 	before := cache.Stats()
-	c := machine.DefaultICache()
-	r := pipeline.NewRunner(pipeline.Options{Cache: &c, Parallelism: 1, ProfileCache: cache})
-	res, err := r.RunSuite(diskTestNames, pipeline.AllSchemes())
+	res, err := diskSuite(cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +40,10 @@ func diskRun(t *testing.T, cache *pipeline.Cache) (string, pipeline.CacheStats) 
 
 func subTier(a, b pipeline.TierStats) pipeline.TierStats {
 	return pipeline.TierStats{
-		MemHits:    a.MemHits - b.MemHits,
-		DiskHits:   a.DiskHits - b.DiskHits,
-		ClaimWaits: a.ClaimWaits - b.ClaimWaits,
-		Builds:     a.Builds - b.Builds,
-		Dedups:     a.Dedups - b.Dedups,
+		MemHits:  a.MemHits - b.MemHits,
+		DiskHits: a.DiskHits - b.DiskHits,
+		Builds:   a.Builds - b.Builds,
+		Dedups:   a.Dedups - b.Dedups,
 	}
 }
 
@@ -199,47 +203,98 @@ func TestDiskMisfiledEntryRejected(t *testing.T) {
 	}
 }
 
-// TestDiskStaleClaimFromDeadProcessTakenOver drops a never-refreshed
-// claim file into the store (what a killed process leaves behind) and
-// runs the suite: the runner must take the claim over after StaleAfter
-// instead of hanging, and still produce baseline bytes.
-func TestDiskStaleClaimFromDeadProcessTakenOver(t *testing.T) {
+// TestConcurrentRunnersShareOneStore is the claimless sharing case:
+// two runners, each with its own cache (two processes' memory tiers),
+// run the suite at once over one empty store, so they race to build
+// and publish the same keys. Both must print the memory-only bytes,
+// every entry must verify, no temp file may be left, and a third run
+// must read every compile from disk.
+func TestConcurrentRunnersShareOneStore(t *testing.T) {
+	baseline, memStats := diskRun(t, pipeline.NewCache())
 	dir := filepath.Join(t.TempDir(), "store")
-	baseline, _ := diskRun(t, pipeline.NewCache())
+	var (
+		wg   sync.WaitGroup
+		res  [2][]*pipeline.Result
+		errs [2]error
+	)
+	for i := range res {
+		cache := pipeline.NewDiskCache(openTestStore(t, dir))
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i], errs[i] = diskSuite(cache)
+		}(i)
+	}
+	wg.Wait()
+	for i := range res {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got := renderAll(t, res[i]); got != baseline {
+			t.Fatalf("runner %d over the shared store diverges:\n--- memory ---\n%s\n--- shared ---\n%s", i, baseline, got)
+		}
+	}
 
-	st, err := store.Open(dir, store.Options{StaleAfter: 50 * time.Millisecond, PollInterval: 5 * time.Millisecond})
+	st := openTestStore(t, dir)
+	entries, err := st.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A claim whose key no runner computes still exercises the reap
-	// path... but a claim on a *real* key is the interesting case. We
-	// cannot know compile keys a priori (they hash configs), so warm a
-	// sibling store, copy one real key's claim in, and age it.
-	warmDir := filepath.Join(t.TempDir(), "warm")
-	warmStore(t, warmDir)
-	wst := openTestStore(t, warmDir)
-	entries, err := wst.List()
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("warm sibling store: %v, %d entries", err, len(entries))
+	if int64(len(entries)) != memStats.Compile.Builds {
+		t.Fatalf("shared store holds %d entries, the suite builds %d compiles", len(entries), memStats.Compile.Builds)
 	}
-	victim := entries[0]
-	claim := filepath.Join(dir, "claims", victim.Kind+"."+victim.Key)
-	if err := os.WriteFile(claim, []byte("pid 999999\n"), 0o644); err != nil {
+	for _, e := range entries {
+		payload, ok := st.Get(e.Kind, e.Key)
+		if !ok {
+			t.Fatalf("%s/%s: bad framing", e.Kind, e.Key)
+		}
+		if err := pipeline.VerifyEntry(e.Kind, e.Key, payload); err != nil {
+			t.Fatalf("%s/%s: %v", e.Kind, e.Key, err)
+		}
+	}
+	if tmp, err := os.ReadDir(filepath.Join(dir, "tmp")); err != nil || len(tmp) != 0 {
+		t.Fatalf("tmp/ after the shared runs: %d files, err %v", len(tmp), err)
+	}
+
+	warm, warmStats := diskRun(t, pipeline.NewDiskCache(openTestStore(t, dir)))
+	if warm != baseline {
+		t.Fatalf("disk-warm run diverges:\n--- memory ---\n%s\n--- disk-warm ---\n%s", baseline, warm)
+	}
+	if warmStats.Compile.Builds != 0 || warmStats.Compile.DiskHits != int64(len(entries)) {
+		t.Fatalf("third run over the shared store: %s, want %d disk hits and 0 builds", warmStats, len(entries))
+	}
+}
+
+// TestUnwritableStoreFallsBackToMemory: a store that cannot publish
+// (its tmp/ replaced by a regular file, which fails for root too, unlike
+// a chmod) must cost the run its disk tier and nothing else. The run
+// prints the memory-only bytes, builds every compile, returns no error,
+// and leaves no entry behind.
+func TestUnwritableStoreFallsBackToMemory(t *testing.T) {
+	baseline, memStats := diskRun(t, pipeline.NewCache())
+	dir := filepath.Join(t.TempDir(), "store")
+	st := openTestStore(t, dir)
+	tmp := filepath.Join(dir, "tmp")
+	if err := os.Remove(tmp); err != nil {
 		t.Fatal(err)
 	}
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(claim, old, old); err != nil {
+	if err := os.WriteFile(tmp, []byte("not a directory\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	got, stats := diskRun(t, pipeline.NewDiskCache(st))
 	if got != baseline {
-		t.Fatalf("run with dead claim diverges:\n--- baseline ---\n%s\n--- dead claim ---\n%s", baseline, got)
+		t.Fatalf("run over an unwritable store diverges:\n--- memory ---\n%s\n--- unwritable ---\n%s", baseline, got)
 	}
-	if stats.Compile.Builds == 0 {
-		t.Fatalf("nothing built: %s", stats)
+	c := stats.Compile
+	if c.Builds != memStats.Compile.Builds || c.MemHits+c.DiskHits+c.Dedups != 0 {
+		t.Fatalf("run over an unwritable store: %s, want every one of %d lookups a build", stats, memStats.Compile.Builds)
 	}
-	if _, err := os.Stat(claim); !os.IsNotExist(err) {
-		t.Fatal("stale claim not reaped")
+	entries, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("unwritable store holds %d entries", len(entries))
 	}
 }

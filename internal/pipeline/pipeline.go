@@ -827,27 +827,6 @@ func (r *Runner) RunSuite(names []string, schemes []Scheme) ([]*Result, error) {
 	return r.RunSuiteContext(context.Background(), names, schemes)
 }
 
-// ShardNames deterministically partitions a suite's benchmark list for
-// shard index of count (0 <= index < count), preserving suite order
-// within the shard. The split is round-robin so the suite's expensive
-// benchmarks, which cluster at neither end, spread across shards. The
-// shards of any fixed count are a disjoint cover of names: a driver
-// that merges per-shard results back into suite-list order reproduces
-// the unsharded suite exactly.
-func ShardNames(names []string, index, count int) ([]string, error) {
-	if count < 1 || index < 0 || index >= count {
-		return nil, fmt.Errorf("pipeline: bad shard %d/%d", index, count)
-	}
-	if names == nil {
-		names = bench.Names()
-	}
-	out := []string{} // non-nil: an empty shard must not mean "whole suite"
-	for i := index; i < len(names); i += count {
-		out = append(out, names[i])
-	}
-	return out, nil
-}
-
 // RunSuiteContext is RunSuite with cancellation: benchmarks are
 // dispatched across a bounded worker pool, the first error cancels the
 // rest, and results come back in suite order regardless of which

@@ -56,41 +56,37 @@ func (s *Store) List() ([]Entry, error) {
 
 // GCStats reports what GC found and removed.
 type GCStats struct {
-	Entries       int   // entries remaining after the sweep
-	Bytes         int64 // bytes remaining after the sweep
-	Removed       int   // entries pruned to meet the budget
-	RemovedBytes  int64
-	TmpRemoved    int // abandoned temp files cleaned
-	ClaimsRemoved int // stale claims cleaned
+	Entries      int   // entries remaining after the sweep
+	Bytes        int64 // bytes remaining after the sweep
+	Removed      int   // entries pruned to meet the budget
+	RemovedBytes int64
+	TmpRemoved   int // abandoned temp files cleaned
 }
 
 // GC prunes the store to at most maxBytes of entries, removing
 // oldest-access first (reads refresh timestamps, so this is LRU-ish).
-// maxBytes <= 0 keeps every entry. It also sweeps abandoned temp files
-// and stale claims older than StaleAfter — the debris a killed process
-// leaves behind — which is always safe: temp files are private until
-// renamed, and a stale claim's owner is dead by definition.
+// maxBytes <= 0 keeps every entry. It also sweeps temp files older than
+// StaleAfter — the debris a killed process leaves behind, which is
+// always safe because temp files are private until renamed — and an
+// older store's claims/ directory, which nothing reads any more.
 func (s *Store) GC(maxBytes int64) (GCStats, error) {
 	var st GCStats
 	cutoff := time.Now().Add(-s.opts.StaleAfter)
-	for _, sub := range []string{"tmp", "claims"} {
-		files, err := os.ReadDir(filepath.Join(s.root, sub))
-		if err != nil {
-			return st, fmt.Errorf("store: %w", err)
+	files, err := os.ReadDir(filepath.Join(s.root, "tmp"))
+	if err != nil {
+		return st, fmt.Errorf("store: %w", err)
+	}
+	for _, f := range files {
+		fi, err := f.Info()
+		if err != nil || fi.ModTime().After(cutoff) {
+			continue
 		}
-		for _, f := range files {
-			fi, err := f.Info()
-			if err != nil || fi.ModTime().After(cutoff) {
-				continue
-			}
-			if os.Remove(filepath.Join(s.root, sub, f.Name())) == nil {
-				if sub == "tmp" {
-					st.TmpRemoved++
-				} else {
-					st.ClaimsRemoved++
-				}
-			}
+		if os.Remove(filepath.Join(s.root, "tmp", f.Name())) == nil {
+			st.TmpRemoved++
 		}
+	}
+	if err := os.RemoveAll(filepath.Join(s.root, "claims")); err != nil {
+		return st, fmt.Errorf("store: %w", err)
 	}
 	entries, err := s.List()
 	if err != nil {

@@ -1,34 +1,30 @@
 // Package store is a persistent, content-addressed artifact store: the
 // disk tier under pipeline.Cache. Entries are opaque payloads addressed
-// by (kind, key) where keys are stable content digests (ir.Fingerprint
-// and the pipeline's compile-key digests), so any two processes that
-// arrive at the same key may share one artifact — across process
-// restarts, concurrent shards, and machines sharing a filesystem.
+// by (kind, key) where keys are stable content digests (the pipeline's
+// compile-key digests), so any two processes that arrive at the same key
+// may share one artifact — across process restarts, concurrent
+// processes, and machines sharing a filesystem.
 //
-// The design follows shared-state optimistic concurrency rather than a
-// coordinating server (the arktos discipline): writers never take a
-// global lock. Publishing is atomic — payloads are written to a private
-// temp file and renamed into place, so readers only ever observe absent
-// or complete entries. Every entry carries a length and a sha256 of its
-// payload; Get re-checks both, and the pipeline additionally checks
-// each payload's key binding and re-fingerprints the decoded program
-// against the fingerprint recorded in it (the sha256 of the program's
-// codec bytes), so a truncated, bit-flipped or misfiled entry is a miss
-// (and is deleted), never a wrong answer.
-//
-// Cross-process build deduplication uses optimistic claim files (see
-// claim.go): the first builder of a key creates a claim, concurrent
-// builders wait for the entry instead of duplicating the work, and a
-// claim whose owner stops refreshing it goes stale and is taken over —
-// nobody ever blocks on a dead process. Losing a race is always safe:
-// artifacts are deterministic functions of their keys, so a duplicate
-// build publishes identical bytes.
+// Writers never take a lock. Publishing is atomic — payloads are
+// written to a private temp file and renamed into place, so readers
+// only ever observe absent or complete entries. Two processes that miss
+// the same key may both build it; artifacts are deterministic functions
+// of their keys, so both publish identical bytes and the second rename
+// replaces an entry with itself. Every entry carries a length and a
+// sha256 of its payload; Get re-checks both, and the pipeline
+// additionally checks each payload's key binding and re-fingerprints
+// the decoded program against the fingerprint recorded in it (the
+// sha256 of the program's codec bytes), so a truncated, bit-flipped or
+// misfiled entry is a miss (and is deleted), never a wrong answer.
 //
 // On-disk layout under the root directory:
 //
-//	<kind>/<key>    entries (kind ∈ {compile, layout, ...}, key hex)
-//	claims/         in-progress build claims
+//	<kind>/<key>    entries (kind ∈ {compile}, key hex)
 //	tmp/            private scratch for atomic publishes
+//
+// Stores written while builds were coordinated by claim files also
+// hold a claims/ directory: the name stays reserved, List skips it,
+// and GC removes it.
 package store
 
 import (
@@ -50,26 +46,18 @@ const entryMagic = "pathsched-store-v1\n"
 // payload length, 32-byte payload sha256.
 const headerSize = len(entryMagic) + 8 + sha256.Size
 
-// Options tunes the claim protocol; the zero value selects defaults.
+// Options tunes the store; the zero value selects defaults.
 type Options struct {
-	// StaleAfter is how long a claim may go unrefreshed before waiters
-	// treat its owner as dead and take the build over (default 10s).
-	// Owners refresh their claims every StaleAfter/4, so a live owner
-	// is never preempted unless its process stalls for most of the
-	// window — and even then the race is benign (both builds publish
-	// identical bytes).
+	// StaleAfter is how old a temp file must be before GC treats its
+	// writer as dead and removes it (default 10s). A live publisher
+	// renames its temp file as soon as it is written, so only a killed
+	// process's debris ages past it.
 	StaleAfter time.Duration
-	// PollInterval is how often a waiter re-checks for the entry or a
-	// stale claim (default 20ms).
-	PollInterval time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.StaleAfter <= 0 {
 		o.StaleAfter = 10 * time.Second
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 20 * time.Millisecond
 	}
 	return o
 }
@@ -79,15 +67,16 @@ func (o Options) withDefaults() Options {
 type Store struct {
 	root string
 	opts Options
-	seq  atomic.Uint64 // uniquifies temp-file names within the process
 }
+
+// tempSeq uniquifies temp-file names within the process, across every
+// Store handle on one directory.
+var tempSeq atomic.Uint64
 
 // Open creates (if needed) and opens the store rooted at dir.
 func Open(dir string, opts Options) (*Store, error) {
-	for _, d := range []string{dir, filepath.Join(dir, "claims"), filepath.Join(dir, "tmp")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "tmp"), 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	return &Store{root: dir, opts: opts.withDefaults()}, nil
 }
@@ -96,7 +85,8 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) Root() string { return s.root }
 
 // checkName rejects kind/key components that could escape the store
-// directory or collide with the bookkeeping subdirectories.
+// directory or collide with the bookkeeping subdirectories (tmp/, and
+// the claims/ of older stores).
 func checkName(what, name string) error {
 	if name == "" || name == "claims" || name == "tmp" {
 		return fmt.Errorf("store: invalid %s %q", what, name)
@@ -114,11 +104,11 @@ func (s *Store) entryPath(kind, key string) string {
 	return filepath.Join(s.root, kind, key)
 }
 
-// tempPath returns a fresh private scratch path. Process id plus an
-// in-process counter keeps concurrent publishers (goroutines and
-// processes) from colliding.
+// tempPath returns a fresh private scratch path. Process id plus a
+// process-wide counter keeps concurrent publishers (goroutines, Store
+// handles and processes) from colliding.
 func (s *Store) tempPath() string {
-	return filepath.Join(s.root, "tmp", fmt.Sprintf("t%d-%d", os.Getpid(), s.seq.Add(1)))
+	return filepath.Join(s.root, "tmp", fmt.Sprintf("t%d-%d", os.Getpid(), tempSeq.Add(1)))
 }
 
 // Get returns the payload stored under (kind, key). A missing,

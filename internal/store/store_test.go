@@ -6,18 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// fastOpts keeps claim-protocol tests quick: stale takeover and polls
-// resolve in tens of milliseconds instead of seconds.
-var fastOpts = Options{StaleAfter: 80 * time.Millisecond, PollInterval: 5 * time.Millisecond}
-
 func openTest(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open(filepath.Join(t.TempDir(), "store"), fastOpts)
+	s, err := Open(filepath.Join(t.TempDir(), "store"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,182 +161,70 @@ func TestKillMidPublishLeavesOnlyTempDebris(t *testing.T) {
 	}
 }
 
-func TestAcquireBuildPublish(t *testing.T) {
-	s := openTest(t)
-	a, err := s.Acquire("compile", "11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Claim == nil || a.Data != nil || a.Waited {
-		t.Fatalf("first Acquire: %+v", a)
-	}
-	if err := a.Claim.Publish([]byte("built")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Acquire("compile", "11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Claim != nil || !bytes.Equal(b.Data, []byte("built")) || b.Waited {
-		t.Fatalf("second Acquire: %+v", b)
-	}
-}
-
-func TestAbandonedClaimIsReclaimable(t *testing.T) {
-	s := openTest(t)
-	a, err := s.Acquire("compile", "22")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Claim.Abandon()
-	b, err := s.Acquire("compile", "22")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Claim == nil {
-		t.Fatalf("Acquire after Abandon: %+v", b)
-	}
-	b.Claim.Abandon()
-}
-
-// TestWaiterGetsPublishedEntry pins the contended path: a second
-// acquirer blocks on a live claim and comes back with the published
-// payload and Waited set.
-func TestWaiterGetsPublishedEntry(t *testing.T) {
-	s := openTest(t)
-	a, err := s.Acquire("compile", "33")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Claim == nil {
-		t.Fatalf("first Acquire: %+v", a)
-	}
-	done := make(chan Acquired, 1)
-	go func() {
-		b, err := s.Acquire("compile", "33")
-		if err != nil {
-			t.Error(err)
-		}
-		done <- b
-	}()
-	time.Sleep(3 * s.opts.PollInterval) // let the waiter start polling
-	if err := a.Claim.Publish([]byte("slow build result")); err != nil {
-		t.Fatal(err)
-	}
-	b := <-done
-	if b.Claim != nil || !bytes.Equal(b.Data, []byte("slow build result")) {
-		t.Fatalf("waiter result: %+v", b)
-	}
-	if !b.Waited {
-		t.Fatal("waiter did not report Waited")
-	}
-}
-
-// TestStaleClaimTakenOver simulates a claim left by a dead process (a
-// raw claim file with an old timestamp, no heartbeat): Acquire must
-// reap it and win the build instead of waiting forever.
-func TestStaleClaimTakenOver(t *testing.T) {
-	s := openTest(t)
-	claimPath := filepath.Join(s.root, "claims", "compile.44")
-	if err := os.WriteFile(claimPath, []byte("pid 999999\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * s.opts.StaleAfter)
-	if err := os.Chtimes(claimPath, old, old); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	a, err := s.Acquire("compile", "44")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Claim == nil {
-		t.Fatalf("takeover Acquire: %+v", a)
-	}
-	if elapsed := time.Since(start); elapsed > 20*s.opts.StaleAfter {
-		t.Fatalf("takeover took %v", elapsed)
-	}
-	a.Claim.Abandon()
-}
-
-// TestLiveClaimNotPreempted: the heartbeat must keep a slow-but-alive
-// owner's claim fresh past StaleAfter, so a waiter does not start a
-// duplicate build.
-func TestLiveClaimNotPreempted(t *testing.T) {
-	s := openTest(t)
-	a, err := s.Acquire("compile", "55")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan Acquired, 1)
-	go func() {
-		b, err := s.Acquire("compile", "55")
-		if err != nil {
-			t.Error(err)
-		}
-		done <- b
-	}()
-	// Hold the claim well past StaleAfter; the heartbeat refreshes it.
-	time.Sleep(3 * s.opts.StaleAfter)
-	select {
-	case b := <-done:
-		t.Fatalf("waiter preempted a live claim: %+v", b)
-	default:
-	}
-	if err := a.Claim.Publish([]byte("eventually")); err != nil {
-		t.Fatal(err)
-	}
-	b := <-done
-	if b.Claim != nil || !bytes.Equal(b.Data, []byte("eventually")) {
-		t.Fatalf("waiter after slow publish: %+v", b)
-	}
-}
-
-// TestConcurrentAcquireBuildsOnce: many goroutines over two Store
-// handles on one directory race Acquire for the same key; in this
-// uncontended-by-death scenario exactly one must build.
-func TestConcurrentAcquireBuildsOnce(t *testing.T) {
+// TestConcurrentPutsOfOneKey is the claimless sharing case: many
+// goroutines over two Store handles on one directory (two processes'
+// worth of publishers) publish the same key at once, as processes that
+// miss one key together do. Every Put must succeed, the entry must read
+// back intact, and no temp file may be left behind.
+func TestConcurrentPutsOfOneKey(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "shared")
-	s1, err := Open(dir, fastOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, fastOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var builds atomic.Int64
-	var wg sync.WaitGroup
-	payload := []byte("the one true artifact")
-	for i := 0; i < 16; i++ {
-		s := s1
-		if i%2 == 1 {
-			s = s2
+	var handles [2]*Store
+	for i := range handles {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		handles[i] = s
+	}
+	payload := bytes.Repeat([]byte("the one true artifact "), 4096)
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
 		wg.Add(1)
-		go func() {
+		go func(s *Store) {
 			defer wg.Done()
-			a, err := s.Acquire("compile", "66")
-			if err != nil {
+			if err := s.Put("compile", "66", payload); err != nil {
 				t.Error(err)
-				return
 			}
-			if a.Claim != nil {
-				builds.Add(1)
-				time.Sleep(2 * fastOpts.PollInterval) // widen the race window
-				if err := a.Claim.Publish(payload); err != nil {
-					t.Error(err)
-				}
-				return
-			}
-			if !bytes.Equal(a.Data, payload) {
-				t.Errorf("got %q", a.Data)
-			}
-		}()
+		}(handles[i%2])
 	}
 	wg.Wait()
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("%d builds, want exactly 1", n)
+	got, ok := handles[0].Get("compile", "66")
+	if !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("after concurrent Puts: ok=%v, %d bytes, want %d", ok, len(got), len(payload))
+	}
+	if tmp, err := os.ReadDir(filepath.Join(dir, "tmp")); err != nil || len(tmp) != 0 {
+		t.Fatalf("tmp/ after concurrent Puts: %d files, err %v", len(tmp), err)
+	}
+}
+
+// TestGCRemovesOlderClaimsDir: a store written while builds were
+// coordinated by claim files holds a claims/ directory, possibly with a
+// dead claim in it. List must skip it and GC must remove it, entries
+// untouched.
+func TestGCRemovesOlderClaimsDir(t *testing.T) {
+	s := openTest(t)
+	if err := s.Put("compile", "aa", []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	claims := filepath.Join(s.root, "claims")
+	if err := os.Mkdir(claims, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(claims, "compile.bb"), []byte("pid 999999\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := s.List(); err != nil || len(entries) != 1 {
+		t.Fatalf("List with claims/: %+v err=%v", entries, err)
+	}
+	st, err := s.GC(0)
+	if err != nil || st.Entries != 1 || st.Removed != 0 {
+		t.Fatalf("GC: %+v err=%v", st, err)
+	}
+	if _, err := os.Stat(claims); !os.IsNotExist(err) {
+		t.Fatalf("claims/ survived GC: %v", err)
+	}
+	if got, ok := s.Get("compile", "aa"); !ok || string(got) != "kept" {
+		t.Fatalf("entry after GC: ok=%v %q", ok, got)
 	}
 }
 

@@ -60,7 +60,7 @@ func mustExperiments(t *testing.T, args ...string) (stdout, stderr string) {
 // storeEntries counts the entries left in the store at dir.
 func storeEntries(t *testing.T, dir string) int {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{})
+	st, err := store.OpenExisting(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +89,34 @@ func TestStoreGCAfterEveryMode(t *testing.T) {
 		if n := storeEntries(t, dir); n != 0 {
 			t.Errorf("experiments %s: %d entries remain over a 1-byte budget", strings.Join(args, " "), n)
 		}
+	}
+}
+
+// TestStoreRefusesNonStoreDir: -store over a directory that is not a
+// store (no marker) exits 1 before running anything, and -storegc
+// deletes nothing there: the file stays and no tmp/ appears.
+func TestStoreRefusesNonStoreDir(t *testing.T) {
+	dir := t.TempDir()
+	readme := filepath.Join(dir, "docs", "readme")
+	if err := os.MkdirAll(filepath.Dir(readme), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(readme, []byte("not an entry\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := experiments(t, "-bench", "alt", "-json", "-store", dir, "-storegc", "1")
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "is not an artifact store") {
+		t.Errorf("experiments -store <not a store>: exit %d, stdout %q, stderr %q; want exit 1 and a refusal", code, stdout, stderr)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "docs" {
+		t.Fatalf("experiments -store <not a store> changed the directory: %v", entries)
+	}
+	if data, err := os.ReadFile(readme); err != nil || string(data) != "not an entry\n" {
+		t.Fatalf("docs/readme now %q, err %v", data, err)
 	}
 }
 

@@ -201,13 +201,45 @@ func TestStoreAdminNeedsExistingDir(t *testing.T) {
 	missing := filepath.Join(dir, "nostore")
 	for _, sub := range []string{"ls", "verify", "gc"} {
 		stdout, stderr, code := irtool(t, dir, "store", sub, "-dir", missing)
-		want := "irtool: store " + sub + ": stat " + missing + ": no such file or directory\n"
+		want := "irtool: store: stat " + missing + ": no such file or directory\n"
 		if code != 1 || stdout != "" || stderr != want {
 			t.Errorf("irtool store %s -dir <missing>: exit %d, stdout %q, stderr %q; want exit 1 and stderr %q",
 				sub, code, stdout, stderr, want)
 		}
 		if _, err := os.Stat(missing); !os.IsNotExist(err) {
 			t.Fatalf("irtool store %s created the missing directory: %v", sub, err)
+		}
+	}
+}
+
+// TestStoreAdminRefusesNonStoreDir: pointed at a directory that is not
+// a store (no marker), each store command exits 1 and leaves the
+// directory exactly as it was: no file read as an entry and deleted,
+// no tmp/ created.
+func TestStoreAdminRefusesNonStoreDir(t *testing.T) {
+	dir := t.TempDir()
+	readme := filepath.Join(dir, "docs", "readme")
+	if err := os.MkdirAll(filepath.Dir(readme), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(readme, []byte("not an entry\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"ls", "verify", "gc"} {
+		stdout, stderr, code := irtool(t, dir, "store", sub, "-dir", dir)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, "is not an artifact store") {
+			t.Errorf("irtool store %s -dir <not a store>: exit %d, stdout %q, stderr %q; want exit 1 and a refusal",
+				sub, code, stdout, stderr)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "docs" {
+			t.Fatalf("irtool store %s changed the directory: %v", sub, entries)
+		}
+		if data, err := os.ReadFile(readme); err != nil || string(data) != "not an entry\n" {
+			t.Fatalf("irtool store %s: docs/readme now %q, err %v", sub, data, err)
 		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 // entries, verify every entry end to end (framing sha plus the
 // kind-specific semantic check — decode, re-fingerprint, key binding),
 // or prune it to a byte budget, oldest access first. The directory must
-// exist: store.Open would create a mistyped one and report it as an
-// empty, clean store.
+// already be a store (store.OpenExisting): a mistyped path is not
+// reported as an empty, clean store, and files in a directory that is
+// not a store are never read as entries or deleted.
 func storeCmd(args []string) {
 	if len(args) < 1 {
 		storeUsage()
@@ -28,10 +29,7 @@ func storeCmd(args []string) {
 	if *dir == "" {
 		fatal(fmt.Errorf("store %s: -dir is required", sub))
 	}
-	if _, err := os.Stat(*dir); err != nil {
-		fatal(fmt.Errorf("store %s: %w", sub, err))
-	}
-	st, err := store.Open(*dir, store.Options{})
+	st, err := store.OpenExisting(*dir, store.Options{})
 	if err != nil {
 		fatal(err)
 	}

@@ -18,10 +18,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"pathsched/internal/ir"
 	"pathsched/internal/profile"
@@ -88,11 +85,9 @@ type Config struct {
 	// enlargement (the "preset threshold" of §2.2).
 	MaxSBInstrs int
 
-	// Parallelism bounds concurrent per-procedure formation (0 =
-	// GOMAXPROCS, 1 = serial). Procedures are independent given the
-	// frozen profiles, and superblock ids are per-procedure, so results
-	// are identical at any setting; the pipeline forwards its own knob
-	// here.
+	// Parallelism is ignored: Form runs its procedures in order. The
+	// field remains only because the benchmark harness
+	// (cmd/bench/trace.go) still sets it.
 	Parallelism int
 
 	// GrowUpward enables upward trace growth for the path-based
@@ -161,51 +156,6 @@ type Stats struct {
 	Expanded      int // edge-based: branch target expansions
 }
 
-// add folds one procedure's stats into the aggregate.
-func (s *Stats) add(o Stats) {
-	s.Traces += o.Traces
-	s.TailDups += o.TailDups
-	s.EnlargeCopies += o.EnlargeCopies
-	s.Unrolled += o.Unrolled
-	s.Peeled += o.Peeled
-	s.Expanded += o.Expanded
-}
-
-// forEachProc runs fn(0..n-1) with at most `parallelism` goroutines
-// (0 = GOMAXPROCS, 1 = serial without spawning). It mirrors the
-// pipeline's bounded fan-out, which core cannot import.
-func forEachProc(n, parallelism int, fn func(int)) {
-	limit := parallelism
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	if limit == 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if limit > n {
-		limit = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(limit)
-	for w := 0; w < limit; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // Form runs superblock formation over every procedure of prog and
 // returns the transformed program with its superblock partition. The
 // input program is not modified.
@@ -224,27 +174,13 @@ func Form(prog *ir.Program, cfg Config) (*Result, error) {
 	}
 	out := ir.CloneProgram(prog)
 	res := &Result{Prog: out, Superblocks: map[ir.ProcID][]*Superblock{}}
-	// Procedures are formed independently: each former touches only its
-	// own proc and reads the frozen (immutable) profiles. Per-proc
-	// outputs are merged in proc order below, so parallel and serial
-	// runs produce identical Results.
-	formers := make([]*former, len(out.Procs))
-	errs := make([]error, len(out.Procs))
-	forEachProc(len(out.Procs), cfg.Parallelism, func(i int) {
-		p := out.Procs[i]
+	for _, p := range out.Procs {
 		normalizeBranches(p)
-		f := &former{cfg: cfg, proc: p}
-		formers[i] = f
+		f := &former{cfg: cfg, proc: p, stats: &res.Stats}
 		if err := f.run(); err != nil {
-			errs[i] = fmt.Errorf("core: proc %s: %w", p.Name, err)
+			return nil, fmt.Errorf("core: proc %s: %w", p.Name, err)
 		}
-	})
-	for i, f := range formers {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		res.Superblocks[f.proc.ID] = f.sbs
-		res.Stats.add(f.stats)
+		res.Superblocks[p.ID] = f.sbs
 	}
 	if err := ir.Verify(out); err != nil {
 		return nil, fmt.Errorf("core: formation produced invalid IR: %w", err)
@@ -268,13 +204,12 @@ func normalizeBranches(p *ir.Proc) {
 	}
 }
 
-// former carries per-procedure formation state. It owns everything it
-// mutates (one procedure of the cloned program plus local stats), so
-// formers for different procedures may run concurrently.
+// former carries per-procedure formation state: one procedure of the
+// cloned program, counted into the result's stats.
 type former struct {
 	cfg   Config
 	proc  *ir.Proc
-	stats Stats
+	stats *Stats
 
 	cfgGraph *ir.CFG // CFG of the *original* block set (pre-duplication)
 

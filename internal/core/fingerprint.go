@@ -17,8 +17,8 @@ import (
 //     the pristine training build and the profiling parameters, so the
 //     pipeline keys them as (pristine-build fingerprint, profiling
 //     scheme and its parameters) alongside this digest.
-//   - Parallelism only changes how the work is scheduled; formation is
-//     pinned worker-count-independent, so it cannot affect the output.
+//   - Parallelism is ignored by Form (see Config), so it cannot affect
+//     the output.
 func (c Config) Fingerprint() ir.Digest {
 	e := ir.NewEncoder("pathsched-core-cfg-v2")
 	e.I64(int64(c.Method))

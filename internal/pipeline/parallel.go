@@ -1,55 +1,48 @@
 package pipeline
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 )
 
-// forEachLimited runs fn(ctx, i) for every i in [0, n) on at most
-// parallelism goroutines. The first failure (or expiry of ctx) cancels
-// the derived context handed to fn, workers stop claiming new items,
-// and the error for the lowest failed index is returned once in-flight
-// items finish. With parallelism 1 the items run on the calling
-// goroutine in index order, exactly like the historical serial loops.
-func forEachLimited(ctx context.Context, n, parallelism int, fn func(ctx context.Context, i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
+// forEachLimited runs fn(i) for every i in [0, n) on at most
+// parallelism goroutines. After the first failure workers stop
+// claiming new items, and once in-flight items finish the error for
+// the lowest failed index is returned. Items are claimed in index
+// order, so every item below a failed one has run, and the returned
+// error is the one a serial loop would stop at. With parallelism 1 the
+// items run on the calling goroutine in index order.
+func forEachLimited(n, parallelism int, fn func(i int) error) error {
 	if parallelism > n {
 		parallelism = n
 	}
 	if parallelism <= 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, i); err != nil {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	var (
-		next int64 // atomically claimed work index
-		wg   sync.WaitGroup
-		errs = make([]error, n) // each worker writes only its own index
+		next   atomic.Int64 // next unclaimed index
+		failed atomic.Bool
+		wg     sync.WaitGroup
+		errs   = make([]error, n) // each worker writes only its own index
 	)
 	wg.Add(parallelism)
 	for w := 0; w < parallelism; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n || ctx.Err() != nil {
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				if err := fn(ctx, i); err != nil {
+				if err := fn(i); err != nil {
 					errs[i] = err
-					cancel()
+					failed.Store(true)
 				}
 			}
 		}()
@@ -60,5 +53,5 @@ func forEachLimited(ctx context.Context, n, parallelism int, fn func(ctx context
 			return err
 		}
 	}
-	return ctx.Err() // a parent cancellation with no item error still surfaces
+	return nil
 }

@@ -1,14 +1,14 @@
 package pipeline
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pathsched/internal/bench"
+	"pathsched/internal/core"
 	"pathsched/internal/ir"
 	"pathsched/internal/machine"
 )
@@ -16,7 +16,7 @@ import (
 func TestForEachLimitedRunsEveryItem(t *testing.T) {
 	for _, par := range []int{1, 2, 7, 100} {
 		var ran [17]int32
-		err := forEachLimited(context.Background(), len(ran), par, func(_ context.Context, i int) error {
+		err := forEachLimited(len(ran), par, func(i int) error {
 			atomic.AddInt32(&ran[i], 1)
 			return nil
 		})
@@ -34,7 +34,7 @@ func TestForEachLimitedRunsEveryItem(t *testing.T) {
 func TestForEachLimitedBoundsConcurrency(t *testing.T) {
 	const par = 3
 	var cur, peak int32
-	err := forEachLimited(context.Background(), 20, par, func(_ context.Context, i int) error {
+	err := forEachLimited(20, par, func(i int) error {
 		n := atomic.AddInt32(&cur, 1)
 		for {
 			p := atomic.LoadInt32(&peak)
@@ -53,48 +53,62 @@ func TestForEachLimitedBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// After a failure, workers stop claiming items: a pool that ignored it
+// would start all 44 items above item 5, the first to fail, while item
+// 3 is still sleeping. Every item below a failed one still runs, and
+// item 3's later failure wins because its index is lower.
 func TestForEachLimitedReturnsLowestErrorAndCancels(t *testing.T) {
-	boom := errors.New("boom")
-	var after int32
-	err := forEachLimited(context.Background(), 50, 4, func(ctx context.Context, i int) error {
-		if i == 2 {
-			return fmt.Errorf("item %d: %w", i, boom)
+	for _, par := range []int{1, 4} {
+		var ran [50]atomic.Bool
+		var failed atomic.Bool
+		var late atomic.Int32
+		err := forEachLimited(len(ran), par, func(i int) error {
+			if failed.Load() {
+				late.Add(1)
+			}
+			ran[i].Store(true)
+			switch i {
+			case 3:
+				time.Sleep(5 * time.Millisecond)
+				return errors.New("item 3")
+			case 5:
+				failed.Store(true)
+				return errors.New("item 5")
+			}
+			time.Sleep(time.Millisecond)
+			return nil
+		})
+		if err == nil || err.Error() != "item 3" {
+			t.Fatalf("par=%d: err = %v, want item 3's", par, err)
 		}
-		if i > 10 && ctx.Err() == nil {
-			atomic.AddInt32(&after, 1)
+		for i := 0; i < 3; i++ {
+			if !ran[i].Load() {
+				t.Fatalf("par=%d: item %d below the failures never ran", par, i)
+			}
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	// Cancellation is advisory for in-flight items, but the claimed-item
-	// loop must stop early: with 50 items and 4 workers, far fewer than
-	// 39 late items may observe an uncancelled context.
-	if n := atomic.LoadInt32(&after); n > 45 {
-		t.Fatalf("%d items ran with live context after the failure", n)
+		if n := late.Load(); n > int32(2*par) {
+			t.Fatalf("par=%d: %d items started after the failure", par, n)
+		}
 	}
 }
 
-func TestForEachLimitedHonorsParentCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran int32
-	err := forEachLimited(ctx, 5, 3, func(_ context.Context, i int) error {
-		atomic.AddInt32(&ran, 1)
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+// A failing benchmark's own error reaches the caller, whatever is still
+// running beside it. Here alt (one procedure) fails every compile while
+// gcc, earlier in suite order and much slower, is still compiling; the
+// error must name alt's first scheme, not a cancellation of gcc's.
+func TestRunSuiteReportsFailureNotCancellation(t *testing.T) {
+	failAlt := func(c *core.Config) {
+		if c.Path.NumProcs() == 1 {
+			c.Method = 99
+		}
 	}
-}
-
-func TestRunSuiteContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := NewRunner(Options{Parallelism: 2})
-	if _, err := r.RunSuiteContext(ctx, []string{"alt", "ph"}, []Scheme{SchemeBB}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	const want = "pipeline: alt/P4: compile: core: unknown method 99"
+	for _, par := range []int{1, 2} {
+		r := NewRunner(Options{Parallelism: par, Form: failAlt})
+		_, err := r.RunSuite([]string{"gcc", "alt"}, []Scheme{SchemeP4, SchemeM4})
+		if err == nil || err.Error() != want {
+			t.Fatalf("par=%d: err = %v, want %q", par, err, want)
+		}
 	}
 }
 
@@ -169,9 +183,8 @@ func TestBuildCountPerBenchmark(t *testing.T) {
 	}
 }
 
-// TestRunBenchmarkFirstErrorCancels drives the error path through a
-// benchmark whose test build diverges structurally, which every scheme
-// would report; exactly one wrapped error must surface.
+// TestRunBenchmarkSchemeErrorPropagates drives the error path through
+// an unknown scheme between two valid ones: the run must fail.
 func TestRunBenchmarkSchemeErrorPropagates(t *testing.T) {
 	r := NewRunner(Options{Parallelism: 4})
 	_, err := r.RunBenchmark(bench.ByName("alt"), []Scheme{SchemeBB, "bogus", SchemeP4})

@@ -43,7 +43,6 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -157,6 +156,8 @@ type Options struct {
 	// (in RunBenchmark) are measured concurrently. 0 means
 	// runtime.GOMAXPROCS(0); 1 reproduces the historical serial
 	// execution order exactly. Results are identical at any setting.
+	// It is the pipeline's only fan-out: each scheme's formation and
+	// compaction run its procedures in order.
 	Parallelism int
 	// ProfileCache is the content-addressed cache of laid-out compiles
 	// (see Cache). Nil means NewRunner creates a private cache; pass
@@ -311,12 +312,6 @@ func NewRunner(opts Options) *Runner {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if opts.Sched.Parallelism == 0 {
-		// Compaction fans out across procedures under the same knob
-		// that bounds benchmark/scheme fan-out; output is identical at
-		// any setting.
-		opts.Sched.Parallelism = opts.Parallelism
-	}
 	r := &Runner{opts: opts}
 	switch opts.Check {
 	case CheckOn:
@@ -370,14 +365,11 @@ func (r *Runner) CacheStats() (stats CacheStats, ok bool) {
 	return r.cache.Stats(), true
 }
 
-// RunBenchmark measures b under every requested scheme.
+// RunBenchmark measures b under every requested scheme. The schemes
+// run on the runner's worker pool; after the first scheme error no
+// further scheme starts, and the error of the first failing scheme in
+// the given order is returned.
 func (r *Runner) RunBenchmark(b *bench.Benchmark, schemes []Scheme) (*Result, error) {
-	return r.RunBenchmarkContext(context.Background(), b, schemes)
-}
-
-// RunBenchmarkContext is RunBenchmark with cancellation: the first
-// scheme error (or ctx expiry) cancels the remaining scheme runs.
-func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, schemes []Scheme) (*Result, error) {
 	trainProg := b.Build(b.Train)
 	testProg := b.Build(b.Test)
 	if err := checkSameShape(trainProg, testProg); err != nil {
@@ -433,7 +425,7 @@ func (r *Runner) RunBenchmarkContext(ctx context.Context, b *bench.Benchmark, sc
 	// frozen profiles; measurements land at their scheme's index, so
 	// assembly order is independent of completion order.
 	ms := make([]*Measurement, len(schemes))
-	err = forEachLimited(ctx, len(schemes), r.opts.Parallelism, func(ctx context.Context, i int) error {
+	err = forEachLimited(len(schemes), r.opts.Parallelism, func(i int) error {
 		m, err := r.runScheme(schemes[i], trainProg, testProg, tp, ref, keys, base)
 		if err != nil {
 			return fmt.Errorf("pipeline: %s/%s: %w", b.Name, schemes[i], err)
@@ -492,16 +484,13 @@ func schemeConfig(s Scheme, eprof *profile.EdgeProfile, pprof *profile.PathProfi
 }
 
 // formConfig resolves the fully configured formation config for scheme
-// s: schemeConfig, then parallelism and the Form hook. ok is false for
-// the BB baseline, which does not form superblocks.
+// s: schemeConfig, then the Form hook. ok is false for the BB baseline,
+// which does not form superblocks.
 func (r *Runner) formConfig(s Scheme, eprof *profile.EdgeProfile, pprof *profile.PathProfile) (cfg core.Config, ok bool, err error) {
 	cfg, ok, err = schemeConfig(s, eprof, pprof)
 	if !ok || err != nil {
 		return cfg, ok, err
 	}
-	// Formation fans out across procedures under the same knob that
-	// bounds scheme fan-out (the Form hook below may still override).
-	cfg.Parallelism = r.opts.Parallelism
 	if r.opts.Form != nil {
 		r.opts.Form(&cfg)
 	}
@@ -823,15 +812,11 @@ func (r *Runner) runScheme(s Scheme, trainProg, testProg *ir.Program, tp *profil
 }
 
 // RunSuite measures every named benchmark (nil means the whole suite).
+// Benchmarks are dispatched across a bounded worker pool and results
+// come back in suite order regardless of which benchmark finished
+// first. After the first failure no further benchmark starts, and the
+// error of the first failing benchmark in suite order is returned.
 func (r *Runner) RunSuite(names []string, schemes []Scheme) ([]*Result, error) {
-	return r.RunSuiteContext(context.Background(), names, schemes)
-}
-
-// RunSuiteContext is RunSuite with cancellation: benchmarks are
-// dispatched across a bounded worker pool, the first error cancels the
-// rest, and results come back in suite order regardless of which
-// benchmark finished first.
-func (r *Runner) RunSuiteContext(ctx context.Context, names []string, schemes []Scheme) ([]*Result, error) {
 	if names == nil {
 		names = bench.Names()
 	}
@@ -842,8 +827,8 @@ func (r *Runner) RunSuiteContext(ctx context.Context, names []string, schemes []
 		}
 	}
 	out := make([]*Result, len(bs))
-	err := forEachLimited(ctx, len(bs), r.opts.Parallelism, func(ctx context.Context, i int) error {
-		res, err := r.RunBenchmarkContext(ctx, bs[i], schemes)
+	err := forEachLimited(len(bs), r.opts.Parallelism, func(i int) error {
+		res, err := r.RunBenchmark(bs[i], schemes)
 		if err != nil {
 			return err
 		}

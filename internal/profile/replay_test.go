@@ -31,13 +31,13 @@ var replaySchemes = []replayScheme{
 // compileFor forms (when the scheme forms) and compacts a clone of prog
 // under the training profiles tp.
 func compileFor(prog *ir.Program, tp *profile.TrainingProfiles, s replayScheme) (*ir.Program, error) {
-	so := sched.Options{Parallelism: 1}
+	var so sched.Options
 	if s.form == nil {
 		bin := ir.CloneProgram(prog)
 		return bin, sched.CompactBasicBlocks(bin, so)
 	}
 	cfg := core.DefaultConfig()
-	cfg.Edge, cfg.Path, cfg.Parallelism = tp.Edge, tp.Path, 1
+	cfg.Edge, cfg.Path = tp.Edge, tp.Path
 	s.form(&cfg)
 	res, err := core.Form(prog, cfg)
 	if err != nil {

@@ -13,9 +13,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"pathsched/internal/core"
 	"pathsched/internal/ir"
@@ -44,24 +41,21 @@ type Options struct {
 	// numbering requires renaming and is skipped automatically when
 	// renaming is off.
 	DisableVN bool
-	// Parallelism bounds how many procedures compact concurrently
-	// (0 = GOMAXPROCS, 1 = serial). Output is byte-identical at every
-	// setting: procedures are independent (renaming draws from
-	// per-procedure virtual counters), results install into
-	// per-procedure blocks, and the first error in procedure order wins.
+	// Parallelism is ignored: Compact runs its procedures in order.
+	// The field remains only because the benchmark harness
+	// (cmd/bench/trace.go) still sets it.
 	Parallelism int
 	// RecordDeps, when non-nil, receives every scheduled head block's
 	// dependence edges mapped to emitted instruction order, for
-	// check.SchedulesWithDeps. The map is written only after all
-	// workers join; callers must not share it across concurrent
-	// Compact calls.
+	// check.SchedulesWithDeps, as each superblock is scheduled.
+	// Callers must not share it across concurrent Compact calls.
 	RecordDeps BlockDeps
 	// Exact switches scheduling to the branch-and-bound exact search
 	// (exact.go), falling back to the list schedule above its budgets.
 	Exact ExactConfig
 	// GapStats, when non-nil, accumulates per-region list-vs-exact
-	// span statistics (only meaningful with Exact.Enabled). Written
-	// only after all workers join; callers must not share it across
+	// span statistics (only meaningful with Exact.Enabled) as each
+	// superblock is scheduled. Callers must not share it across
 	// concurrent Compact calls.
 	GapStats *GapStats
 }
@@ -74,134 +68,39 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// blockDeps is one recorded block during compaction, carried per
-// procedure until the deterministic merge after workers join.
-type blockDeps struct {
-	block *ir.Block
-	edges []DepEdge
-}
-
 // Compact schedules every superblock of res in place: after it
 // returns, each superblock is a single merged block carrying Cycles,
 // Span, SBSize, and ExitUnits annotations, dead constituent blocks are
 // removed, and res.Superblocks reflects the new block ids. Procedures
-// compact in parallel per opts.Parallelism; the result (and the error,
-// if any) is identical at every worker count.
+// compact in order on one scratch, so the first failing procedure's
+// error is the one returned.
 func Compact(res *core.Result, opts Options) error {
 	opts = opts.withDefaults()
-	prog := res.Prog
-	n := len(prog.Procs)
-	errs := make([]error, n)
-	var recs [][]blockDeps
-	if opts.RecordDeps != nil {
-		recs = make([][]blockDeps, n)
-	}
-	var gaps []GapStats
-	if opts.GapStats != nil {
-		gaps = make([]GapStats, n)
-	}
-	forEachProc(n, opts.Parallelism, func(i int, s *scratch) {
-		p := prog.Procs[i]
-		var gs *GapStats
-		if gaps != nil {
-			gs = &gaps[i]
-		}
-		rec, err := compactProc(p, res.Superblocks[p.ID], opts, s, gs)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if recs != nil {
-			recs[i] = rec
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
+	s := newScratch()
+	for _, p := range res.Prog.Procs {
+		if err := compactProc(p, res.Superblocks[p.ID], opts, s); err != nil {
 			return err
 		}
 	}
-	if recs != nil {
-		for _, rec := range recs {
-			for _, bd := range rec {
-				opts.RecordDeps[bd.block] = bd.edges
-			}
-		}
-	}
-	// Per-procedure gap slots merge in input order after the join, the
-	// same discipline RecordDeps uses, so totals are identical at every
-	// worker count.
-	for i := range gaps {
-		opts.GapStats.Merge(&gaps[i])
-	}
-	if err := ir.Verify(prog); err != nil {
+	if err := ir.Verify(res.Prog); err != nil {
 		return fmt.Errorf("sched: compaction produced invalid IR: %w", err)
 	}
 	return nil
 }
 
-// compactProc compacts one procedure's superblocks with one worker's
-// scratch, returning the recorded block dependences when recording is
-// on.
-func compactProc(p *ir.Proc, sbs []*core.Superblock, opts Options, s *scratch, gs *GapStats) ([]blockDeps, error) {
+// compactProc compacts one procedure's superblocks.
+func compactProc(p *ir.Proc, sbs []*core.Superblock, opts Options, s *scratch) error {
 	live := LiveIn(p)
 	pool := regalloc.FreePool(p)
-	record := opts.RecordDeps != nil
-	var rec []blockDeps
 	for _, sb := range sbs {
-		edges, err := compactSuperblock(p, sb, live, pool, opts, s, record, gs)
-		if err != nil {
-			return nil, fmt.Errorf("sched: %s sb%d: %w", p.Name, sb.ID, err)
-		}
-		if record {
-			// The head block pointer is stable across the renumbering
-			// removeDeadBlocks performs below.
-			rec = append(rec, blockDeps{block: p.Block(sb.Blocks[0]), edges: edges})
+		if err := compactSuperblock(p, sb, live, pool, opts, s); err != nil {
+			return fmt.Errorf("sched: %s sb%d: %w", p.Name, sb.ID, err)
 		}
 	}
 	if err := removeDeadBlocks(p, sbs); err != nil {
-		return nil, fmt.Errorf("sched: %s: %w", p.Name, err)
+		return fmt.Errorf("sched: %s: %w", p.Name, err)
 	}
-	return rec, nil
-}
-
-// forEachProc runs fn(i, scratch) for i in [0, n), fanning out across
-// up to `parallelism` goroutines (0 = GOMAXPROCS), each owning one
-// scratch for its whole lifetime. Mirrors core.Form's worker pool:
-// an atomic cursor hands out indices, so the assignment of procedures
-// to workers is racy but the per-index outputs are not — callers keep
-// per-index result slots and merge them in input order after the join.
-func forEachProc(n, parallelism int, fn func(int, *scratch)) {
-	limit := parallelism
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	if limit == 1 || n <= 1 {
-		s := newScratch()
-		for i := 0; i < n; i++ {
-			fn(i, s)
-		}
-		return
-	}
-	if limit > n {
-		limit = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(limit)
-	for w := 0; w < limit; w++ {
-		go func() {
-			defer wg.Done()
-			s := newScratch()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, s)
-			}
-		}()
-	}
-	wg.Wait()
+	return nil
 }
 
 // CompactBasicBlocks schedules each reachable basic block of prog
@@ -234,11 +133,12 @@ func basicBlockSuperblocks(prog *ir.Program) *core.Result {
 	return res
 }
 
-func compactSuperblock(p *ir.Proc, sb *core.Superblock, live []RegSet, pool regalloc.Pool, opts Options, s *scratch, record bool, gs *GapStats) ([]DepEdge, error) {
+func compactSuperblock(p *ir.Proc, sb *core.Superblock, live []RegSet, pool regalloc.Pool, opts Options, s *scratch) error {
 	nodes, err := mergeSuperblock(p, sb, live, s)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	record := opts.RecordDeps != nil
 	head := p.Block(sb.Blocks[0])
 	// The no-renaming fallback re-merges lazily (register pressure
 	// failures are rare): rename mutates instruction operands in place
@@ -249,7 +149,7 @@ func compactSuperblock(p *ir.Proc, sb *core.Superblock, live []RegSet, pool rega
 	var gap gapRecord
 	final, cycles, span, edges, err := scheduleNodes(p, nodes, tryRename, opts, s, record, &gap)
 	if err != nil {
-		return nil, tagCycleError(err, p, sb)
+		return tagCycleError(err, p, sb)
 	}
 	install(p, head, sb, final, cycles, span)
 	if tryRename {
@@ -259,26 +159,32 @@ func compactSuperblock(p *ir.Proc, sb *core.Superblock, live []RegSet, pool rega
 		// is a renaming bug and must not hide behind the fallback.
 		if aerr := s.ra.AssignVirtuals(head, pool); aerr != nil {
 			if !errors.Is(aerr, regalloc.ErrOutOfRegisters) {
-				return nil, aerr
+				return aerr
 			}
 			head.Instrs = origInstrs
 			fallback, merr := mergeSuperblock(p, sb, live, s)
 			if merr != nil {
-				return nil, merr
+				return merr
 			}
 			// The retry overwrites gap: only the kept schedule counts.
 			final, cycles, span, edges, err = scheduleNodes(p, fallback, false, opts, s, record, &gap)
 			if err != nil {
-				return nil, tagCycleError(err, p, sb)
+				return tagCycleError(err, p, sb)
 			}
 			install(p, head, sb, final, cycles, span)
 		}
 	}
-	if gs != nil {
-		gs.add(gap)
+	if record {
+		// The head block pointer is stable across the renumbering
+		// removeDeadBlocks performs after the procedure's last
+		// superblock.
+		opts.RecordDeps[head] = edges
+	}
+	if opts.GapStats != nil {
+		opts.GapStats.add(gap)
 	}
 	sb.Blocks = sb.Blocks[:1]
-	return edges, nil
+	return nil
 }
 
 // tagCycleError stamps a scheduler CycleError with the procedure and

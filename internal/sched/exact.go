@@ -107,17 +107,6 @@ type GapStats struct {
 	ExactSpan int64
 }
 
-// Merge folds o into g (per-worker stats joining after Compact).
-func (g *GapStats) Merge(o *GapStats) {
-	g.Blocks += o.Blocks
-	g.Proved += o.Proved
-	g.Bounded += o.Bounded
-	g.BoundedSearch += o.BoundedSearch
-	g.Improved += o.Improved
-	g.ListSpan += o.ListSpan
-	g.ExactSpan += o.ExactSpan
-}
-
 // PctOfOptimal reports the list scheduler's quality over proved
 // regions as a percentage of the optimal span sum: 100 means every
 // list schedule was optimal; 98 means list schedules were 1/0.98x
@@ -130,8 +119,8 @@ func (g *GapStats) PctOfOptimal() float64 {
 }
 
 // gapRecord is one region's outcome, filled by scheduleNodes and folded
-// into the worker's GapStats by compactSuperblock once the kept attempt
-// is known (the regalloc fallback reschedules, and only the final
+// into Options.GapStats by compactSuperblock once the kept attempt is
+// known (the regalloc fallback reschedules, and only the final
 // schedule is installed).
 type gapRecord struct {
 	valid               bool
@@ -231,7 +220,7 @@ func exactSchedule(nodes []node, g *ddg, mc machine.Config, cfg ExactConfig, s *
 		return best, listSpan, listSpan, exactProved, nil
 	}
 
-	// Branch and bound. All working state lives in the worker's scratch.
+	// Branch and bound. All working state lives in the scratch.
 	cyc := i32fill(&s.exCyc, n, -1)
 	est := i32zero(&s.exEst, n)
 	npred := i32buf(&s.exNpred, n)

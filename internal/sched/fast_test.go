@@ -84,7 +84,7 @@ func randNodes(rng *rand.Rand, n int) []node {
 // reuse (stale tables from a previous, larger region must not leak).
 func TestDependencesFastMatchesReference(t *testing.T) {
 	mc := machine.Default()
-	var s depScratch // reused across all iterations, like one compile worker
+	var s depScratch // reused across all iterations, like one Compact call
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 500; iter++ {
 		n := 1 + rng.Intn(60)

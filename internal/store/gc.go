@@ -25,7 +25,7 @@ func (s *Store) List() ([]Entry, error) {
 	}
 	var out []Entry
 	for _, kd := range kinds {
-		if !kd.IsDir() || kd.Name() == "claims" || kd.Name() == "tmp" {
+		if !kd.IsDir() || kd.Name() == "tmp" {
 			continue
 		}
 		files, err := os.ReadDir(filepath.Join(s.root, kd.Name()))
@@ -67,13 +67,12 @@ type GCStats struct {
 // oldest-access first (reads refresh timestamps, so this is LRU-ish).
 // maxBytes <= 0 keeps every entry. It also sweeps temp files older than
 // StaleAfter — the debris a killed process leaves behind, which is
-// always safe because temp files are private until renamed — and an
-// older store's claims/ directory, which nothing reads any more.
+// always safe because temp files are private until renamed.
 func (s *Store) GC(maxBytes int64) (GCStats, error) {
 	var st GCStats
 	cutoff := time.Now().Add(-s.opts.StaleAfter)
 	files, err := os.ReadDir(filepath.Join(s.root, "tmp"))
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return st, fmt.Errorf("store: %w", err)
 	}
 	for _, f := range files {
@@ -84,9 +83,6 @@ func (s *Store) GC(maxBytes int64) (GCStats, error) {
 		if os.Remove(filepath.Join(s.root, "tmp", f.Name())) == nil {
 			st.TmpRemoved++
 		}
-	}
-	if err := os.RemoveAll(filepath.Join(s.root, "claims")); err != nil {
-		return st, fmt.Errorf("store: %w", err)
 	}
 	entries, err := s.List()
 	if err != nil {

@@ -19,12 +19,16 @@
 //
 // On-disk layout under the root directory:
 //
+//	PATHSCHED-STORE marker: this directory is a store
 //	<kind>/<key>    entries (kind ∈ {compile}, key hex)
 //	tmp/            private scratch for atomic publishes
 //
-// Stores written while builds were coordinated by claim files also
-// hold a claims/ directory: the name stays reserved, List skips it,
-// and GC removes it.
+// The marker's upper-case name can never be an entry kind. Open writes
+// it into a missing or empty directory and refuses any other directory
+// without one, so no store operation reads, deletes or creates files in
+// a directory that is not a store. Stores written before the marker
+// existed are refused too; their entries are rebuildable, so the fix
+// is to remove them.
 package store
 
 import (
@@ -73,9 +77,45 @@ type Store struct {
 // Store handle on one directory.
 var tempSeq atomic.Uint64
 
-// Open creates (if needed) and opens the store rooted at dir.
+// markerName is the empty file at the root of every store.
+const markerName = "PATHSCHED-STORE"
+
+// Open opens the store rooted at dir, making a missing or empty dir a
+// store first; any other directory without the marker is refused as
+// OpenExisting refuses it. Processes opening one empty directory at
+// once all succeed: the marker goes in before tmp/, so no directory
+// holds tmp/ without it, and Open re-creates a marked store's missing
+// tmp/.
 func Open(dir string, opts Options) (*Store, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if names, err := os.ReadDir(dir); err == nil && len(names) == 0 {
+		if err := os.WriteFile(filepath.Join(dir, markerName), nil, 0o644); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+	}
+	s, err := OpenExisting(dir, opts)
+	if err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(filepath.Join(dir, "tmp"), 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return s, nil
+}
+
+// OpenExisting opens the store rooted at dir without creating
+// anything. A directory without the marker is refused, and nothing in
+// it is read, created or deleted.
+func OpenExisting(dir string, opts Options) (*Store, error) {
+	if _, err := os.Stat(dir); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, markerName)); os.IsNotExist(err) {
+		return nil, fmt.Errorf("store: %s is not an artifact store: it has no %s marker "+
+			"(a store written by an older version has none; remove it, every entry is rebuildable)", dir, markerName)
+	} else if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	return &Store{root: dir, opts: opts.withDefaults()}, nil
@@ -85,10 +125,9 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) Root() string { return s.root }
 
 // checkName rejects kind/key components that could escape the store
-// directory or collide with the bookkeeping subdirectories (tmp/, and
-// the claims/ of older stores).
+// directory or collide with tmp/.
 func checkName(what, name string) error {
-	if name == "" || name == "claims" || name == "tmp" {
+	if name == "" || name == "tmp" {
 		return fmt.Errorf("store: invalid %s %q", what, name)
 	}
 	for _, c := range name {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,7 +62,7 @@ func TestEmptyPayload(t *testing.T) {
 
 func TestInvalidNamesRejected(t *testing.T) {
 	s := openTest(t)
-	for _, bad := range []string{"", "tmp", "claims", "../escape", "UPPER", "a/b", "a.b"} {
+	for _, bad := range []string{"", "tmp", markerName, "../escape", "UPPER", "a/b", "a.b"} {
 		if err := s.Put(bad, "aa", []byte("x")); err == nil {
 			t.Errorf("Put accepted kind %q", bad)
 		}
@@ -197,34 +199,118 @@ func TestConcurrentPutsOfOneKey(t *testing.T) {
 	}
 }
 
-// TestGCRemovesOlderClaimsDir: a store written while builds were
-// coordinated by claim files holds a claims/ directory, possibly with a
-// dead claim in it. List must skip it and GC must remove it, entries
-// untouched.
-func TestGCRemovesOlderClaimsDir(t *testing.T) {
-	s := openTest(t)
-	if err := s.Put("compile", "aa", []byte("kept")); err != nil {
+// tree lists every file and directory under dir, with file contents,
+// so a test can tell whether anything was created, changed or deleted.
+func tree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			out[rel+"/"] = ""
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		out[rel] = string(data)
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	claims := filepath.Join(s.root, "claims")
-	if err := os.Mkdir(claims, 0o755); err != nil {
-		t.Fatal(err)
+	return out
+}
+
+// TestOpenRefusesNonStoreDir: a non-empty directory without the marker
+// (another program's files, or a store written before the marker) is
+// refused by both entry points, which create and delete nothing in it.
+func TestOpenRefusesNonStoreDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, f := range []string{"docs/readme", "notes/todo"} {
+		path := filepath.Join(dir, f)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("not an entry\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(claims, "compile.bb"), []byte("pid 999999\n"), 0o644); err != nil {
-		t.Fatal(err)
+	before := tree(t, dir)
+	for name, open := range map[string]func(string, Options) (*Store, error){"Open": Open, "OpenExisting": OpenExisting} {
+		_, err := open(dir, Options{})
+		if err == nil || !strings.Contains(err.Error(), "is not an artifact store") {
+			t.Errorf("%s on a non-store directory: err = %v", name, err)
+		}
+		if after := tree(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s changed a non-store directory:\nbefore %v\nafter  %v", name, before, after)
+		}
 	}
-	if entries, err := s.List(); err != nil || len(entries) != 1 {
-		t.Fatalf("List with claims/: %+v err=%v", entries, err)
+}
+
+// TestOpenMarksEmptyDir: Open makes a missing or empty directory a
+// store, which both entry points then open; OpenExisting creates
+// nothing, neither a missing directory nor a marked store's missing
+// tmp/, which GC tolerates and Open re-creates.
+func TestOpenMarksEmptyDir(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	if _, err := OpenExisting(missing, Options{}); err == nil {
+		t.Fatal("OpenExisting accepted a missing directory")
 	}
-	st, err := s.GC(0)
-	if err != nil || st.Entries != 1 || st.Removed != 0 {
-		t.Fatalf("GC: %+v err=%v", st, err)
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("OpenExisting created the missing directory: %v", err)
 	}
-	if _, err := os.Stat(claims); !os.IsNotExist(err) {
-		t.Fatalf("claims/ survived GC: %v", err)
+	for _, dir := range []string{missing, t.TempDir()} {
+		if _, err := Open(dir, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]string{"./": "", markerName: "", "tmp/": ""}
+		if got := tree(t, dir); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fresh store %v, want %v", got, want)
+		}
+		if err := os.Remove(filepath.Join(dir, "tmp")); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenExisting(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := s.GC(0); err != nil || st.Entries != 0 {
+			t.Fatalf("GC without tmp/: %+v err=%v", st, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "tmp")); !os.IsNotExist(err) {
+			t.Fatalf("OpenExisting or GC created tmp/: %v", err)
+		}
+		if _, err := Open(dir, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := tree(t, dir); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reopened store %v, want %v", got, want)
+		}
 	}
-	if got, ok := s.Get("compile", "aa"); !ok || string(got) != "kept" {
-		t.Fatalf("entry after GC: ok=%v %q", ok, got)
+}
+
+// TestConcurrentFirstOpen: processes that open one empty directory at
+// once (two -store runs started together) must all succeed, whichever
+// of them writes the marker.
+func TestConcurrentFirstOpen(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		dir := t.TempDir()
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := Open(dir, Options{}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if _, err := OpenExisting(dir, Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -40,8 +40,7 @@ func main() {
 		ablate    = flag.Bool("ablate", false, "run design-choice ablations instead of the figures")
 		jsonOut   = flag.Bool("json", false, "emit raw measurements as JSON instead of text reports")
 		jobs      = flag.Int("j", 0, "parallel pipeline workers (0 = GOMAXPROCS, 1 = serial)")
-		cstats    = flag.Bool("cachestats", false, "report compile-cache hits, misses, and dedups")
-		nocache   = flag.Bool("nocache", false, "disable the compile cache (laid-out binaries)")
+		cstats    = flag.Bool("cachestats", false, "report how many compiles were read from the -store directory and how many were built")
 		docheck   = flag.Bool("check", false, "run the semantic checker after every pipeline stage")
 		dovalid   = flag.Bool("validate", false, "prove every compile semantically equivalent to its pristine IR and report the verdict table")
 		profstats = flag.Bool("profstats", false, "report per-benchmark training-run statistics (fast-path modes, batch flushes, automaton sizes)")
@@ -50,13 +49,26 @@ func main() {
 		exnodes   = flag.Int("exactnodes", 0, "exact-search node budget per region (0 = default 32, max 64)")
 		exsearch  = flag.Int64("exactsearch", 0, "exact-search step budget per region (0 = default 200000)")
 		gapstats  = flag.Bool("gapstats", false, "report the gap-to-optimal table (implies -exact)")
-		storeDir  = flag.String("store", "", "persistent artifact-store directory (disk tier under the cache, shared across processes)")
+		storeDir  = flag.String("store", "", "persistent artifact-store directory: laid-out compiles are read from it and published to it, shared across runs and processes")
 		storeGC   = flag.Int64("storegc", 0, "after the run, prune the -store directory to this many bytes (oldest access first)")
 	)
 	flag.Parse()
-	if *depth < 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -depth %d is negative\n", *depth)
-		os.Exit(2)
+	// Every flag is checked before anything runs, so a flag the run
+	// would ignore or fail on late is a usage error (exit 2) instead.
+	want := onlyReports(*only)
+	switch {
+	case *depth < 0:
+		usageError("-depth %d is negative", *depth)
+	case *profiler != string(pipeline.ProfilerWindow) && *profiler != string(pipeline.ProfilerBL):
+		usageError("unknown -profiler %q (want window or bl)", *profiler)
+	case *bliters < 0:
+		usageError("-bliters %d is negative", *bliters)
+	case *bliters != 0 && *profiler != string(pipeline.ProfilerBL):
+		usageError("-bliters only applies with -profiler bl")
+	case *storeGC < 0:
+		usageError("-storegc %d is negative", *storeGC)
+	case *storeGC > 0 && *storeDir == "":
+		usageError("-storegc requires -store")
 	}
 	if *gapstats {
 		*exact = true
@@ -81,14 +93,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *storeGC > 0 && st == nil {
-		fmt.Fprintln(os.Stderr, "experiments: -storegc requires -store")
-		os.Exit(2)
-	}
 	defer runStoreGC(st, *storeGC)
 
 	if *ablate {
-		runAblations(*benches, *jobs, *cstats, *nocache, checkMode, validateMode, st)
+		runAblations(*benches, *jobs, *cstats, checkMode, validateMode, st)
 		return
 	}
 
@@ -103,16 +111,15 @@ func main() {
 	cache := machine.DefaultICache()
 	cache.Ways = *ways
 	runner := pipeline.NewRunner(pipeline.Options{
-		Machine:             mc,
-		Cache:               &cache,
-		Profiler:            pipeline.ProfilerScheme(*profiler),
-		BLIterations:        *bliters,
-		PathDepth:           *depth,
-		Parallelism:         *jobs,
-		DisableProfileCache: *nocache,
-		Check:               checkMode,
-		Validate:            validateMode,
-		ArtifactStore:       st,
+		Machine:       mc,
+		Cache:         &cache,
+		Profiler:      pipeline.ProfilerScheme(*profiler),
+		BLIterations:  *bliters,
+		PathDepth:     *depth,
+		Parallelism:   *jobs,
+		Check:         checkMode,
+		Validate:      validateMode,
+		ArtifactStore: st,
 		Sched: sched.Options{Exact: sched.ExactConfig{
 			Enabled:      *exact,
 			NodeBudget:   *exnodes,
@@ -148,32 +155,10 @@ func main() {
 		}
 	}
 
-	want := map[string]bool{}
-	for _, w := range strings.Split(*only, ",") {
-		want[strings.TrimSpace(w)] = true
-	}
-	show := func(key string) bool { return want["all"] || want[key] }
-
-	if show("table1") {
-		fmt.Println(stats.Table1(results))
-	}
-	if show("fig4") {
-		fmt.Println(stats.Figure4(results))
-	}
-	if show("fig5") {
-		fmt.Println(stats.Figure5(results))
-	}
-	if show("fig6") {
-		fmt.Println(stats.Figure6(results))
-	}
-	if show("fig7") {
-		fmt.Println(stats.Figure7(results))
-	}
-	if show("miss") {
-		fmt.Println(stats.MissRates(results))
-	}
-	if show("summary") {
-		fmt.Println(stats.Summary(results))
+	for _, rp := range reports {
+		if want["all"] || want[rp.name] {
+			fmt.Println(rp.render(results))
+		}
 	}
 	if *gapstats {
 		fmt.Println(stats.GapTable(results))
@@ -187,6 +172,45 @@ func main() {
 	if *compstats {
 		printCompileStats(runner.CompileStats())
 	}
+}
+
+// reports are the tables -only selects from, in print order.
+var reports = []struct {
+	name   string
+	render func([]*pipeline.Result) string
+}{
+	{"table1", stats.Table1},
+	{"fig4", stats.Figure4},
+	{"fig5", stats.Figure5},
+	{"fig6", stats.Figure6},
+	{"fig7", stats.Figure7},
+	{"miss", stats.MissRates},
+	{"summary", stats.Summary},
+}
+
+// onlyReports parses -only into the set of report names it selects;
+// an unknown name is a usage error.
+func onlyReports(only string) map[string]bool {
+	want := map[string]bool{}
+	for _, w := range strings.Split(only, ",") {
+		w = strings.TrimSpace(w)
+		known := w == "all"
+		for _, rp := range reports {
+			known = known || rp.name == w
+		}
+		if !known {
+			usageError("unknown -only report %q (want all, table1, fig4, fig5, fig6, fig7, miss or summary)", w)
+		}
+		want[w] = true
+	}
+	return want
+}
+
+// usageError reports a bad command line and exits 2, the status the
+// flag package gives an undefined flag.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // runStoreGC prunes the artifact store to maxBytes after the run, in
@@ -256,12 +280,11 @@ func printProfStats(results []*pipeline.Result) {
 // Reported per configuration: geometric mean of P4/M4 ideal cycles
 // over the ablation benchmark set.
 //
-// All configurations share one content-addressed cache, so configs
-// that resolve to identical formation inputs (depth=15 vs baseline)
-// collapse to one laid-out compile per benchmark and scheme.
-// With -store, the shared cache is disk-backed, so a repeated sweep
-// starts warm.
-func runAblations(benches string, jobs int, cstats, nocache bool, checkMode pipeline.CheckMode, validateMode pipeline.ValidateMode, st *store.Store) {
+// No two configurations resolve to the same compile (depth=15 is the
+// experiments default), so a sweep builds every one of its compiles.
+// With -store, each configuration's runner reads from and publishes to
+// the store, so a repeated sweep starts warm.
+func runAblations(benches string, jobs int, cstats bool, checkMode pipeline.CheckMode, validateMode pipeline.ValidateMode, st *store.Store) {
 	names := []string{"alt", "ph", "corr", "wc", "eqn", "m88k"}
 	if benches != "" {
 		names = strings.Split(benches, ",")
@@ -285,18 +308,13 @@ func runAblations(benches string, jobs int, cstats, nocache bool, checkMode pipe
 		config{"bl", pipeline.Options{Profiler: pipeline.ProfilerBL}},
 		config{"bl-k2", pipeline.Options{Profiler: pipeline.ProfilerBL, BLIterations: 2}},
 		config{"bl-k8", pipeline.Options{Profiler: pipeline.ProfilerBL, BLIterations: 8}},
-		config{"baseline", pipeline.Options{}},
 	)
 	fmt.Printf("# ablations over %v (geomean of P4/M4 ideal cycles; lower favors P4)\n\n", names)
 	fmt.Printf("%-14s %10s %14s\n", "config", "P4/M4", "P4 cycles (K)")
-	shared := pipeline.NewCache()
-	if st != nil {
-		shared = pipeline.NewDiskCache(st)
-	}
+	var total pipeline.CacheStats
 	for _, c := range configs {
 		c.opts.Parallelism = jobs
-		c.opts.ProfileCache = shared
-		c.opts.DisableProfileCache = nocache
+		c.opts.ArtifactStore = st
 		c.opts.Check = checkMode
 		c.opts.Validate = validateMode
 		runner := pipeline.NewRunner(c.opts)
@@ -318,8 +336,14 @@ func runAblations(benches string, jobs int, cstats, nocache bool, checkMode pipe
 			geo = math.Pow(geo, 1/float64(n))
 		}
 		fmt.Printf("%-14s %10.3f %14.1f\n", c.label, geo, float64(cycles)/1000)
+		s, _ := runner.CacheStats()
+		total.Compile = total.Compile.Add(s.Compile)
 	}
-	if cstats && !nocache {
-		fmt.Printf("\n# cache: %s\n", shared.Stats())
+	if cstats {
+		if st != nil {
+			fmt.Printf("\n# cache: %s\n", total)
+		} else {
+			fmt.Printf("\n# cache: disabled\n")
+		}
 	}
 }

@@ -120,14 +120,44 @@ func TestStoreRefusesNonStoreDir(t *testing.T) {
 	}
 }
 
-// TestRetiredFlagsUndefined: the multi-process flags are gone, so each
-// is an undefined flag (exit 2) before anything runs.
+// TestRetiredFlagsUndefined: the multi-process flags and -nocache (a
+// plain run keeps no compile memo to disable) are gone, so each is an
+// undefined flag (exit 2) before anything runs.
 func TestRetiredFlagsUndefined(t *testing.T) {
-	for _, args := range [][]string{{"-spawn", "2"}, {"-shards", "0/2"}, {"-shardout", "f"}} {
+	for _, args := range [][]string{{"-spawn", "2"}, {"-shards", "0/2"}, {"-shardout", "f"}, {"-nocache"}} {
 		stdout, stderr, code := experiments(t, args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
 			t.Errorf("experiments %s: exit %d, stdout %q, stderr %q; want exit 2 on an undefined flag",
 				strings.Join(args, " "), code, stdout, stderr)
+		}
+	}
+}
+
+// TestBadFlagsRejectedBeforeRunning: a flag value the run would ignore
+// or fail on only after building a benchmark is a usage error instead:
+// exit 2 with the reason on stderr, nothing on stdout, and the -store
+// directory never created.
+func TestBadFlagsRejectedBeforeRunning(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-only", "fig9"}, `experiments: unknown -only report "fig9"`},
+		{[]string{"-bliters", "5"}, "experiments: -bliters only applies with -profiler bl"},
+		{[]string{"-profiler", "bl", "-bliters", "-1"}, "experiments: -bliters -1 is negative"},
+		{[]string{"-storegc", "-5"}, "experiments: -storegc -5 is negative"},
+		{[]string{"-profiler", "bogus"}, `experiments: unknown -profiler "bogus"`},
+		{[]string{"-depth", "-3"}, "experiments: -depth -3 is negative"},
+	} {
+		dir := filepath.Join(t.TempDir(), "store")
+		args := append([]string{"-bench", "alt", "-json", "-store", dir}, tc.args...)
+		stdout, stderr, code := experiments(t, args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("experiments %s: exit %d, stdout %q, stderr %q; want exit 2 and %q",
+				strings.Join(args, " "), code, stdout, stderr, tc.want)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("experiments %s: the store directory exists (err %v); nothing should run", strings.Join(args, " "), err)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package ir
 
 // CFG caches the control-flow structure of a procedure: successor and
-// predecessor lists, a reverse postorder, immediate dominators, back
-// edges, and natural loops. Build one with NewCFG after any structural
+// predecessor lists, a reverse postorder, immediate dominators and
+// back edges. Build one with NewCFG after any structural
 // change to the procedure; a CFG is immutable once built.
 type CFG struct {
 	Proc *Proc
@@ -19,11 +19,8 @@ type CFG struct {
 	// -1 for unreachable blocks.
 	idom []BlockID
 
-	// backEdge[from] lists back-edge targets of from.
+	// backEdges holds every back edge as a {from, to} pair.
 	backEdges map[[2]BlockID]bool
-
-	// loopHead[b] is true when some back edge targets b.
-	loopHead []bool
 }
 
 // NewCFG computes the control-flow analyses for p.
@@ -36,7 +33,6 @@ func NewCFG(p *Proc) *CFG {
 		rpoIndex:  make([]int32, n),
 		idom:      make([]BlockID, n),
 		backEdges: make(map[[2]BlockID]bool),
-		loopHead:  make([]bool, n),
 	}
 	for i := range p.Blocks {
 		c.succs[i] = p.Blocks[i].Succs()
@@ -88,9 +84,6 @@ func (c *CFG) Dominates(a, b BlockID) bool {
 
 // IsBackEdge reports whether from→to is a back edge (to dominates from).
 func (c *CFG) IsBackEdge(from, to BlockID) bool { return c.backEdges[[2]BlockID{from, to}] }
-
-// IsLoopHead reports whether b is the target of some back edge.
-func (c *CFG) IsLoopHead(b BlockID) bool { return c.loopHead[b] }
 
 func (c *CFG) computeRPO() {
 	n := len(c.Proc.Blocks)
@@ -187,32 +180,7 @@ func (c *CFG) findBackEdges() {
 			// source (this covers self-loops via reflexivity).
 			if c.Dominates(to, f) {
 				c.backEdges[[2]BlockID{f, to}] = true
-				c.loopHead[to] = true
 			}
 		}
 	}
-}
-
-// NaturalLoop returns the set of blocks in the natural loop of the
-// back edge latch→head, or nil if that edge is not a back edge.
-func (c *CFG) NaturalLoop(latch, head BlockID) map[BlockID]bool {
-	if !c.IsBackEdge(latch, head) {
-		return nil
-	}
-	loop := map[BlockID]bool{head: true}
-	stack := []BlockID{latch}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if loop[b] {
-			continue
-		}
-		loop[b] = true
-		for _, p := range c.preds[b] {
-			if !loop[p] && c.Reachable(p) {
-				stack = append(stack, p)
-			}
-		}
-	}
-	return loop
 }

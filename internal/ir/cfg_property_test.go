@@ -75,47 +75,6 @@ func reachableWithout(g *CFG, p *Proc, entry, target, banned BlockID) bool {
 	return false
 }
 
-// Property: every back edge's natural loop contains both endpoints and
-// is closed under predecessors (except through the header).
-func TestNaturalLoopProperties(t *testing.T) {
-	check := func(seed int64, sz uint8) bool {
-		n := int(sz%10) + 3
-		prog := irtest.RandCFGProg(seed, n)
-		p := prog.Proc(0)
-		g := NewCFG(p)
-		for _, b := range p.Blocks {
-			if !g.Reachable(b.ID) {
-				continue
-			}
-			for _, s := range g.Succs(b.ID) {
-				if !g.IsBackEdge(b.ID, s) {
-					continue
-				}
-				loop := g.NaturalLoop(b.ID, s)
-				if loop == nil || !loop[b.ID] || !loop[s] {
-					return false
-				}
-				for m := range loop {
-					if m == s {
-						continue
-					}
-					for _, pr := range g.Preds(m) {
-						if g.Reachable(pr) && !loop[pr] {
-							t.Logf("seed %d: loop of b%d->b%d not closed at b%d (pred b%d)",
-								seed, b.ID, s, m, pr)
-							return false
-						}
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: text round-trip is the identity on random CFG programs.
 func TestTextRoundTripProperty(t *testing.T) {
 	check := func(seed int64, sz uint8) bool {

@@ -127,19 +127,6 @@ func TestBackEdgesAndLoops(t *testing.T) {
 	if cfg.IsBackEdge(0, 1) {
 		t.Fatal("entry->head must not be a back edge")
 	}
-	if !cfg.IsLoopHead(1) {
-		t.Fatal("head should be a loop head")
-	}
-	if cfg.IsLoopHead(0) || cfg.IsLoopHead(3) {
-		t.Fatal("entry/exit must not be loop heads")
-	}
-	loop := cfg.NaturalLoop(2, 1)
-	if len(loop) != 2 || !loop[1] || !loop[2] {
-		t.Fatalf("natural loop = %v, want {head, body}", loop)
-	}
-	if cfg.NaturalLoop(0, 1) != nil {
-		t.Fatal("NaturalLoop on a non-back-edge must return nil")
-	}
 }
 
 func TestSelfLoopIsBackEdge(t *testing.T) {
@@ -154,10 +141,6 @@ func TestSelfLoopIsBackEdge(t *testing.T) {
 	cfg := NewCFG(prog.Proc(0))
 	if !cfg.IsBackEdge(1, 1) {
 		t.Fatal("self edge should be a back edge")
-	}
-	loop := cfg.NaturalLoop(1, 1)
-	if len(loop) != 1 || !loop[1] {
-		t.Fatalf("self natural loop = %v", loop)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 	"pathsched/internal/validate"
 )
 
-// Disk tier of the cache: serialization of the cached laid-out
-// binaries and the disk lookup that stitches the artifact store under
-// the in-memory single-flight map.
+// Artifact-store tier of the pipeline: serialization of laid-out
+// binaries and the store lookup a scheme's build runs when a store is
+// attached (Options.ArtifactStore).
 //
 // Artifacts must survive a process boundary bit-exactly, which rules
 // out the textual IR format (it deliberately drops schedule
@@ -30,41 +30,99 @@ import (
 // compileKey digests.
 const StoreKindCompile = "compile"
 
-// diskLookup consults the artifact store before building, and
-// publishes what it builds. With no store attached it degrades to a
-// plain build. Both directions of the codec carry the hex cache key:
-// encode records it in the artifact header, decode requires it to
-// match, so an entry that ends up under the wrong key (however valid
-// in itself) is rejected rather than served as a wrong answer.
+// TierStats counts artifact-store lookup outcomes for one artifact
+// kind. Every lookup lands in exactly one of DiskHits or Builds.
+//
+// MemHits and Dedups are always zero: a run builds each scheme once or
+// reads it from the store, so no lookup hits an in-process memo or
+// waits on another goroutine's build. ClaimWaits is always zero:
+// processes that share a store do not coordinate their builds. The
+// three fields remain only because the benchmark harness
+// (cmd/bench/harness.go) still reads them.
+type TierStats struct {
+	MemHits    int64 // always zero
+	DiskHits   int64 // decoded and verified from the artifact store
+	ClaimWaits int64 // always zero
+	Builds     int64 // computed from scratch in this process
+	Dedups     int64 // always zero
+}
+
+// Add returns the element-wise sum.
+func (t TierStats) Add(o TierStats) TierStats {
+	return TierStats{
+		MemHits:    t.MemHits + o.MemHits,
+		DiskHits:   t.DiskHits + o.DiskHits,
+		ClaimWaits: t.ClaimWaits + o.ClaimWaits,
+		Builds:     t.Builds + o.Builds,
+		Dedups:     t.Dedups + o.Dedups,
+	}
+}
+
+func (t TierStats) String() string {
+	return fmt.Sprintf("%d disk hits / %d builds", t.DiskHits, t.Builds)
+}
+
+// CacheStats counts a runner's artifact-store lookups.
+type CacheStats struct {
+	Compile TierStats
+	// Layout is always zero: layout replays run inside compile builds
+	// and are counted there. The field remains only because the
+	// benchmark harness (cmd/bench/harness.go) still reads it.
+	Layout TierStats
+}
+
+// String renders the counters for the -cachestats report.
+func (s CacheStats) String() string {
+	return "compile " + s.Compile.String()
+}
+
+// compiled is what a scheme's build produces and what a store entry
+// holds: the laid-out binary (code addresses assigned; measured in
+// place, never mutated once built), the formation stats the
+// measurement reports, and — when the respective gates are enabled —
+// the compile's gap accounting and translation validation stats (nil
+// otherwise), so store hits still report both. Validation enters the
+// compile key (compileKey), so an entry built without validation can
+// never be returned to a validated run.
+type compiled struct {
+	bin    *ir.Program
+	stats  core.Stats
+	gap    *sched.GapStats
+	vstats *validate.Stats
+}
+
+// fromStore returns the compile the artifact store holds under key, or
+// runs build and publishes what it returns. Both directions of the
+// codec carry the hex key: encode records it in the artifact header,
+// decode requires it to match, so an entry that ends up under the
+// wrong key (however valid in itself) is rejected rather than served
+// as a wrong answer.
 //
 // Processes sharing the store do not coordinate: two that miss one key
 // both build it and publish identical bytes through the store's atomic
 // Put. A failed publish (an unwritable or full store) only means the
 // next process builds the key again; the run itself never fails on it.
-func (c *Cache) diskLookup(key ir.Digest, build func() (*compiled, error)) (*compiled, error) {
-	if c.store == nil {
-		c.bump(func(t *TierStats) { t.Builds++ })
-		return build()
-	}
+func (r *Runner) fromStore(key ir.Digest, build func() (*compiled, error)) (*compiled, error) {
+	st := r.opts.ArtifactStore
 	hexKey := hex.EncodeToString(key[:])
-	if data, ok := c.store.Get(StoreKindCompile, hexKey); ok {
+	if data, ok := st.Get(StoreKindCompile, hexKey); ok {
 		// The store already verified framing and sha256; decode
 		// re-verifies key binding and fingerprint.
 		if v, err := decodeCompiled(data, hexKey); err == nil {
-			c.bump(func(t *TierStats) { t.DiskHits++ })
+			r.diskHits.Add(1)
 			return v, nil
 		}
 		// Semantically corrupt despite intact framing: evict and
 		// rebuild.
-		c.store.Delete(StoreKindCompile, hexKey)
+		st.Delete(StoreKindCompile, hexKey)
 	}
-	c.bump(func(t *TierStats) { t.Builds++ })
+	r.builds.Add(1)
 	v, err := build()
 	if err != nil {
-		return v, err
+		return nil, err
 	}
 	if p, err := encodeCompiled(v, hexKey); err == nil {
-		c.store.Put(StoreKindCompile, hexKey, p)
+		st.Put(StoreKindCompile, hexKey, p)
 	}
 	return v, nil
 }
@@ -81,7 +139,7 @@ func VerifyEntry(kind, key string, payload []byte) error {
 }
 
 // compiledHeader is the JSON side-car of a compiled artifact: the
-// fields of compiled that are not the program, plus the cache key it
+// fields of compiled that are not the program, plus the compile key it
 // was published under and FP, the hex sha256 of the body (the binary's
 // ir.Fingerprint), for the read-side integrity checks.
 type compiledHeader struct {
@@ -117,7 +175,7 @@ func unframe(payload []byte, header any) (body []byte, err error) {
 
 // encodeCompiled encodes the binary once and records the sha256 of
 // those bytes as its fingerprint (ir.Fingerprint is that digest by
-// definition). Only the disk tier needs the digest, so memory-only runs
+// definition). Only the store needs the digest, so storeless runs
 // never compute it.
 func encodeCompiled(c *compiled, key string) ([]byte, error) {
 	body := ir.EncodeProgram(c.bin)

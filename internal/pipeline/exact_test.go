@@ -7,9 +7,10 @@ import (
 	"pathsched/internal/core"
 	"pathsched/internal/ir"
 	"pathsched/internal/sched"
+	"pathsched/internal/store"
 )
 
-// The compile cache must not serve a list-scheduled build to an
+// The artifact store must not serve a list-scheduled build to an
 // exact-mode run (or vice versa), and must serve identical exact
 // configs from one entry: the key gains a normalized exact dimension.
 func TestExactCompileKeyDimension(t *testing.T) {
@@ -42,23 +43,27 @@ func TestExactCompileKeyDimension(t *testing.T) {
 }
 
 // An exact-mode run reports gap stats on every scheduled scheme's
-// measurement — including when the compile is a cache hit — and the
-// counters are internally consistent.
+// measurement — including when the compile is read from the artifact
+// store — and the counters are internally consistent.
 func TestExactMeasurementGap(t *testing.T) {
 	ec := sched.ExactConfig{Enabled: true, NodeBudget: 16, SearchBudget: 50000}
-	cache := NewCache()
-	run := func() *Result {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (*Result, CacheStats) {
 		r := NewRunner(Options{
-			ProfileCache: cache,
-			Sched:        sched.Options{Exact: ec},
+			ArtifactStore: st,
+			Sched:         sched.Options{Exact: ec},
 		})
 		res, err := r.RunBenchmark(bench.ByName("wc"), []Scheme{SchemeM4, SchemeP4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		cs, _ := r.CacheStats()
+		return res, cs
 	}
-	first := run()
+	first, _ := run()
 	for _, s := range []Scheme{SchemeM4, SchemeP4} {
 		g := first.ByScheme[s].Gap
 		if g == nil {
@@ -74,18 +79,17 @@ func TestExactMeasurementGap(t *testing.T) {
 			t.Fatalf("%s: exact span sum %d exceeds list %d", s, g.ExactSpan, g.ListSpan)
 		}
 	}
-	second := run() // same cache: compiles are hits now
-	cs := cache.Stats()
-	if cs.Compile.MemHits == 0 {
-		t.Fatalf("second run missed the compile cache: %+v", cs)
+	second, cs := run() // same store: compiles are disk hits now
+	if cs.Compile.DiskHits != 2 || cs.Compile.Builds != 0 {
+		t.Fatalf("second run missed the artifact store: %s", cs)
 	}
 	for _, s := range []Scheme{SchemeM4, SchemeP4} {
 		fg, sg := first.ByScheme[s].Gap, second.ByScheme[s].Gap
 		if sg == nil {
-			t.Fatalf("%s: cache-hit measurement lost its gap stats", s)
+			t.Fatalf("%s: store-hit measurement lost its gap stats", s)
 		}
 		if *fg != *sg {
-			t.Fatalf("%s: gap stats differ across cache hit: %+v vs %+v", s, fg, sg)
+			t.Fatalf("%s: gap stats differ across a store hit: %+v vs %+v", s, fg, sg)
 		}
 	}
 	// List-scheduled runs must stay gap-free.

@@ -33,13 +33,15 @@
 // identical output. Options.Parallelism controls the pool (1 reproduces the
 // historical serial order).
 //
-// Determinism also enables memoization: a content-addressed Cache
-// (cache.go) keys each scheme's laid-out binary by structural
-// fingerprints of its inputs, with single-flight deduplication across
-// concurrent workers. The cached binary is immutable, so a scheme
-// measures it in place. Ablation configs that resolve to identical
-// inputs share one build; the differential golden tests pin cached
-// results byte-identical to the uncached serial pipeline.
+// Determinism also makes each laid-out binary a function of its
+// inputs alone, so an artifact store (Options.ArtifactStore, disk.go)
+// can file it under a content address built from structural
+// fingerprints of those inputs (compileKey): a scheme reads the binary
+// an earlier run or another process published, and publishes what it
+// builds. Nothing is memoized in memory — within one run every
+// (benchmark, scheme) pair is built once — and the differential tests
+// pin store-backed results, cold and warm, byte-identical to the
+// storeless serial pipeline.
 package pipeline
 
 import (
@@ -159,41 +161,34 @@ type Options struct {
 	// It is the pipeline's only fan-out: each scheme's formation and
 	// compaction run its procedures in order.
 	Parallelism int
-	// ProfileCache is the content-addressed cache of laid-out compiles
-	// (see Cache). Nil means NewRunner creates a private cache; pass
-	// one cache to several runners to share compiles across ablation
-	// configs. Results are identical with or without it.
-	ProfileCache *Cache
-	// ArtifactStore backs the cache with a persistent disk tier (see
-	// internal/store): laid-out compiles are published there and
-	// shared across processes. Only consulted when NewRunner
-	// creates the cache itself (ProfileCache nil, caching enabled);
-	// callers passing an explicit ProfileCache attach a store with
-	// NewDiskCache instead. Results are identical with or without it.
+	// ArtifactStore, when non-nil, is a persistent store of laid-out
+	// binaries (see internal/store) keyed by compileKey: each scheme
+	// reads its binary from there when an earlier run or another
+	// process published it, and publishes what it builds otherwise.
+	// Results are identical with or without it.
 	ArtifactStore *store.Store
-	// DisableProfileCache turns memoization off entirely: every scheme
-	// runs the same build (compile the testing build, replay its layout
-	// weights, lay it out) with the memo bypassed. The differential
-	// tests pin cached runs byte-identical to this path.
+	// DisableProfileCache is ignored: the pipeline keeps no in-memory
+	// memo to disable, so every scheme is built once or read from
+	// ArtifactStore. The field remains only because the benchmark
+	// harness (cmd/bench/trace.go) still sets it.
 	DisableProfileCache bool
 	// Check gates each stage with the semantic analyses of
 	// internal/check: profile flow conservation after profiling,
 	// superblock invariants after formation, schedule legality and
 	// def-before-use after compaction, and flow conservation of the
 	// layout profile replayed inside each compile build. Stage checks
-	// run on cache misses; a cache hit returns a binary whose
-	// (content-identical) inputs were checked when first built.
-	// Checking is purely observational — it never changes results, so
-	// it deliberately does not enter cache keys.
+	// run when a binary is built; one read from ArtifactStore is not
+	// checked again. Checking is purely observational — it never
+	// changes results, so it deliberately does not enter compile keys.
 	Check CheckMode
 	// Validate gates every compile with the symbolic translation
 	// validator (check.Equiv): each compiled procedure must prove
 	// semantically equivalent to its pristine input, with budget
 	// fallbacks reported as explicit Bounded counts in
 	// Measurement.Validation. Unlike Check, validation enters the
-	// compile-cache key: a cache entry compiled without validation
-	// carries no proof or stats, so validated and unvalidated runs must
-	// not share entries.
+	// compile key: a store entry compiled without validation carries no
+	// proof or stats, so validated and unvalidated runs must not share
+	// entries.
 	Validate ValidateMode
 }
 
@@ -223,15 +218,15 @@ type Measurement struct {
 
 	// Gap is the list-vs-exact span accounting of the measured build's
 	// compile, present only when Options.Sched.Exact is enabled (the
-	// "% of optimal" table). Cache hits carry the gap computed when the
-	// entry was first compiled.
+	// "% of optimal" table). A binary read from the artifact store
+	// carries the gap computed when it was built.
 	Gap *sched.GapStats `json:"Gap,omitempty"`
 
 	// Validation is the translation-validator verdict tally of the
 	// measured build's compile, present only when Options.Validate
-	// resolves on. Cache hits carry the stats recorded when the entry
-	// was first compiled and validated. Excluded from JSON output,
-	// which is pinned to measurement data.
+	// resolves on. A binary read from the artifact store carries the
+	// stats recorded when it was built and validated. Excluded from
+	// JSON output, which is pinned to measurement data.
 	Validation *validate.Stats `json:"-"`
 }
 
@@ -253,14 +248,16 @@ type Result struct {
 	ProfStats *profile.TrainStats `json:"-"`
 }
 
-// Runner caches per-benchmark training state so several schemes reuse
-// one profiling run.
+// Runner runs the pipeline under one set of Options. Each benchmark is
+// profiled once, and every scheme it measures reuses that training run.
 type Runner struct {
 	opts     Options
-	cache    *Cache // nil when caching is disabled
-	check    bool   // resolved CheckMode
-	validate bool   // resolved ValidateMode
+	check    bool // resolved CheckMode
+	validate bool // resolved ValidateMode
 	stats    stageStats
+	// diskHits and builds count the scheme builds read from and built
+	// for ArtifactStore (see CacheStats).
+	diskHits, builds atomic.Int64
 }
 
 // stageStats accumulates wall time per compile stage across all of a
@@ -275,7 +272,7 @@ type stageStats struct {
 // totals can exceed wall time on parallel runs). Surfaced by
 // cmd/experiments -compilestats.
 type CompileStats struct {
-	Compiles   int64 // compileWith invocations (cache misses only, when caching)
+	Compiles   int64 // compileWith invocations (store misses only, with a store)
 	LayoutRuns int64 // layout-weight replays (profile.Replay): one per compile
 
 	FormSeconds     float64 // superblock formation
@@ -329,15 +326,6 @@ func NewRunner(opts Options) *Runner {
 	default:
 		r.validate = testing.Testing()
 	}
-	if !opts.DisableProfileCache {
-		if r.cache = opts.ProfileCache; r.cache == nil {
-			if opts.ArtifactStore != nil {
-				r.cache = NewDiskCache(opts.ArtifactStore)
-			} else {
-				r.cache = NewCache()
-			}
-		}
-	}
 	return r
 }
 
@@ -356,13 +344,14 @@ func (r *Runner) train(trainProg *ir.Program) (*profile.TrainingProfiles, error)
 	}
 }
 
-// CacheStats returns the runner's cache counters; ok is false when
-// caching is disabled.
+// CacheStats returns the runner's artifact-store counters: how many
+// scheme builds it read from the store and how many it built. ok is
+// false when no store is attached.
 func (r *Runner) CacheStats() (stats CacheStats, ok bool) {
-	if r.cache == nil {
+	if r.opts.ArtifactStore == nil {
 		return CacheStats{}, false
 	}
-	return r.cache.Stats(), true
+	return CacheStats{Compile: TierStats{DiskHits: r.diskHits.Load(), Builds: r.builds.Load()}}, true
 }
 
 // RunBenchmark measures b under every requested scheme. The schemes
@@ -409,14 +398,13 @@ func (r *Runner) RunBenchmark(b *bench.Benchmark, schemes []Scheme) (*Result, er
 		return nil, fmt.Errorf("pipeline: %s: reference run: %w", b.Name, err)
 	}
 
-	// Pristine-build fingerprints key the compile cache. They are
-	// computed once per benchmark, not per scheme; the training
-	// fingerprint rides along in every key because the profiles that
-	// feed formation, and the trace that layout replays, derive from
-	// the training build.
+	// Pristine-build fingerprints key the artifact store, so they are
+	// computed only when one is attached, once per benchmark rather
+	// than per scheme; the training fingerprint rides along in every
+	// key because the profiles that feed formation, and the trace that
+	// layout replays, derive from the training build.
 	var keys benchKeys
-	if r.cache != nil {
-		keys.on = true
+	if r.opts.ArtifactStore != nil {
 		keys.train = ir.Fingerprint(trainProg)
 		keys.test = ir.Fingerprint(testProg)
 	}
@@ -606,9 +594,8 @@ func (r *Runner) checkCompacted(base check.Baseline, bin *ir.Program, deps sched
 }
 
 // benchKeys carries one benchmark's pristine-build fingerprints to the
-// scheme workers; the zero value means caching is off.
+// scheme workers; it stays zero when no store is attached.
 type benchKeys struct {
-	on          bool
 	train, test ir.Digest
 }
 
@@ -627,7 +614,7 @@ func (r *Runner) compileKey(progFP, trainFP ir.Digest, cfg core.Config, haveCfg 
 	e.Digest(trainFP)
 	// Validation never changes the compiled bytes, but validated
 	// entries carry proof stats that unvalidated ones lack, so the two
-	// kinds must not share cache entries (contrast Check, which stores
+	// kinds must not share store entries (contrast Check, which stores
 	// nothing on the entry and stays out of the key).
 	e.Bool(r.validate)
 	e.Bool(haveCfg) // false: the BB baseline, which has no formation config
@@ -652,7 +639,7 @@ func (r *Runner) compileKey(progFP, trainFP ir.Digest, cfg core.Config, haveCfg 
 	// above, so scheme and parameters complete the profile identity.
 	// Normalizing resolves zero fields to their defaults, so
 	// explicit-default and default-by-omission configs share entries
-	// (ablation sweeps hit this).
+	// (experiments' -depth 15 and an unset PathDepth, for one).
 	if r.opts.Profiler == ProfilerBL {
 		bc := profile.BLConfig{
 			Depth:      r.opts.PathDepth,
@@ -671,24 +658,23 @@ func (r *Runner) compileKey(progFP, trainFP ir.Digest, cfg core.Config, haveCfg 
 	return e.Sum()
 }
 
-// buildScheme returns a scheme's laid-out testing binary (see build).
-// The build is memoized by content address and deduplicated across
-// concurrent scheme workers when caching is on, and runs directly when
-// it is off. The returned entry is immutable and may be shared: callers
-// only read it. base is the testing build's def-before-use baseline
-// (nil when checking is off).
+// buildScheme returns a scheme's laid-out testing binary: it runs
+// build, or, with an artifact store attached, reads the binary filed
+// under the scheme's compile key and builds only on a miss. base is
+// the testing build's def-before-use baseline (nil when checking is
+// off).
 func (r *Runner) buildScheme(s Scheme, trainProg, testProg *ir.Program, tp *profile.TrainingProfiles, keys benchKeys, base check.Baseline) (*compiled, error) {
 	cfg, haveCfg, err := r.formConfig(s, tp.Edge, tp.Path)
 	if err != nil {
 		return nil, err
 	}
-	var key ir.Digest
-	if keys.on {
-		key = r.compileKey(keys.test, keys.train, cfg, haveCfg)
-	}
-	return r.cache.compile(key, func() (*compiled, error) {
+	build := func() (*compiled, error) {
 		return r.build(cfg, haveCfg, trainProg, testProg, tp.Trace, base)
-	})
+	}
+	if r.opts.ArtifactStore == nil {
+		return build()
+	}
+	return r.fromStore(r.compileKey(keys.test, keys.train, cfg, haveCfg), build)
 }
 
 // Build compiles prog under scheme s and lays it out, exactly as
@@ -697,7 +683,7 @@ func (r *Runner) buildScheme(s Scheme, trainProg, testProg *ir.Program, tp *prof
 // training run of train, a program with prog's CFG shape (the same
 // program on another input, or prog itself). With no branch trace in
 // tp there is nothing to replay for layout weights, and the compile is
-// returned unplaced. The result is the caller's own; nothing caches it.
+// returned unplaced. The result is the caller's own; no store sees it.
 func (r *Runner) Build(s Scheme, train, prog *ir.Program, tp *profile.TrainingProfiles) (*ir.Program, error) {
 	if tp.Trace != nil {
 		if err := checkSameShape(train, prog); err != nil {
@@ -770,8 +756,8 @@ func (r *Runner) runScheme(s Scheme, trainProg, testProg *ir.Program, tp *profil
 		return nil, err
 	}
 
-	// Measurement run, straight on the shared binary (the run decodes
-	// it and keeps nothing on it).
+	// Measurement run, straight on the binary (the run decodes it and
+	// keeps nothing on it).
 	cfg := interp.Config{}
 	var cache *machine.ICache
 	if r.opts.Cache != nil {

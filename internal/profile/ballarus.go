@@ -56,10 +56,11 @@ type BLConfig struct {
 	// of context behind its current path — the window profiler's trim
 	// rule applied at path granularity — so matched-depth comparisons
 	// see the same windows regardless of how many branches each
-	// benchmark packs into one acyclic path. An explicit value fixes k;
-	// values below 2 are raised to 2 (k = 1 would lose every
-	// cross-back-edge block pair, and with it the exact edge
-	// frequencies the flow checker and edge-based formation rely on).
+	// benchmark packs into one acyclic path. A positive value fixes k;
+	// 1 is raised to 2 (k = 1 would lose every cross-back-edge block
+	// pair, and with it the exact edge frequencies the flow checker and
+	// edge-based formation rely on). A negative value is an error
+	// (TrainBL).
 	Iterations int
 }
 
@@ -77,9 +78,6 @@ func (c BLConfig) Normalized() BLConfig {
 	}
 	if c.MaxBlocks == 0 {
 		c.MaxBlocks = DefaultMaxBlocks
-	}
-	if c.Iterations < 0 {
-		c.Iterations = 0
 	}
 	if c.Iterations == 1 {
 		c.Iterations = 2

@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"fmt"
+
 	"pathsched/internal/interp"
 	"pathsched/internal/ir"
 )
@@ -88,10 +90,14 @@ func Train(prog *ir.Program, cfg PathConfig) (*TrainingProfiles, error) {
 // of the window profiler: same batched run and counter-fused edge/call
 // reconstruction, but the path half costs one arithmetic add per edge
 // record. The returned Path is the decoded k-iteration profile; BL
-// keeps the raw numbered counters. Errors are returned as by Train.
+// keeps the raw numbered counters. Errors are returned as by Train,
+// and a negative Iterations is an error before anything runs too.
 func TrainBL(prog *ir.Program, cfg BLConfig) (*TrainingProfiles, error) {
 	if err := checkBounds(cfg.Depth, cfg.MaxBlocks); err != nil {
 		return nil, err
+	}
+	if cfg.Iterations < 0 {
+		return nil, fmt.Errorf("profile: iterations %d is negative", cfg.Iterations)
 	}
 	bl := NewBLProfiler(prog, cfg)
 	tp, err := train(prog, bl, TrainSchemeBallLarus)

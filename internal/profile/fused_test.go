@@ -250,7 +250,8 @@ func TestTooManyRegistersRejected(t *testing.T) {
 // TestNegativeBoundsRejected pins that a negative window bound is an
 // error at every entry point that takes one, rather than a panic deep
 // in a profiler: Train and TrainBL before the run, ParsePathProfile
-// from a profile header.
+// from a profile header. A negative Ball–Larus iteration count is an
+// error in TrainBL too, not a silent switch to the adaptive mode.
 func TestNegativeBoundsRejected(t *testing.T) {
 	prog := chainProg([]bool{true, false, true})
 	for _, tc := range []struct {
@@ -272,5 +273,9 @@ func TestNegativeBoundsRejected(t *testing.T) {
 				t.Errorf("%s(depth=%d, maxblocks=%d): err = %v, want %q", got.name, tc.depth, tc.maxBlocks, got.err, tc.want)
 			}
 		}
+	}
+	const want = "profile: iterations -1 is negative"
+	if _, err := TrainBL(prog, BLConfig{Iterations: -1}); err == nil || err.Error() != want {
+		t.Errorf("TrainBL(iterations=-1): err = %v, want %q", err, want)
 	}
 }

@@ -50,7 +50,7 @@ const (
 
 // Normalized resolves zero fields to their defaults and caps
 // NodeBudget, so explicit-default and default-by-omission configs are
-// identical (the pipeline cache keys on the normalized form). The
+// identical (the pipeline's compile key hashes the normalized form). The
 // zero/disabled config normalizes to itself.
 func (c ExactConfig) Normalized() ExactConfig {
 	if !c.Enabled {

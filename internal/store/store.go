@@ -1,5 +1,6 @@
 // Package store is a persistent, content-addressed artifact store: the
-// disk tier under pipeline.Cache. Entries are opaque payloads addressed
+// pipeline reads laid-out compiles from it and publishes what it builds
+// (pipeline.Options.ArtifactStore). Entries are opaque payloads addressed
 // by (kind, key) where keys are stable content digests (the pipeline's
 // compile-key digests), so any two processes that arrive at the same key
 // may share one artifact — across process restarts, concurrent

@@ -150,7 +150,7 @@ func ProfileProgram(prog *Program) (*Profiles, error) {
 // carries cycle annotations, so Execute reports scheduled cycle counts.
 func Compile(prog *Program, profs *Profiles, scheme Scheme) (*Program, error) {
 	tp := &profile.TrainingProfiles{Edge: profs.Edge, Path: profs.Path, Trace: profs.trace}
-	bin, err := pipeline.NewRunner(pipeline.Options{DisableProfileCache: true}).Build(scheme, profs.prog, prog, tp)
+	bin, err := pipeline.NewRunner(pipeline.Options{}).Build(scheme, profs.prog, prog, tp)
 	if err != nil {
 		return nil, fmt.Errorf("pathsched: %w", err)
 	}

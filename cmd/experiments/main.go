@@ -56,6 +56,8 @@ func main() {
 	// Every flag is checked before anything runs, so a flag the run
 	// would ignore or fail on late is a usage error (exit 2) instead.
 	want := onlyReports(*only)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case *depth < 0:
 		usageError("-depth %d is negative", *depth)
@@ -69,6 +71,15 @@ func main() {
 		usageError("-storegc %d is negative", *storeGC)
 	case *storeGC > 0 && *storeDir == "":
 		usageError("-storegc requires -store")
+	}
+	switch {
+	case *ablate:
+		rejectIgnored(set, "-ablate", "json", "only", "realistic", "ways", "depth", "bliters", "profiler",
+			"exact", "exactnodes", "exactsearch", "gapstats", "profstats", "compilestats")
+	case *jsonOut:
+		// -gapstats and -exact* change the schedules and the JSON's Gap
+		// fields, and -check/-validate gate the run, so -json keeps them.
+		rejectIgnored(set, "-json", "only", "cachestats", "profstats", "compilestats")
 	}
 	if *gapstats {
 		*exact = true
@@ -111,7 +122,6 @@ func main() {
 	cache := machine.DefaultICache()
 	cache.Ways = *ways
 	runner := pipeline.NewRunner(pipeline.Options{
-		Machine:       mc,
 		Cache:         &cache,
 		Profiler:      pipeline.ProfilerScheme(*profiler),
 		BLIterations:  *bliters,
@@ -120,7 +130,7 @@ func main() {
 		Check:         checkMode,
 		Validate:      validateMode,
 		ArtifactStore: st,
-		Sched: sched.Options{Exact: sched.ExactConfig{
+		Sched: sched.Options{Machine: mc, Exact: sched.ExactConfig{
 			Enabled:      *exact,
 			NodeBudget:   *exnodes,
 			SearchBudget: *exsearch,
@@ -213,6 +223,16 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
+// rejectIgnored exits with a usage error naming the first of flags
+// that was set on the command line, since mode does not read it.
+func rejectIgnored(set map[string]bool, mode string, flags ...string) {
+	for _, f := range flags {
+		if set[f] {
+			usageError("%s ignores -%s", mode, f)
+		}
+	}
+}
+
 // runStoreGC prunes the artifact store to maxBytes after the run, in
 // every mode, and reports what it removed on stderr so that stdout
 // stays the run's report (a no-op without -store/-storegc).
@@ -244,7 +264,7 @@ func printCompileStats(cs pipeline.CompileStats) {
 
 // printProfStats reports how each benchmark's training run executed:
 // the profiling scheme, the batch flush statistics, and per procedure
-// the path automaton's node count and successor-table mode.
+// the path automaton's node count.
 func printProfStats(results []*pipeline.Result) {
 	fmt.Println("# training-run profiling statistics")
 	for _, r := range results {
@@ -265,11 +285,7 @@ func printProfStats(results []*pipeline.Result) {
 			if a.Nodes == 0 {
 				continue
 			}
-			m := "dense"
-			if !a.Dense {
-				m = "map"
-			}
-			fmt.Printf("    proc %-3d %6d nodes  succ-table %s\n", a.Proc, a.Nodes, m)
+			fmt.Printf("    proc %-3d %6d nodes\n", a.Proc, a.Nodes)
 		}
 	}
 }

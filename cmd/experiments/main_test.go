@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"pathsched/internal/bench"
+	"pathsched/internal/pipeline"
 	"pathsched/internal/store"
 )
 
@@ -136,21 +139,42 @@ func TestRetiredFlagsUndefined(t *testing.T) {
 // TestBadFlagsRejectedBeforeRunning: a flag value the run would ignore
 // or fail on only after building a benchmark is a usage error instead:
 // exit 2 with the reason on stderr, nothing on stdout, and the -store
-// directory never created.
+// directory never created. So is a flag that the chosen mode ignores:
+// -ablate reads only -bench, -j, -check, -validate, -store, -storegc
+// and -cachestats, and -json prints no report table or statistics.
 func TestBadFlagsRejectedBeforeRunning(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-only", "fig9"}, `experiments: unknown -only report "fig9"`},
-		{[]string{"-bliters", "5"}, "experiments: -bliters only applies with -profiler bl"},
-		{[]string{"-profiler", "bl", "-bliters", "-1"}, "experiments: -bliters -1 is negative"},
-		{[]string{"-storegc", "-5"}, "experiments: -storegc -5 is negative"},
-		{[]string{"-profiler", "bogus"}, `experiments: unknown -profiler "bogus"`},
-		{[]string{"-depth", "-3"}, "experiments: -depth -3 is negative"},
+		{[]string{"-json", "-only", "fig9"}, `experiments: unknown -only report "fig9"`},
+		{[]string{"-json", "-bliters", "5"}, "experiments: -bliters only applies with -profiler bl"},
+		{[]string{"-json", "-profiler", "bl", "-bliters", "-1"}, "experiments: -bliters -1 is negative"},
+		{[]string{"-json", "-storegc", "-5"}, "experiments: -storegc -5 is negative"},
+		{[]string{"-json", "-profiler", "bogus"}, `experiments: unknown -profiler "bogus"`},
+		{[]string{"-json", "-depth", "-3"}, "experiments: -depth -3 is negative"},
+
+		{[]string{"-ablate", "-json"}, "experiments: -ablate ignores -json"},
+		{[]string{"-ablate", "-only", "summary"}, "experiments: -ablate ignores -only"},
+		{[]string{"-ablate", "-realistic"}, "experiments: -ablate ignores -realistic"},
+		{[]string{"-ablate", "-ways", "2"}, "experiments: -ablate ignores -ways"},
+		{[]string{"-ablate", "-depth", "4"}, "experiments: -ablate ignores -depth"},
+		{[]string{"-ablate", "-profiler", "bl", "-bliters", "3"}, "experiments: -ablate ignores -bliters"},
+		{[]string{"-ablate", "-profiler", "window"}, "experiments: -ablate ignores -profiler"},
+		{[]string{"-ablate", "-exact"}, "experiments: -ablate ignores -exact"},
+		{[]string{"-ablate", "-exactnodes", "16"}, "experiments: -ablate ignores -exactnodes"},
+		{[]string{"-ablate", "-exactsearch", "1000"}, "experiments: -ablate ignores -exactsearch"},
+		{[]string{"-ablate", "-gapstats"}, "experiments: -ablate ignores -gapstats"},
+		{[]string{"-ablate", "-profstats"}, "experiments: -ablate ignores -profstats"},
+		{[]string{"-ablate", "-compilestats"}, "experiments: -ablate ignores -compilestats"},
+
+		{[]string{"-json", "-only", "summary"}, "experiments: -json ignores -only"},
+		{[]string{"-json", "-cachestats"}, "experiments: -json ignores -cachestats"},
+		{[]string{"-json", "-profstats"}, "experiments: -json ignores -profstats"},
+		{[]string{"-json", "-compilestats"}, "experiments: -json ignores -compilestats"},
 	} {
 		dir := filepath.Join(t.TempDir(), "store")
-		args := append([]string{"-bench", "alt", "-json", "-store", dir}, tc.args...)
+		args := append([]string{"-bench", "alt", "-store", dir}, tc.args...)
 		stdout, stderr, code := experiments(t, args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
 			t.Errorf("experiments %s: exit %d, stdout %q, stderr %q; want exit 2 and %q",
@@ -158,6 +182,43 @@ func TestBadFlagsRejectedBeforeRunning(t *testing.T) {
 		}
 		if _, err := os.Stat(dir); !os.IsNotExist(err) {
 			t.Errorf("experiments %s: the store directory exists (err %v); nothing should run", strings.Join(args, " "), err)
+		}
+	}
+}
+
+// TestProfStatsReportsAutomatonSizes: -profstats prints, in each
+// benchmark's section, its training automaton's node total, which is
+// the sum over Result.ProfStats' procedures, and one line per
+// non-empty procedure with no successor-table column (the automaton
+// has one successor representation).
+func TestProfStatsReportsAutomatonSizes(t *testing.T) {
+	stdout, _ := mustExperiments(t, "-only", "summary", "-profstats", "-bench", "alt,gcc")
+	if strings.Contains(stdout, "succ-table") {
+		t.Errorf("-profstats still prints a successor-table column:\n%s", stdout)
+	}
+	runner := pipeline.NewRunner(pipeline.Options{Check: pipeline.CheckOff, Validate: pipeline.ValidateOff})
+	for _, name := range []string{"alt", "gcc"} {
+		r, err := runner.RunBenchmark(bench.ByName(name), []pipeline.Scheme{pipeline.SchemeBB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := 0
+		for _, a := range r.ProfStats.Automaton {
+			nodes += a.Nodes
+		}
+		// gcc's window automaton is the suite's largest; pinning its size
+		// catches an automaton that interns or trims differently.
+		if name == "gcc" && nodes != 188752 {
+			t.Errorf("gcc: %d automaton nodes, want 188752", nodes)
+		}
+		_, section, ok := strings.Cut(stdout, "\n"+name+": scheme=window\n")
+		if !ok {
+			t.Fatalf("-profstats prints no section for %s:\n%s", name, stdout)
+		}
+		section, _, _ = strings.Cut(section, ": scheme=")
+		want := fmt.Sprintf("  path automaton: %d nodes over %d procs\n", nodes, len(r.ProfStats.Automaton))
+		if !strings.Contains(section, want) {
+			t.Errorf("%s: -profstats section lacks %q:\n%s", name, want, section)
 		}
 	}
 }

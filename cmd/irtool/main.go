@@ -381,7 +381,11 @@ func profileCmd(args []string) {
 			fatal(err)
 		}
 	}
-	nodes, edges := pp.Stats()
+	var nodes int
+	for _, a := range pp.AutomatonStats() {
+		nodes += a.Nodes
+	}
+	_, edges := pp.BatchStats()
 	fmt.Fprintf(os.Stderr, "profiled %s: %d distinct paths over %d dynamic edges\n",
 		prog.Name, nodes, edges)
 }

@@ -17,6 +17,7 @@ import (
 	"pathsched/internal/bench"
 	"pathsched/internal/machine"
 	"pathsched/internal/pipeline"
+	"pathsched/internal/sched"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 	}
 	mc := machine.Default()
 	mc.Realistic = *realistic
-	opts := pipeline.Options{Machine: mc}
+	opts := pipeline.Options{Sched: sched.Options{Machine: mc}}
 	if !*noCache {
 		cache := machine.DefaultICache()
 		opts.Cache = &cache

@@ -49,7 +49,7 @@ func TestRealisticMachineReachesSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, err := NewRunner(Options{Machine: mc}).RunBenchmark(bench.ByName("eqn"), []Scheme{SchemeBB})
+	real, err := NewRunner(Options{Sched: sched.Options{Machine: mc}}).RunBenchmark(bench.ByName("eqn"), []Scheme{SchemeBB})
 	if err != nil {
 		t.Fatal(err)
 	}

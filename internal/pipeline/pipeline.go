@@ -133,8 +133,6 @@ const (
 
 // Options configures a pipeline run.
 type Options struct {
-	// Machine is the VLIW model (default machine.Default).
-	Machine machine.Config
 	// Cache, when non-nil, simulates the instruction cache; the
 	// measurement then reports both ideal and cache-adjusted cycles.
 	Cache *machine.ICacheConfig
@@ -152,7 +150,9 @@ type Options struct {
 	// (used by ablation benches). It may be called from several
 	// goroutines at once; it must only mutate the config it is given.
 	Form func(*core.Config)
-	// Sched carries compaction options (renaming/DCE ablations).
+	// Sched carries compaction options (renaming/DCE ablations). Its
+	// Machine is the VLIW model the compactor schedules for and the
+	// schedule check verifies against (default machine.Default).
 	Sched sched.Options
 	// Parallelism bounds how many benchmarks (in RunSuite) and schemes
 	// (in RunBenchmark) are measured concurrently. 0 means
@@ -298,13 +298,8 @@ func (r *Runner) CompileStats() CompileStats {
 
 // NewRunner returns a runner with the given options.
 func NewRunner(opts Options) *Runner {
-	if opts.Machine.FuncUnits == 0 {
-		opts.Machine = machine.Default()
-	}
 	if opts.Sched.Machine.FuncUnits == 0 {
-		// The compactor schedules for the same machine the pipeline
-		// measures on.
-		opts.Sched.Machine = opts.Machine
+		opts.Sched.Machine = machine.Default()
 	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)

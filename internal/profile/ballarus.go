@@ -23,15 +23,16 @@ import (
 // Acyclic paths alone cannot see loop iteration counts or
 // cross-iteration branch correlation — exactly why the paper chose
 // general paths (§2.2). The k-iteration extension recovers that: each
-// activation remembers its most recent completed path numbers in a
-// small interned automaton (the same structure as the window
-// profiler's, but stepped once per path completion instead of once per
-// block). By default the retained count adapts per tuple so the
-// previous paths cover Depth branches of context — matching the
-// window profiler's horizon exactly — or a fixed k can be configured. Freezing decodes each recorded k-tuple back into its block
-// sequence and replays the window profiler's exact trimming rule over
-// it, producing a PathProfile that formation and the depth ablation
-// consume unchanged. On loop-free procedures an activation is a single
+// activation remembers its most recent completed path numbers in an
+// automaton of the same type as the window profiler's (automaton.go),
+// stepped once per path completion instead of once per block. By
+// default the retained count adapts per tuple so the previous paths
+// cover Depth branches of context — matching the window profiler's
+// horizon exactly — or a fixed k can be configured. Freezing decodes
+// each recorded k-tuple back into its block sequence and replays the
+// window profiler's exact trimming rule over it, producing a
+// PathProfile that formation and the depth ablation consume
+// unchanged. On loop-free procedures an activation is a single
 // path, tuples degenerate to single paths, and the frozen profile is
 // identical to the window profiler's (pinned by the differential
 // tests); on loops it is the k-iteration approximation — block
@@ -106,24 +107,6 @@ type blEdge struct {
 	cut bool
 }
 
-// blNode is one state of the k-tuple automaton: the window of up to k
-// most recently completed path ids, its occurrence count, and lazily
-// created successor pointers keyed by the next completed id.
-type blNode struct {
-	seq   []int64
-	count int64
-	// succ caches the node reached when one more path id completes.
-	// A tuple state is followed by very few distinct next ids (the
-	// paths actually taken out of its last id's cut target), so a
-	// linearly scanned slice beats a map on the per-completion path.
-	succ []blSucc
-}
-
-type blSucc struct {
-	id int64
-	nd *blNode
-}
-
 // blProc is the per-procedure static numbering plus runtime counters.
 type blProc struct {
 	condBr   []bool
@@ -141,14 +124,12 @@ type blProc struct {
 
 	completions int64
 
-	// k-tuple automaton, interned like the window profiler's.
-	roots     map[int64]*blNode
-	intern    map[uint64][]*blNode
-	nodesList []*blNode
-	nodes     int
+	// tuples is the k-tuple automaton: its symbols are completed path
+	// ids, and extendTuple is its extend.
+	tuples *automaton[int64]
 
 	// Per-path-id conditional branch counts, decoded lazily — only
-	// consulted when the automaton creates a node, never in the
+	// consulted on a tuple transition's first traversal, never in the
 	// steady-state counting loop.
 	pathBr map[int64]int
 	brBuf  []ir.BlockID
@@ -162,7 +143,7 @@ type blAct struct {
 	proc ir.ProcID
 	base int64
 	r    int64
-	cur  *blNode
+	cur  *node[int64]
 }
 
 // BLProfiler implements interp.BatchObserver, gathering Ball–Larus
@@ -202,10 +183,9 @@ func newBLProc(p *ir.Proc, cfg BLConfig) *blProc {
 		rows:     make([][]blEdge, n),
 		numPaths: make([]int64, n),
 		offset:   make([]int64, n),
-		roots:    map[int64]*blNode{},
-		intern:   map[uint64][]*blNode{},
 		pathBr:   map[int64]int{},
 	}
+	st.tuples = newAutomaton(st.extendTuple)
 	for i := range st.offset {
 		st.offset[i] = -1
 	}
@@ -282,7 +262,7 @@ func newBLProc(p *ir.Proc, cfg BLConfig) *blProc {
 // record counts one completed path and advances the tuple automaton.
 // Out-of-range ids (a corrupt or replayed event stream) are dropped
 // defensively, mirroring the window profiler.
-func (st *blProc) record(cur *blNode, id int64) *blNode {
+func (st *blProc) record(cur *node[int64], id int64) *node[int64] {
 	if id < 0 || id >= st.total {
 		return cur
 	}
@@ -292,80 +272,34 @@ func (st *blProc) record(cur *blNode, id int64) *blNode {
 		st.sparse[id]++
 	}
 	st.completions++
-	return st.tupleStep(cur, id)
+	return st.tuples.step(cur, id)
 }
 
-// tupleStep advances the k-tuple automaton by one completed path id,
-// counting the resulting tuple. Structure and interning mirror the
-// window profiler's pathNode automaton; it just steps once per path
-// completion instead of once per executed block.
-func (st *blProc) tupleStep(cur *blNode, id int64) *blNode {
-	var nxt *blNode
-	if cur == nil {
-		nxt = st.roots[id]
-	} else {
-		for i := range cur.succ {
-			if cur.succ[i].id == id {
-				nxt = cur.succ[i].nd
-				break
-			}
+// extendTuple is the tuple automaton's extend: the tuple that follows
+// seq when path id completes is seq·id trimmed from the front, to the
+// last k ids when k is fixed, or adaptively.
+func (st *blProc) extendTuple(seq []int64, id int64) []int64 {
+	w := make([]int64, 0, len(seq)+1)
+	w = append(append(w, seq...), id)
+	if st.k > 0 {
+		if len(w) > st.k {
+			w = w[len(w)-st.k:]
 		}
+		return w
 	}
-	if nxt == nil {
-		nxt = st.tupleStepNew(cur, id)
+	// Adaptive: drop leading paths while the remaining previous paths
+	// still hold at least depth branches of context for windows ending
+	// anywhere in the last path (and never keep fewer than two paths,
+	// preserving exact edge frequencies).
+	ctx := 0
+	for _, pid := range w[:len(w)-1] {
+		ctx += st.pathBranches(pid)
 	}
-	nxt.count++
-	return nxt
-}
-
-func (st *blProc) tupleStepNew(cur *blNode, id int64) *blNode {
-	var seq []int64
-	if cur == nil {
-		seq = []int64{id}
-	} else {
-		seq = make([]int64, 0, len(cur.seq)+1)
-		seq = append(seq, cur.seq...)
-		seq = append(seq, id)
-		if st.k > 0 {
-			if len(seq) > st.k {
-				seq = seq[len(seq)-st.k:]
-			}
-		} else {
-			// Adaptive: drop leading paths while the remaining previous
-			// paths still hold at least depth branches of context for
-			// windows ending anywhere in the last path (and never keep
-			// fewer than two paths, preserving exact edge frequencies).
-			ctx := 0
-			for _, pid := range seq[:len(seq)-1] {
-				ctx += st.pathBranches(pid)
-			}
-			for len(seq) > 2 && (len(seq) > blMaxTupleLen || ctx-st.pathBranches(seq[0]) >= st.depth) {
-				ctx -= st.pathBranches(seq[0])
-				seq = seq[1:]
-			}
-		}
+	for len(w) > 2 && (len(w) > blMaxTupleLen || ctx-st.pathBranches(w[0]) >= st.depth) {
+		ctx -= st.pathBranches(w[0])
+		w = w[1:]
 	}
-	nxt := st.internTuple(seq)
-	if cur == nil {
-		st.roots[id] = nxt
-	} else {
-		cur.succ = append(cur.succ, blSucc{id: id, nd: nxt})
-	}
-	return nxt
-}
-
-func (st *blProc) internTuple(seq []int64) *blNode {
-	h := blSeqHash(seq)
-	for _, nd := range st.intern[h] {
-		if blSeqEqual(nd.seq, seq) {
-			return nd
-		}
-	}
-	nd := &blNode{seq: seq}
-	st.intern[h] = append(st.intern[h], nd)
-	st.nodesList = append(st.nodesList, nd)
-	st.nodes++
-	return nd
+	return w
 }
 
 // pathBranches returns how many conditional/multiway branch blocks
@@ -386,27 +320,6 @@ func (st *blProc) pathBranches(id int64) int {
 	return n
 }
 
-func blSeqHash(seq []int64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range seq {
-		h ^= uint64(v)
-		h *= 1099511628211
-	}
-	return h
-}
-
-func blSeqEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // BeginProc implements interp.BatchObserver: a new activation starts
 // a path at its entry block.
 func (bl *BLProfiler) BeginProc(p ir.ProcID, entry ir.BlockID) {
@@ -415,7 +328,7 @@ func (bl *BLProfiler) BeginProc(p ir.ProcID, entry ir.BlockID) {
 	if int(entry) < len(st.offset) {
 		base = st.offset[entry]
 	}
-	bl.acts = append(bl.acts, blAct{proc: p, base: base})
+	bl.acts = append(bl.acts, blAct{proc: p, base: base, cur: st.tuples.root})
 }
 
 // EndProc implements interp.BatchObserver: the activation's in-flight
@@ -557,21 +470,11 @@ func (st *blProc) appendPath(out []ir.BlockID, id int64) ([]ir.BlockID, ir.Block
 	}
 }
 
-// Stats reports distinct tuple-automaton nodes and dynamic edges
-// observed, mirroring PathProfiler.Stats.
-func (bl *BLProfiler) Stats() (nodes int, dynEdges int64) {
-	for _, st := range bl.procs {
-		nodes += st.nodes
-	}
-	return nodes, bl.batchRecs
-}
-
 // AutomatonStats reports the k-tuple automaton size per procedure.
-// Dense reports whether the path counters use the dense array.
 func (bl *BLProfiler) AutomatonStats() []ProcAutomatonStats {
 	out := make([]ProcAutomatonStats, len(bl.procs))
 	for i, st := range bl.procs {
-		out[i] = ProcAutomatonStats{Proc: ir.ProcID(i), Nodes: st.nodes, Dense: st.dense != nil}
+		out[i] = ProcAutomatonStats{Proc: ir.ProcID(i), Nodes: len(st.tuples.nodes)}
 	}
 	return out
 }
@@ -596,7 +499,7 @@ func (bl *BLProfiler) Profile() *PathProfile {
 	out := &PathProfile{cfg: cfg, procs: make([]*procPathIndex, len(bl.procs))}
 	for i, st := range bl.procs {
 		tb := &trieBuilder{condBr: st.condBr}
-		for _, nd := range st.nodesList {
+		for _, nd := range st.tuples.nodes {
 			if nd.count == 0 {
 				continue
 			}

@@ -141,15 +141,20 @@ func requireSameProfiles(t *testing.T, ctx string, a, b *PathProfile) {
 // both fed by one run and each trained on its own, at default and at
 // tight non-default bounds.
 func TestBLDifferentialLoopFree(t *testing.T) {
+	wide := wideDispatchProg(false)
+	requireWide(t, wide)
 	for _, cfg := range []struct {
 		name       string
+		prog       *ir.Program
 		depth, max int
 	}{
-		{"default", 0, 0},
-		{"tight", 2, 3},
+		{"default", blCallProg(), 0, 0},
+		{"tight", blCallProg(), 2, 3},
+		{"wide-default", wide, 0, 0},
+		{"wide-tight", wide, 2, 3},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			prog := blCallProg()
+			prog := cfg.prog
 			wp := NewPathProfiler(prog, PathConfig{Depth: cfg.depth, MaxBlocks: cfg.max})
 			bl := NewBLProfiler(prog, BLConfig{Depth: cfg.depth, MaxBlocks: cfg.max})
 			if _, err := interp.Run(prog, interp.Config{Batch: fanout{wp, bl}}); err != nil {

@@ -117,7 +117,7 @@ type oracleFrame struct {
 
 // NewOraclePathProfiler returns the reference profiler for prog.
 func NewOraclePathProfiler(prog *ir.Program, cfg PathConfig) *OraclePathProfiler {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Normalized()
 	op := &OraclePathProfiler{cfg: cfg, procs: make([]*oracleProc, len(prog.Procs))}
 	for i, p := range prog.Procs {
 		op.procs[i] = &oracleProc{condBr: condBrMap(p), freq: map[string]int64{}, distinct: map[string]bool{}}

@@ -35,8 +35,6 @@ func (c PathConfig) Normalized() PathConfig {
 	return c
 }
 
-func (c PathConfig) withDefaults() PathConfig { return c.Normalized() }
-
 // checkBounds rejects a negative window bound. Zero selects the
 // default, but no window holds a negative number of branches or
 // blocks, and the profilers would index out of range on one.
@@ -50,63 +48,19 @@ func checkBounds(depth, maxBlocks int) error {
 	return nil
 }
 
-// pathNode is one lazily-created state of the path automaton: the
-// window of recently-executed blocks it represents, the number of
-// branch-terminated blocks inside that window, its execution count,
-// and successor pointers keyed by the next executed block — a dense
-// slice indexed by BlockID in dense mode (allocated lazily on the
-// first successor insert), a map in the fallback mode.
-type pathNode struct {
-	seq      []ir.BlockID
-	branches int
-	count    int64
-	dense    []*pathNode
-	succ     map[ir.BlockID]*pathNode
-}
-
-// denseLimit is the per-procedure block-count threshold for dense
-// successor slices. Below it, a node's successor table costs at most
-// denseLimit pointers (1KB) and the steady-state step is one array
-// index; above it, nodes fall back to maps so sparse automatons over
-// huge CFGs don't pay quadratic memory.
-const denseLimit = 128
-
-// procPaths holds the automaton for one procedure. Nodes are interned
-// by window contents, so a loop that repeats the same paths reuses the
-// same nodes and total node count stays proportional to the number of
-// *distinct* paths — the paper's O(npaths + nedges) bound. The intern
-// table is consulted only on the first traversal of a transition —
-// it is keyed by a sequence hash with exact comparison inside the
-// bucket, so interning never materializes a key string — and
-// afterwards the cached successor pointer makes the step O(1): an
-// array index in dense mode, a map probe in the fallback.
-type procPaths struct {
-	condBr  []bool // per block: terminator is a conditional branch
-	nblocks int
-	dense   bool                     // nblocks <= denseLimit
-	roots   []*pathNode              // dense mode: window starts, by first block
-	rootsM  map[ir.BlockID]*pathNode // fallback mode
-	intern  map[uint64][]*pathNode   // seqHash → bucket
-	// nodesList holds every interned node in creation order; freezing
-	// reads it in any order, and serialization sorts it by seqKey to
-	// keep the historical string-keyed intern table's byte order.
-	nodesList []*pathNode
-	nodes     int // total distinct nodes, for overhead statistics
-}
-
 // PathProfiler is an interp.BatchObserver implementing the efficient
-// general-path profiling algorithm of §3.1: it maintains the current
-// path node per activation and follows (or lazily creates) successor
-// pointers on each executed edge, so steady-state work per edge is an
-// array index or a single map probe.
+// general-path profiling algorithm of §3.1: each procedure's automaton
+// (automaton.go) steps on every executed block, so steady-state work
+// per edge is a short successor-list scan.
 type PathProfiler struct {
-	cfg   PathConfig
-	procs []*procPaths
+	cfg    PathConfig
+	condBr [][]bool // per procedure, per block: terminator is a conditional branch
+	procs  []*automaton[ir.BlockID]
 
 	// stack holds the current path node per live activation; BeginProc
 	// and EndProc keep it aligned with the call stack, so recursion in
 	// the profiled program does not corrupt windows.
-	stack []*pathNode
+	stack []*node[ir.BlockID]
 	// procStack mirrors stack with the owning procedure.
 	procStack []ir.ProcID
 
@@ -119,30 +73,51 @@ type PathProfiler struct {
 
 // NewPathProfiler returns a general-path profiler for prog.
 func NewPathProfiler(prog *ir.Program, cfg PathConfig) *PathProfiler {
-	cfg = cfg.withDefaults()
-	pp := &PathProfiler{cfg: cfg, procs: make([]*procPaths, len(prog.Procs))}
+	cfg = cfg.Normalized()
+	pp := &PathProfiler{
+		cfg:    cfg,
+		condBr: make([][]bool, len(prog.Procs)),
+		procs:  make([]*automaton[ir.BlockID], len(prog.Procs)),
+	}
 	for i, p := range prog.Procs {
 		condBr := condBrMap(p)
-		st := &procPaths{
-			condBr:  condBr,
-			nblocks: len(condBr),
-			intern:  map[uint64][]*pathNode{},
-		}
-		if st.nblocks <= denseLimit {
-			st.dense = true
-			st.roots = make([]*pathNode, st.nblocks)
-		} else {
-			st.rootsM = map[ir.BlockID]*pathNode{}
-		}
-		pp.procs[i] = st
+		pp.condBr[i] = condBr
+		pp.procs[i] = newAutomaton(func(seq []ir.BlockID, b ir.BlockID) []ir.BlockID {
+			return extendWindow(condBr, cfg, seq, b)
+		})
 	}
 	return pp
+}
+
+// extendWindow returns the window that follows seq when block b
+// executes: seq·b, trimmed from the front until it holds at most Depth
+// conditional branches and MaxBlocks blocks. It runs only on a
+// transition's first traversal, so recounting seq's branches costs
+// nothing in steady state.
+func extendWindow(condBr []bool, cfg PathConfig, seq []ir.BlockID, b ir.BlockID) []ir.BlockID {
+	w := make([]ir.BlockID, 0, len(seq)+1)
+	w = append(append(w, seq...), b)
+	branches := 0
+	for _, x := range w {
+		if condBr[x] {
+			branches++
+		}
+	}
+	start := 0
+	for branches > cfg.Depth || len(w)-start > cfg.MaxBlocks {
+		if condBr[w[start]] {
+			branches--
+		}
+		start++
+	}
+	return w[start:]
 }
 
 // BeginProc implements interp.BatchObserver: push a window cursor for
 // the new activation and extend it by the entry block.
 func (pp *PathProfiler) BeginProc(p ir.ProcID, entry ir.BlockID) {
-	pp.stack = append(pp.stack, pp.step(pp.procs[p], nil, entry))
+	a := pp.procs[p]
+	pp.stack = append(pp.stack, a.step(a.root, entry))
 	pp.procStack = append(pp.procStack, p)
 }
 
@@ -160,69 +135,11 @@ func (pp *PathProfiler) EndProc(p ir.ProcID) {
 	pp.procStack = pp.procStack[:n-1]
 }
 
-// step advances one automaton transition: extend the window ending at
-// cur (nil for a fresh activation) by block b, counting the resulting
-// path.
-func (pp *PathProfiler) step(st *procPaths, cur *pathNode, b ir.BlockID) *pathNode {
-	nxt := st.lookup(cur, b)
-	if nxt == nil {
-		nxt = pp.stepNew(st, cur, b)
-	}
-	nxt.count++
-	return nxt
-}
-
-// lookup follows the cached successor (or root) pointer for block b,
-// returning nil on a first-traversal miss.
-func (st *procPaths) lookup(cur *pathNode, b ir.BlockID) *pathNode {
-	if cur == nil {
-		if st.dense {
-			return st.roots[b]
-		}
-		return st.rootsM[b]
-	}
-	if st.dense {
-		if d := cur.dense; d != nil {
-			return d[b]
-		}
-		return nil
-	}
-	return cur.succ[b]
-}
-
-// stepNew handles the cold first traversal of a transition: intern the
-// extended window and cache the successor (or root) pointer. The
-// caller counts the returned node.
-func (pp *PathProfiler) stepNew(st *procPaths, cur *pathNode, b ir.BlockID) *pathNode {
-	if cur == nil {
-		nxt := st.internNode([]ir.BlockID{b})
-		if st.dense {
-			st.roots[b] = nxt
-		} else {
-			st.rootsM[b] = nxt
-		}
-		return nxt
-	}
-	nxt := st.internNode(pp.extend(st, cur, b))
-	if st.dense {
-		if cur.dense == nil {
-			cur.dense = make([]*pathNode, st.nblocks)
-		}
-		cur.dense[b] = nxt
-	} else {
-		if cur.succ == nil {
-			cur.succ = map[ir.BlockID]*pathNode{}
-		}
-		cur.succ[b] = nxt
-	}
-	return nxt
-}
-
 // EdgeBatch implements interp.BatchObserver: the hot path of training
-// runs. The activation cursor is loaded once per batch, and in dense
-// mode (the pipeline's configuration) the steady-state step is two
-// pointer loads and an increment per edge. Each record extends the
-// window by its To block; its From block is the window's last.
+// runs. The activation cursor is loaded once per batch, and each record
+// steps it by the record's To block (its From block is the window's
+// last): a scan of the cursor's successor list, a count and an advance,
+// with no allocation once the transition exists.
 func (pp *PathProfiler) EdgeBatch(p ir.ProcID, recs []interp.EdgeRec) {
 	pp.batches++
 	pp.batchRecs += int64(len(recs))
@@ -233,143 +150,44 @@ func (pp *PathProfiler) EdgeBatch(p ir.ProcID, recs []interp.EdgeRec) {
 	if top < 0 || pp.procStack[top] != p {
 		return // records from an unmatched activation; ignore defensively
 	}
-	cur := pp.stack[top]
-	st := pp.procs[p]
-	if st.dense {
-		for i := range recs {
-			b := recs[i].To
-			var nxt *pathNode
-			if cur == nil {
-				nxt = st.roots[b]
-			} else if d := cur.dense; d != nil {
-				nxt = d[b]
-			}
-			if nxt == nil {
-				nxt = pp.stepNew(st, cur, b)
-			}
-			nxt.count++
-			cur = nxt
+	a, cur := pp.procs[p], pp.stack[top]
+	for i := range recs {
+		b := recs[i].To
+		nxt := cur.lookup(b)
+		if nxt == nil {
+			nxt = a.add(cur, b)
 		}
-	} else {
-		for i := range recs {
-			cur = pp.step(st, cur, recs[i].To)
-		}
+		nxt.count++
+		cur = nxt
 	}
 	pp.stack[top] = cur
-}
-
-// extend computes the window that follows cur when block b executes:
-// append b, then trim from the front until the window respects both
-// the branch-depth bound and the block-length cap.
-func (pp *PathProfiler) extend(st *procPaths, cur *pathNode, b ir.BlockID) []ir.BlockID {
-	seq := make([]ir.BlockID, 0, len(cur.seq)+1)
-	seq = append(seq, cur.seq...)
-	seq = append(seq, b)
-	branches := cur.branches
-	if st.condBr[b] {
-		branches++
-	}
-	start := 0
-	for branches > pp.cfg.Depth || len(seq)-start > pp.cfg.MaxBlocks {
-		if st.condBr[seq[start]] {
-			branches--
-		}
-		start++
-	}
-	return seq[start:]
-}
-
-// internNode returns the unique node for the given window, creating it
-// on first sight. The table is keyed by a 64-bit FNV-1a hash of the
-// sequence with exact comparison inside the bucket — node creation no
-// longer materializes a key string; seqKey strings are built only when
-// serializing (see sortedNodes).
-func (st *procPaths) internNode(seq []ir.BlockID) *pathNode {
-	h := seqHash(seq)
-	for _, nd := range st.intern[h] {
-		if seqEqual(nd.seq, seq) {
-			return nd
-		}
-	}
-	branches := 0
-	for _, b := range seq {
-		if st.condBr[b] {
-			branches++
-		}
-	}
-	st.nodes++
-	nd := &pathNode{seq: seq, branches: branches}
-	st.intern[h] = append(st.intern[h], nd)
-	st.nodesList = append(st.nodesList, nd)
-	return nd
-}
-
-// seqHash is 64-bit FNV-1a over the block ids.
-func seqHash(seq []ir.BlockID) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range seq {
-		h ^= uint64(uint32(b))
-		h *= 1099511628211
-	}
-	return h
-}
-
-func seqEqual(a, b []ir.BlockID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // keyedNode pairs an interned node with its seqKey string for
 // serialization order.
 type keyedNode struct {
 	key string
-	nd  *pathNode
+	nd  *node[ir.BlockID]
 }
 
-// sortedNodes returns every interned node with its seqKey, sorted by
-// key — exactly the iteration order the historical string-keyed intern
-// table gave WriteText, preserved so serialized bytes are unchanged by
-// the hashed intern table.
-func (st *procPaths) sortedNodes() []keyedNode {
-	out := make([]keyedNode, len(st.nodesList))
-	for i, nd := range st.nodesList {
+// sortedNodes returns a's interned nodes with their seqKeys, sorted by
+// key: the order WriteText lists windows in.
+func sortedNodes(a *automaton[ir.BlockID]) []keyedNode {
+	out := make([]keyedNode, len(a.nodes))
+	for i, nd := range a.nodes {
 		out[i] = keyedNode{seqKey(nd.seq), nd}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
 
-// Stats reports profiling overhead: distinct path nodes created and
-// dynamic edges observed. The paper's efficiency argument is that
-// nodes ≪ edges in steady state.
-func (pp *PathProfiler) Stats() (nodes int, dynEdges int64) {
-	for _, st := range pp.procs {
-		nodes += st.nodes
-	}
-	return nodes, pp.batchRecs
-}
-
-// ProcAutomatonStats describes one procedure's path automaton for
-// overhead reporting (cmd/experiments -profstats).
-type ProcAutomatonStats struct {
-	Proc  ir.ProcID
-	Nodes int  // distinct path nodes created
-	Dense bool // dense successor slices vs map fallback
-}
-
-// AutomatonStats reports every procedure's automaton size and
-// successor-table mode.
+// AutomatonStats reports every procedure's automaton size. The paper's
+// efficiency argument is that nodes ≪ dynamic edges (BatchStats'
+// records) in steady state.
 func (pp *PathProfiler) AutomatonStats() []ProcAutomatonStats {
 	out := make([]ProcAutomatonStats, len(pp.procs))
-	for i, st := range pp.procs {
-		out[i] = ProcAutomatonStats{Proc: ir.ProcID(i), Nodes: st.nodes, Dense: st.dense}
+	for i, a := range pp.procs {
+		out[i] = ProcAutomatonStats{Proc: ir.ProcID(i), Nodes: len(a.nodes)}
 	}
 	return out
 }
@@ -386,9 +204,9 @@ func (pp *PathProfiler) BatchStats() (batches, records int64) {
 // sequence within the profiled depth.
 func (pp *PathProfiler) Profile() *PathProfile {
 	out := &PathProfile{cfg: pp.cfg, procs: make([]*procPathIndex, len(pp.procs))}
-	for i, st := range pp.procs {
-		tb := &trieBuilder{condBr: st.condBr}
-		for _, nd := range st.nodesList {
+	for i, a := range pp.procs {
+		tb := &trieBuilder{condBr: pp.condBr[i]}
+		for _, nd := range a.nodes {
 			tb.add(nd.seq, nd.count)
 		}
 		out.procs[i] = tb.freeze()

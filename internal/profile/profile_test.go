@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pathsched/internal/bench"
 	"pathsched/internal/interp"
 	"pathsched/internal/ir"
 )
@@ -340,6 +341,98 @@ func TestOracleEquivalence(t *testing.T) {
 	}
 }
 
+// wideDispatchProg builds a program whose procedure "wide" (proc 0) has
+// 148 blocks: a 12-way switch whose arms are chains of four diamonds,
+// the arm and every direction chosen by bits of the argument mixed with
+// the iteration count. With loop, each call repeats the dispatch six
+// times, so windows cross the back edge; without, every activation is
+// one acyclic path. main is a straight line of 40 calls with distinct
+// arguments, loop-free either way.
+func wideDispatchProg(loop bool) *ir.Program {
+	const arms, diamonds, calls = 12, 4, 40
+	bd := ir.NewBuilder("widedispatch", 16)
+	w := bd.Proc("wide")
+	entry, head, latch, exit := w.NewBlock(), w.NewBlock(), w.NewBlock(), w.NewBlock()
+	entry.Add(ir.MovI(3, 0), ir.MovI(6, 0))
+	entry.Jmp(head.ID())
+	targets := make([]ir.BlockID, arms)
+	for k := range targets {
+		bs := w.NewBlocks(3 * diamonds)
+		targets[k] = bs[0].ID()
+		for i := 0; i < diamonds; i++ {
+			d, l, r := bs[3*i], bs[3*i+1], bs[3*i+2]
+			next := latch.ID()
+			if i+1 < diamonds {
+				next = bs[3*i+3].ID()
+			}
+			d.Add(ir.AndI(4, 2, 1<<((i+k)%5+1)))
+			d.Br(4, l.ID(), r.ID())
+			l.Add(ir.AddI(3, 3, int64(k+1)))
+			l.Jmp(next)
+			r.Add(ir.AddI(3, 3, 2))
+			r.Jmp(next)
+		}
+	}
+	head.Add(ir.MulI(2, 6, 5), ir.Add(2, 2, ir.RegArg0), ir.AndI(5, 2, 15))
+	head.Switch(5, targets...)
+	latch.Add(ir.AddI(6, 6, 1))
+	if loop {
+		latch.Add(ir.CmpLTI(7, 6, 6))
+		latch.Br(7, head.ID(), exit.ID())
+	} else {
+		latch.Jmp(exit.ID())
+	}
+	exit.Ret(3)
+
+	pb := bd.Proc("main")
+	bs := pb.NewBlocks(calls + 1)
+	for i := 0; i < calls; i++ {
+		bs[i].Add(ir.MovI(1, int64(i*37+3)))
+		bs[i].Call(5, w.ID(), bs[i+1].ID(), 1)
+	}
+	bs[calls].Ret(5)
+	return bd.Finish()
+}
+
+// requireWide fails unless prog's proc 0 has more than 128 blocks (most
+// of the suite's automaton nodes live in procedures that wide) and a
+// switch of at least 9 targets (a wide fan-out).
+func requireWide(t *testing.T, prog *ir.Program) {
+	t.Helper()
+	p := prog.Proc(0)
+	widest := 0
+	for _, b := range p.Blocks {
+		if term := b.Terminator(); term.Op == ir.OpSwitch {
+			widest = max(widest, len(term.Targets))
+		}
+	}
+	if len(p.Blocks) <= 128 || widest < 9 {
+		t.Fatalf("%s: %d blocks, widest switch %d targets; want > 128 blocks and >= 9 targets",
+			p.Name, len(p.Blocks), widest)
+	}
+}
+
+// TestOracleEquivalenceWide runs the automaton against the oracle on a
+// procedure above 128 blocks that dispatches through a 12-way switch,
+// at default, shallow and tight bounds.
+func TestOracleEquivalenceWide(t *testing.T) {
+	prog := wideDispatchProg(true)
+	requireWide(t, prog)
+	for _, cfg := range []PathConfig{{}, {Depth: 4}, {Depth: 2, MaxBlocks: 5}} {
+		diffTrain(t, fmt.Sprintf("wide %+v", cfg), prog, cfg)
+	}
+}
+
+// TestOracleEquivalenceGcc runs the automaton against the oracle on
+// gcc's training build at a twentieth of its Scale: 166 procedures, the
+// largest of 152 blocks.
+func TestOracleEquivalenceGcc(t *testing.T) {
+	b := bench.ByName("gcc")
+	in := b.Train
+	in.Scale /= 20
+	diffTrain(t, "gcc", b.Build(in), PathConfig{})
+}
+
 func TestRecursionKeepsWindowsSeparate(t *testing.T) {
 	prog := chainProg([]bool{true, true, true, true})
 	pp := NewPathProfiler(prog, PathConfig{Depth: 15})
@@ -373,8 +466,8 @@ func TestInterningBoundsNodeCount(t *testing.T) {
 		walk = append(walk, 0, 1)
 	}
 	feedWalk(pp, walk)
-	nodes, edges := pp.Stats()
-	if edges < 19000 {
+	nodes := pp.AutomatonStats()[0].Nodes
+	if _, edges := pp.BatchStats(); edges < 19000 {
 		t.Fatalf("edges = %d, expected ~20k", edges)
 	}
 	if nodes > 64 {

@@ -137,12 +137,12 @@ func ParseEdgeProfile(prog *ir.Program, text string) (*EdgeProfile, error) {
 func (pp *PathProfiler) WriteText() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "pathprofile depth=%d maxblocks=%d\n", pp.cfg.Depth, pp.cfg.MaxBlocks)
-	for pid, st := range pp.procs {
-		if len(st.nodesList) == 0 {
+	for pid, a := range pp.procs {
+		if len(a.nodes) == 0 {
 			continue
 		}
 		fmt.Fprintf(&sb, "proc %d\n", pid)
-		for _, kn := range st.sortedNodes() {
+		for _, kn := range sortedNodes(a) {
 			nd := kn.nd
 			if nd.count == 0 {
 				continue
@@ -226,7 +226,7 @@ func parsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
 			if err != nil || count < 0 {
 				return nil, fmt.Errorf("profile: line %d: bad count", no+2)
 			}
-			st := pp.procs[curProc]
+			nblocks := len(pp.condBr[curProc])
 			var seq []ir.BlockID
 			for _, f := range strings.Fields(rest[colon+1:]) {
 				if !strings.HasPrefix(f, "b") {
@@ -236,7 +236,7 @@ func parsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
 				if err != nil {
 					return nil, fmt.Errorf("profile: line %d: bad block %q", no+2, f)
 				}
-				if err := blockErr(no+2, ir.BlockID(v), curProc, st.nblocks); err != nil {
+				if err := blockErr(no+2, ir.BlockID(v), curProc, nblocks); err != nil {
 					return nil, err
 				}
 				seq = append(seq, ir.BlockID(v))
@@ -247,7 +247,7 @@ func parsePathProfiler(prog *ir.Program, text string) (*PathProfiler, error) {
 			if count == 0 {
 				continue // records nothing, so WriteText would drop it
 			}
-			nd := st.internNode(seq)
+			nd := pp.procs[curProc].internSeq(seq)
 			if nd.count+count < nd.count {
 				return nil, fmt.Errorf("profile: line %d: count overflows", no+2)
 			}

@@ -47,6 +47,7 @@ import (
 	"pathsched/internal/machine"
 	"pathsched/internal/pipeline"
 	"pathsched/internal/profile"
+	"pathsched/internal/sched"
 	"pathsched/internal/stats"
 )
 
@@ -186,7 +187,7 @@ type ExperimentResults struct {
 func Experiments(opts ExperimentOptions) (*ExperimentResults, error) {
 	mc := machine.Default()
 	mc.Realistic = opts.RealisticLatency
-	popts := pipeline.Options{Machine: mc, Parallelism: opts.Parallelism}
+	popts := pipeline.Options{Sched: sched.Options{Machine: mc}, Parallelism: opts.Parallelism}
 	if !opts.NoCache {
 		cache := machine.DefaultICache()
 		popts.Cache = &cache

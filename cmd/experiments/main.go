@@ -42,7 +42,7 @@ func main() {
 		jobs      = flag.Int("j", 0, "parallel pipeline workers (0 = GOMAXPROCS, 1 = serial)")
 		cstats    = flag.Bool("cachestats", false, "report how many compiles were read from the -store directory and how many were built")
 		docheck   = flag.Bool("check", false, "run the semantic checker after every pipeline stage")
-		dovalid   = flag.Bool("validate", false, "prove every compile semantically equivalent to its pristine IR and report the verdict table")
+		dovalid   = flag.Bool("validate", false, "report the translation validator's verdict table (every compile is proved equivalent to its pristine IR either way)")
 		profstats = flag.Bool("profstats", false, "report per-benchmark training-run statistics (fast-path modes, batch flushes, automaton sizes)")
 		compstats = flag.Bool("compilestats", false, "report per-stage compile wall time (form, compact, check, layout)")
 		exact     = flag.Bool("exact", false, "schedule with the exact branch-and-bound search (falls back to the list schedule above the budgets)")
@@ -75,25 +75,22 @@ func main() {
 	switch {
 	case *ablate:
 		rejectIgnored(set, "-ablate", "json", "only", "realistic", "ways", "depth", "bliters", "profiler",
-			"exact", "exactnodes", "exactsearch", "gapstats", "profstats", "compilestats")
+			"exact", "exactnodes", "exactsearch", "gapstats", "validate", "profstats", "compilestats")
 	case *jsonOut:
 		// -gapstats and -exact* change the schedules and the JSON's Gap
-		// fields, and -check/-validate gate the run, so -json keeps them.
-		rejectIgnored(set, "-json", "only", "cachestats", "profstats", "compilestats")
+		// fields, and -check gates the run, so -json keeps them.
+		rejectIgnored(set, "-json", "only", "validate", "cachestats", "profstats", "compilestats")
 	}
 	if *gapstats {
 		*exact = true
 	}
 
-	// Without -check or -validate the gates resolve off: the Auto modes
-	// enable them only under `go test`.
+	// Without -check the checker resolves off: CheckAuto enables it
+	// only under `go test`. The validator gates every run; -validate
+	// only prints its verdicts.
 	checkMode := pipeline.CheckAuto
 	if *docheck {
 		checkMode = pipeline.CheckOn
-	}
-	validateMode := pipeline.ValidateAuto
-	if *dovalid {
-		validateMode = pipeline.ValidateOn
 	}
 
 	var st *store.Store
@@ -107,7 +104,7 @@ func main() {
 	defer runStoreGC(st, *storeGC)
 
 	if *ablate {
-		runAblations(*benches, *jobs, *cstats, checkMode, validateMode, st)
+		runAblations(*benches, *jobs, *cstats, checkMode, st)
 		return
 	}
 
@@ -128,7 +125,6 @@ func main() {
 		PathDepth:     *depth,
 		Parallelism:   *jobs,
 		Check:         checkMode,
-		Validate:      validateMode,
 		ArtifactStore: st,
 		Sched: sched.Options{Machine: mc, Exact: sched.ExactConfig{
 			Enabled:      *exact,
@@ -255,6 +251,7 @@ func runStoreGC(st *store.Store, maxBytes int64) {
 func printCompileStats(cs pipeline.CompileStats) {
 	fmt.Println("\n# compile-stage wall time (summed across workers)")
 	fmt.Printf("  compiles: %d, layout replays: %d\n", cs.Compiles, cs.LayoutRuns)
+	fmt.Printf("  measure: %d replayed / %d executed, %.3f s\n", cs.MeasureReplays, cs.MeasureRuns, cs.MeasureSeconds)
 	fmt.Printf("  %-8s %8.3fs\n", "form", cs.FormSeconds)
 	fmt.Printf("  %-8s %8.3fs\n", "compact", cs.CompactSeconds)
 	fmt.Printf("  %-8s %8.3fs\n", "check", cs.CheckSeconds)
@@ -300,7 +297,7 @@ func printProfStats(results []*pipeline.Result) {
 // experiments default), so a sweep builds every one of its compiles.
 // With -store, each configuration's runner reads from and publishes to
 // the store, so a repeated sweep starts warm.
-func runAblations(benches string, jobs int, cstats bool, checkMode pipeline.CheckMode, validateMode pipeline.ValidateMode, st *store.Store) {
+func runAblations(benches string, jobs int, cstats bool, checkMode pipeline.CheckMode, st *store.Store) {
 	names := []string{"alt", "ph", "corr", "wc", "eqn", "m88k"}
 	if benches != "" {
 		names = strings.Split(benches, ",")
@@ -332,7 +329,6 @@ func runAblations(benches string, jobs int, cstats bool, checkMode pipeline.Chec
 		c.opts.Parallelism = jobs
 		c.opts.ArtifactStore = st
 		c.opts.Check = checkMode
-		c.opts.Validate = validateMode
 		runner := pipeline.NewRunner(c.opts)
 		results, err := runner.RunSuite(names, []pipeline.Scheme{pipeline.SchemeM4, pipeline.SchemeP4})
 		if err != nil {

@@ -140,8 +140,9 @@ func TestRetiredFlagsUndefined(t *testing.T) {
 // or fail on only after building a benchmark is a usage error instead:
 // exit 2 with the reason on stderr, nothing on stdout, and the -store
 // directory never created. So is a flag that the chosen mode ignores:
-// -ablate reads only -bench, -j, -check, -validate, -store, -storegc
-// and -cachestats, and -json prints no report table or statistics.
+// -ablate reads only -bench, -j, -check, -store, -storegc and
+// -cachestats, and -json prints no report table or statistics; the
+// report-only -validate is a flag both modes ignore.
 func TestBadFlagsRejectedBeforeRunning(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -165,10 +166,12 @@ func TestBadFlagsRejectedBeforeRunning(t *testing.T) {
 		{[]string{"-ablate", "-exactnodes", "16"}, "experiments: -ablate ignores -exactnodes"},
 		{[]string{"-ablate", "-exactsearch", "1000"}, "experiments: -ablate ignores -exactsearch"},
 		{[]string{"-ablate", "-gapstats"}, "experiments: -ablate ignores -gapstats"},
+		{[]string{"-ablate", "-validate"}, "experiments: -ablate ignores -validate"},
 		{[]string{"-ablate", "-profstats"}, "experiments: -ablate ignores -profstats"},
 		{[]string{"-ablate", "-compilestats"}, "experiments: -ablate ignores -compilestats"},
 
 		{[]string{"-json", "-only", "summary"}, "experiments: -json ignores -only"},
+		{[]string{"-json", "-validate"}, "experiments: -json ignores -validate"},
 		{[]string{"-json", "-cachestats"}, "experiments: -json ignores -cachestats"},
 		{[]string{"-json", "-profstats"}, "experiments: -json ignores -profstats"},
 		{[]string{"-json", "-compilestats"}, "experiments: -json ignores -compilestats"},
@@ -196,7 +199,7 @@ func TestProfStatsReportsAutomatonSizes(t *testing.T) {
 	if strings.Contains(stdout, "succ-table") {
 		t.Errorf("-profstats still prints a successor-table column:\n%s", stdout)
 	}
-	runner := pipeline.NewRunner(pipeline.Options{Check: pipeline.CheckOff, Validate: pipeline.ValidateOff})
+	runner := pipeline.NewRunner(pipeline.Options{Check: pipeline.CheckOff})
 	for _, name := range []string{"alt", "gcc"} {
 		r, err := runner.RunBenchmark(bench.ByName(name), []pipeline.Scheme{pipeline.SchemeBB})
 		if err != nil {

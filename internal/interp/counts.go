@@ -1,6 +1,11 @@
 package interp
 
-import "pathsched/internal/ir"
+import (
+	"encoding/binary"
+	"math"
+
+	"pathsched/internal/ir"
+)
 
 // This file turns the decoded engine's per-exit visit counters into
 // exact control-flow profiles after the run completes ("counter-fused
@@ -39,11 +44,12 @@ import "pathsched/internal/ir"
 // gathered on the same run; internal/profile builds its EdgeProfile
 // and call-graph counts from these traversals.
 type EdgeCounts struct {
-	eng     *Engine
-	counts  [][]int64
-	multi   [][][]int64
-	entries []int64
-	calls   []CallCount
+	eng       *Engine
+	counts    [][]int64
+	multi     [][][]int64
+	decisions []byte
+	entries   []int64
+	calls     []CallCount
 }
 
 // CallCount is one (caller, callee) total over every executed call
@@ -53,8 +59,8 @@ type CallCount struct {
 	N              int64
 }
 
-func newEdgeCounts(e *Engine, counts [][]int64, multi [][][]int64) *EdgeCounts {
-	ec := &EdgeCounts{eng: e, counts: counts, multi: multi,
+func newEdgeCounts(e *Engine, counts [][]int64, multi [][][]int64, decisions []byte) *EdgeCounts {
+	ec := &EdgeCounts{eng: e, counts: counts, multi: multi, decisions: decisions,
 		entries: make([]int64, len(e.procs))}
 	for pid := range e.procs {
 		d := &e.procs[pid]
@@ -91,6 +97,48 @@ func newEdgeCounts(e *Engine, counts [][]int64, multi [][][]int64) *EdgeCounts {
 	}
 	return ec
 }
+
+// DecisionEscape introduces a decision index of 255 or more in a
+// decision record (see Decisions).
+const DecisionEscape = 255
+
+// AppendDecision appends decision index k to a decision record: one
+// byte below DecisionEscape, else DecisionEscape followed by the
+// uvarint of k-DecisionEscape.
+func AppendDecision(dst []byte, k int) []byte {
+	if k < DecisionEscape {
+		return append(dst, byte(k))
+	}
+	return binary.AppendUvarint(append(dst, DecisionEscape), uint64(k-DecisionEscape))
+}
+
+// ReadDecision decodes the decision at the head of a decision record:
+// its index k and the n bytes it occupies, or n <= 0 when the record
+// is empty (0) or malformed (-1) there.
+func ReadDecision(rec []byte) (k, n int) {
+	if len(rec) == 0 {
+		return 0, 0
+	}
+	if rec[0] < DecisionEscape {
+		return int(rec[0]), 1
+	}
+	v, w := binary.Uvarint(rec[1:])
+	if w <= 0 || v > math.MaxInt32-DecisionEscape {
+		return 0, -1
+	}
+	return DecisionEscape + int(v), 1 + w
+}
+
+// Decisions returns the run's branch decisions in execution order
+// (AppendDecision's encoding): for every transfer through an exit slot
+// with several possible destinations, the index of the destination it
+// took among the slot's distinct destinations in decode order. On a
+// pristine program, whose every such slot is a block's terminator, that
+// is the index among the terminator's distinct targets in
+// first-occurrence order, and every other transfer is implied by the
+// CFG, so the record and the run's block count determine the run's
+// whole block sequence.
+func (ec *EdgeCounts) Decisions() []byte { return ec.decisions }
 
 // NumProcs returns the number of procedure slots.
 func (ec *EdgeCounts) NumProcs() int { return len(ec.eng.procs) }

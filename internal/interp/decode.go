@@ -20,8 +20,8 @@ import (
 //   - all per-departure accounting — the cycle charge, superblock exit
 //     units, and the DynBranches/Calls credit for the instructions a
 //     departure retires (which the reference engine recomputes or
-//     increments instruction by instruction) — is precomputed into one
-//     exit record per code index, so the hot loop touches no counters;
+//     increments instruction by instruction) — is one ir.ExitCharge
+//     per code index, so the hot loop touches no counters;
 //   - call argument registers, call descriptors and switch jump tables
 //     are flattened into per-procedure pools;
 //   - registers are renumbered into dense frame slots (frameSlots), so
@@ -219,30 +219,6 @@ type dcall struct {
 	argLo, argHi int32 // slice of dproc.args holding argument registers
 }
 
-// dexit is the accounting for leaving a block via code index i. Every
-// counter a departure implies is a decode-time constant of (block, i),
-// so the executor only tallies how often each exit was taken and the
-// Result is reconstructed at the end of the run as
-// Σ count(i) × exits[i] (see dmachine.flushCounts — all Result
-// counters are commutative sums, so deferring them is exact):
-// n is the retired instruction count exit-lo+1; cycles the reference
-// engine's leaveBlock charge; units the superblock exit credit (0 =
-// not in a merged superblock); branches and calls the
-// DynBranches/Calls counts the reference engine accumulated one
-// instruction at a time over [block.lo, i]; sbEntry and sbSize the
-// entry-time superblock bookkeeping (a block entered is always
-// departed exactly once, so charging it per exit is equivalent —
-// error paths abandon the Result either way).
-type dexit struct {
-	cycles   int64
-	n        int32
-	units    int32
-	branches int32
-	calls    int32
-	sbEntry  int32
-	sbSize   int32
-}
-
 // dblock is the per-block record: its id and code range, and the
 // address the fetch model reads.
 type dblock struct {
@@ -260,7 +236,16 @@ type dproc struct {
 	entry    int32
 	blocks   []dblock
 	code     []dinstr
-	exits    []dexit // parallel to code; see dexit
+	// exits[i], parallel to code, is the charge of leaving a block via
+	// code index i: the block's ir.ExitCharge for that instruction, the
+	// one definition of an exit's cost, which measurement replay
+	// charges too. Every counter a departure implies is a decode-time
+	// constant of (block, i), so the executor only tallies how often
+	// each exit was taken and the Result is reconstructed at the end of
+	// the run as Σ count(i) × exits[i] (dmachine.flushCounts; all
+	// Result counters are commutative sums, so deferring them is exact,
+	// and error paths abandon the Result either way).
+	exits []ir.ExitCharge
 
 	// ranges[j] packs blocks[j]'s code range as lo | hi<<32: the only
 	// per-block state the unhooked hot loop needs, eight blocks to a
@@ -379,7 +364,7 @@ func decodeProc(d *dproc, p *ir.Proc) error {
 	}
 	d.blocks = make([]dblock, len(p.Blocks))
 	d.code = make([]dinstr, 0, total+len(p.Blocks))
-	d.exits = make([]dexit, 0, total+len(p.Blocks))
+	d.exits = make([]ir.ExitCharge, 0, total+len(p.Blocks))
 	d.exitTarget = make([]int32, 0, total+len(p.Blocks))
 	d.multiIdx = make([]int32, 0, total+len(p.Blocks))
 	d.ranges = make([]int64, len(p.Blocks))
@@ -388,34 +373,15 @@ func decodeProc(d *dproc, p *ir.Proc) error {
 		db.id = b.ID
 		db.lo = int32(len(d.code))
 		db.addr = b.Addr
-		var sbEntry, sbSize int32
-		if b.SBSize > 0 && b.SBIndex == 0 {
-			sbEntry, sbSize = 1, b.SBSize
-		}
-		var branches, calls int32
 		for i := range b.Instrs {
-			switch b.Instrs[i].Op {
-			case ir.OpBr, ir.OpSwitch:
-				branches++
-			case ir.OpCall:
-				calls++
-				// Arguments land in the callee's slots 1–7, which are
-				// r1–r7 only; the verifier rejects longer lists too.
-				if n := len(b.Instrs[i].Args); n > ir.MaxArgs && err == nil {
-					err = fmt.Errorf("interp: %s/b%d: call passes %d arguments, max %d", p.Name, b.ID, n, ir.MaxArgs)
-				}
+			// Arguments land in the callee's slots 1–7, which are r1–r7
+			// only; the verifier rejects longer lists too.
+			if n := len(b.Instrs[i].Args); b.Instrs[i].Op == ir.OpCall && n > ir.MaxArgs && err == nil {
+				err = fmt.Errorf("interp: %s/b%d: call passes %d arguments, max %d", p.Name, b.ID, n, ir.MaxArgs)
 			}
 			d.code = append(d.code, d.decodeInstr(&b.Instrs[i], regs))
-			d.exits = append(d.exits, dexit{
-				cycles:   exitCyclesFor(b, i),
-				n:        int32(i + 1),
-				units:    exitUnitsFor(b, i),
-				branches: branches,
-				calls:    calls,
-				sbEntry:  sbEntry,
-				sbSize:   sbSize,
-			})
 		}
+		d.exits = b.AppendExitCharges(d.exits)
 		db.hi = int32(len(d.code))
 		d.ranges[j] = int64(db.lo) | int64(db.hi)<<32
 		d.classifyExits(db)
@@ -473,7 +439,7 @@ func decodeProc(d *dproc, p *ir.Proc) error {
 		// Block terminator: [lo, hi) excludes the sentinel, so it only
 		// executes when control runs past the last real instruction.
 		d.code = append(d.code, dinstr{op: dFellOff, imm: int64(b.ID)})
-		d.exits = append(d.exits, dexit{})
+		d.exits = append(d.exits, ir.ExitCharge{})
 		d.exitTarget = append(d.exitTarget, exitNone)
 		d.multiIdx = append(d.multiIdx, -1)
 	}
@@ -541,32 +507,6 @@ func (d *dproc) classifyExits(db *dblock) {
 			d.multiIdx = append(d.multiIdx, -1)
 		}
 	}
-}
-
-// exitCyclesFor precomputes the reference engine's leaveBlock cycle
-// charge for departing b via instruction i.
-func exitCyclesFor(b *ir.Block, i int) int64 {
-	if b.Cycles != nil {
-		if i == len(b.Instrs)-1 {
-			return int64(b.Span)
-		}
-		return int64(b.Cycles[i]) + 1
-	}
-	return int64(i + 1)
-}
-
-// exitUnitsFor precomputes the reference engine's exitUnits credit for
-// departing b via instruction i; 0 marks "not in a merged superblock".
-func exitUnitsFor(b *ir.Block, i int) int32 {
-	if b.SBSize <= 0 {
-		return 0
-	}
-	if b.ExitUnits != nil {
-		if u := b.ExitUnits[i]; u > 0 {
-			return u
-		}
-	}
-	return b.SBSize
 }
 
 var aluOps = [...]struct {

@@ -24,8 +24,8 @@ import (
 //     full instruction count instead of once per instruction
 //     (Config.MaxSteps documents the resulting budget semantics);
 //   - batch delivery and the fetch model are behind per-block nil
-//     checks, so unhooked measurement runs pay only two predictable
-//     branches per block.
+//     checks, so unhooked runs pay only two predictable branches per
+//     block.
 //
 // A batched run delivers exactly the batch stream the reference
 // engine's per-block events produce through the same buffer.
@@ -43,12 +43,13 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 }
 
 // RunCounted executes like Run but also returns the engine's dense
-// per-exit visit counters as an EdgeCounts, from which exact edge,
-// block-entry and call-graph profiles are reconstructed post-hoc (see
-// counts.go) — a pure edge-profiled run therefore executes with no
-// per-edge observer work at all. cfg.Batch may still be set (the
-// training pipeline runs the path profiler batched and the edge
-// profiler counted in one pass). Decode errors are returned as by Run.
+// per-exit visit counters and its branch decisions as an EdgeCounts,
+// from which exact edge, block-entry and call-graph profiles are
+// reconstructed post-hoc (see counts.go) — a pure edge-profiled run
+// therefore executes with no per-edge observer work at all. cfg.Batch
+// may still be set (the training pipeline runs the path profiler
+// batched and the edge profiler counted in one pass). Decode errors
+// are returned as by Run.
 func (e *Engine) RunCounted(cfg Config) (*Result, *EdgeCounts, error) {
 	return e.runCore(cfg, true)
 }
@@ -108,7 +109,7 @@ func (e *Engine) runCore(cfg Config, counted bool) (*Result, *EdgeCounts, error)
 	m.res.Ret = ret
 	var ec *EdgeCounts
 	if counted {
-		ec = newEdgeCounts(e, m.counts, m.mcounts)
+		ec = newEdgeCounts(e, m.counts, m.mcounts, m.dec)
 	}
 	return m.res, ec, nil
 }
@@ -123,6 +124,7 @@ type dmachine struct {
 	maxDepth int
 	bat      *batcher    // batch event delivery (Config.Batch), or nil
 	mcounts  [][][]int64 // counted runs: per proc, per multi-slot row
+	dec      []byte      // counted runs: the decision record (EdgeCounts.Decisions)
 	fetch    FetchSink
 
 	// framePool recycles register files across calls, as in the
@@ -134,25 +136,15 @@ type dmachine struct {
 }
 
 // flushCounts reconstructs the Result counters from the exit visit
-// counts (see the file comment): each taking of exit i contributes the
-// decode-time constants in exits[i] exactly once.
+// counts (see the file comment): each taking of exit i charges
+// exits[i] exactly once.
 func (m *dmachine) flushCounts() {
-	res := m.res
 	for pid, c := range m.counts {
 		p := &m.eng.procs[pid]
 		for i, cnt := range c {
-			if cnt == 0 {
-				continue
+			if cnt != 0 {
+				m.res.Charge(p.exits[i], cnt)
 			}
-			e := &p.exits[i]
-			res.DynBlocks += cnt
-			res.DynInstrs += cnt * int64(e.n)
-			res.Cycles += cnt * e.cycles
-			res.DynBranches += cnt * int64(e.branches)
-			res.Calls += cnt * int64(e.calls)
-			res.SBEntries += cnt * int64(e.sbEntry)
-			res.SBSize += cnt * int64(e.sbSize)
-			res.SBExecuted += cnt * int64(e.units)
 		}
 	}
 }
@@ -653,16 +645,17 @@ func (m *dmachine) run(p *dproc, counts []int64, mc [][]int64, regs *[256]int64,
 		counts[pc-1]++
 		if mc != nil {
 			// Counted run: an exit slot with several possible
-			// destinations tallies which one was taken (everything
-			// else reconstructs from counts alone). Chained jumps and
-			// dRet below never reach here, and are single-destination
-			// anyway.
+			// destinations tallies which one was taken and records the
+			// decision (everything else reconstructs from counts
+			// alone). Chained jumps and dRet below never reach here,
+			// and are single-destination anyway.
 			if mi := p.multiIdx[pc-1]; mi >= 0 {
 				ts := p.multiTargets[mi]
 				row := mc[mi]
 				for k := 0; k < len(ts); k++ {
 					if ts[k] == next {
 						row[k]++
+						m.dec = AppendDecision(m.dec, k)
 						break
 					}
 				}

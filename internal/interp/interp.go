@@ -2,17 +2,23 @@
 // reproduction, mirroring the two uses of execution in Young and
 // Smith's methodology (MICRO-31, 1998, §3):
 //
-//  1. Profiling runs: a BatchObserver receives every executed CFG edge
+//  1. Pristine runs: a BatchObserver receives every executed CFG edge
 //     of the original program, in bulk, like the paper's
 //     instrumentation pass feeding an analysis routine (§3.1). The path
 //     profilers in internal/profile are such observers; a counted run
 //     (RunCounted) yields the edge and call-graph profiles without any
-//     observer at all.
-//  2. Measurement runs ("compiled simulation", §3.2): transformed,
-//     scheduled programs carry per-instruction cycle annotations; the
-//     interpreter executes them for semantic fidelity while summing
-//     cycles, including the cost of superblock early exits, and feeds
-//     instruction-fetch addresses to an optional cache model.
+//     observer at all, and records the run's branch decisions, from
+//     which internal/profile walks every proved compile's layout
+//     weights (training run) and measurement (reference run) instead
+//     of executing it.
+//  2. Measurement runs ("compiled simulation", §3.2) of a compile the
+//     translation validator could not prove, and of every compile in
+//     tests, where execution is the oracle the walks are pinned to:
+//     transformed, scheduled programs carry per-instruction cycle
+//     annotations; the interpreter executes them for semantic fidelity
+//     while summing cycles, including the cost of superblock early
+//     exits, and feeds instruction-fetch addresses to an optional
+//     cache model.
 //
 // Scheduled superblocks are merged "extended blocks" with mid-block
 // exits: a control instruction whose continuation slot is ir.NoBlock
@@ -24,7 +30,7 @@
 // decodes its program into a flat representation — dense block index
 // ranges over a per-procedure instruction array, registers renumbered
 // into dense frame slots, branch targets resolved to block indices,
-// per-instruction exit cycles and superblock exit units precomputed,
+// each instruction's exit charge (ir.ExitCharge) read off its block,
 // and the hottest instruction sequences of the measured dispatch mix
 // rewritten into superinstructions (decode.go). Nothing is kept on the
 // program, so a run always executes the program as it stands. The
@@ -116,6 +122,21 @@ type Result struct {
 	SBEntries  int64
 	SBExecuted int64
 	SBSize     int64
+}
+
+// Charge adds n departures through an exit that charges c to r's
+// counters. Every counter but Ret, Output and FetchStall is a sum of
+// such charges, so an engine run and a measurement replay that count
+// the same departures give the same Result.
+func (r *Result) Charge(c ir.ExitCharge, n int64) {
+	r.DynBlocks += n
+	r.DynInstrs += n * int64(c.Instrs)
+	r.Cycles += n * c.Cycles
+	r.DynBranches += n * int64(c.Branches)
+	r.Calls += n * int64(c.Calls)
+	r.SBEntries += n * int64(c.SBEntry)
+	r.SBSize += n * int64(c.SBSize)
+	r.SBExecuted += n * int64(c.Units)
 }
 
 const (

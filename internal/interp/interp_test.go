@@ -408,3 +408,27 @@ func TestFramePoolReuseDoesNotLeakState(t *testing.T) {
 		t.Fatalf("stale registers leaked across frames: %v", res.Output)
 	}
 }
+
+// TestDecisionRecordRoundTrip pins the decision record's encoding:
+// every index reads back with the width it was written at, across the
+// escape, and an empty or truncated record reads as such.
+func TestDecisionRecordRoundTrip(t *testing.T) {
+	ks := []int{0, 1, 254, 255, 256, 383, 384, 70000}
+	var rec []byte
+	for _, k := range ks {
+		rec = AppendDecision(rec, k)
+	}
+	for _, want := range ks {
+		k, n := ReadDecision(rec)
+		if n <= 0 || k != want {
+			t.Fatalf("read %d (%d bytes), want %d", k, n, want)
+		}
+		rec = rec[n:]
+	}
+	if _, n := ReadDecision(rec); n != 0 {
+		t.Fatalf("empty record reads %d bytes, want 0", n)
+	}
+	if _, n := ReadDecision([]byte{DecisionEscape, 0x80}); n >= 0 {
+		t.Fatalf("truncated escape reads %d bytes, want a malformed record", n)
+	}
+}

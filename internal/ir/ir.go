@@ -251,6 +251,65 @@ func (b *Block) Succs() []BlockID {
 // NumInstrs returns the number of instructions in the block.
 func (b *Block) NumInstrs() int { return len(b.Instrs) }
 
+// ExitCharge is what one departure from a block through one of its
+// instructions adds to a run's counters. It is the one definition of
+// an exit's cost: the interpreter charges it for every departure it
+// executes, and a measurement replay (internal/profile) for every
+// departure it walks.
+type ExitCharge struct {
+	// Cycles is the schedule's charge: an exit issued in cycle c costs
+	// c+1 cycles and falling off the block's end costs its Span
+	// (paper §3.2); an unscheduled block costs one cycle per
+	// instruction retired.
+	Cycles int64
+	// Instrs counts the instructions retired, Branches the conditional
+	// branches (br, switch) and Calls the calls among them.
+	Instrs, Branches, Calls int32
+	// Units is the superblock exit credit: the constituent blocks
+	// completed when control leaves a merged superblock here (0 outside
+	// one).
+	Units int32
+	// SBEntry and SBSize are 1 and the superblock's size on a block
+	// heading a merged superblock, 0 elsewhere. A block entered is
+	// departed exactly once, so charging them per exit counts every
+	// entry once.
+	SBEntry, SBSize int32
+}
+
+// AppendExitCharges appends to dst the charge of departing b through
+// each of its instructions, in instruction order.
+func (b *Block) AppendExitCharges(dst []ExitCharge) []ExitCharge {
+	var head ExitCharge
+	if b.SBSize > 0 && b.SBIndex == 0 {
+		head.SBEntry, head.SBSize = 1, b.SBSize
+	}
+	for i := range b.Instrs {
+		switch b.Instrs[i].Op {
+		case OpBr, OpSwitch:
+			head.Branches++
+		case OpCall:
+			head.Calls++
+		}
+		c := head
+		c.Instrs = int32(i + 1)
+		c.Cycles = int64(i + 1)
+		if b.Cycles != nil {
+			c.Cycles = int64(b.Cycles[i]) + 1
+			if i == len(b.Instrs)-1 {
+				c.Cycles = int64(b.Span)
+			}
+		}
+		if b.SBSize > 0 {
+			c.Units = b.SBSize
+			if b.ExitUnits != nil && b.ExitUnits[i] > 0 {
+				c.Units = b.ExitUnits[i]
+			}
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
 // Proc is a procedure: a list of basic blocks whose first element is
 // the unique entry block.
 type Proc struct {

@@ -79,11 +79,12 @@ func (s CacheStats) String() string {
 // compiled is what a scheme's build produces and what a store entry
 // holds: the laid-out binary (code addresses assigned; measured in
 // place, never mutated once built), the formation stats the
-// measurement reports, and — when the respective gates are enabled —
-// the compile's gap accounting and translation validation stats (nil
-// otherwise), so store hits still report both. Validation enters the
-// compile key (compileKey), so an entry built without validation can
-// never be returned to a validated run.
+// measurement reports, the compile's translation validation stats,
+// which decide whether it is measured by replay (Runner.measure), and,
+// when exact scheduling is on, its gap accounting (nil otherwise), so
+// a store hit measures and reports as a build would. Every compile is
+// validated, and the validated bit in compileKey keeps entries built
+// without validation, which carry no stats, from ever being read.
 type compiled struct {
 	bin    *ir.Program
 	stats  core.Stats

@@ -126,7 +126,9 @@ func (f *fakeRun) res() *interp.Result { return &interp.Result{Ret: f.ret, Outpu
 // TestFullSuiteAllSchemesCorrect is the heavyweight integration test:
 // every benchmark under every scheme must behave identically to the
 // unscheduled original (the pipeline enforces this internally; here we
-// simply drive the whole matrix). Skipped with -short.
+// simply drive the whole matrix). Every compile on the suite proves at
+// default budgets, so every measurement is replayed and none executed.
+// Skipped with -short.
 func TestFullSuiteAllSchemesCorrect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix is slow")
@@ -140,11 +142,18 @@ func TestFullSuiteAllSchemesCorrect(t *testing.T) {
 	if len(results) != len(bench.Names()) {
 		t.Fatalf("got %d results, want %d", len(results), len(bench.Names()))
 	}
+	want := int64(len(bench.Names()) * len(AllSchemes()))
+	if cs := r.CompileStats(); cs.MeasureReplays != want || cs.MeasureRuns != 0 {
+		t.Errorf("measure: %d replayed / %d executed, want %d / 0", cs.MeasureReplays, cs.MeasureRuns, want)
+	}
 	for _, res := range results {
 		bb := res.ByScheme[SchemeBB]
 		for s, m := range res.ByScheme {
 			if m.Cycles <= 0 || m.DynInstrs <= 0 {
 				t.Errorf("%s/%s: empty measurement", res.Name, s)
+			}
+			if m.Validation == nil || m.Validation.Bounded != 0 || m.Validation.Failed != 0 {
+				t.Errorf("%s/%s: validation %+v, want every procedure proved", res.Name, s, m.Validation)
 			}
 			if s != SchemeBB && m.IdealCycles >= bb.IdealCycles {
 				// Superblock scheduling should never lose to BB on

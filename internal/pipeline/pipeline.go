@@ -2,9 +2,9 @@
 // paper's methodology (§3): profile the training input (edge + general
 // path + call graph in one run), form superblocks with the scheme
 // under study, compact them for the experimental VLIW, place
-// procedures Pettis–Hansen style, and measure the testing input by
-// direct execution — cycle counts with and without the 32KB
-// direct-mapped instruction cache.
+// procedures Pettis–Hansen style, and measure the testing input —
+// cycle counts with and without the 32KB direct-mapped instruction
+// cache.
 //
 // Benchmarks bake their input into the program (data segments and loop
 // bounds), while their CFG structure is input-independent. Profiles
@@ -16,9 +16,20 @@
 // transformed program on the training input, as a profile-guided link
 // step would gather them — come from replaying the training run's
 // recorded branch decisions over that compile (profile.Replay), so no
-// compiled program is executed for layout. Compiling, replaying and
-// laying out are one build step, and its product — the laid-out
-// binary — is what a scheme measures.
+// compiled program is executed for layout. Compiling, validating,
+// replaying and laying out are one build step, and its product — the
+// laid-out binary and its proof — is what a scheme measures.
+//
+// The measurement is a replay too. The translation validator proves
+// every exit of a compile branches as its pristine terminator does, so
+// a proved compile's departures on the testing input follow from the
+// reference run's branch decisions: the reference run (the pristine
+// testing build, profile.RecordRun) records them, and each scheme's
+// counters and I-cache stream are walked from them (profile.Measure).
+// Only a compile with a Bounded procedure, which carries no such proof,
+// is executed, and its output checked against the reference run's.
+// The interpreter therefore runs only pristine programs: a training
+// and a reference run per benchmark.
 //
 // Because formation is deterministic given an immutable frozen profile,
 // the per-benchmark and per-scheme measurements are independent of one
@@ -27,8 +38,8 @@
 // (EdgeProfile, PathProfile, BranchTrace) and pristine builds are
 // shared read-only across workers; a scheme's build mutates only the
 // binary it is producing, which nobody else sees until it is finished
-// and laid out, and its measurement run (decoded engine, cache model)
-// is private to its worker. Results are assembled in input order
+// and laid out, and its measurement (walk tables, cache model) is
+// private to its worker. Results are assembled in input order
 // regardless of completion order, so parallel and serial runs produce
 // identical output. Options.Parallelism controls the pool (1 reproduces the
 // historical serial order).
@@ -92,8 +103,8 @@ type CheckMode int
 
 const (
 	// CheckAuto (the zero value) enables checking under `go test` and
-	// disables it otherwise, so every test run validates the pipeline
-	// at no cost to production measurement runs.
+	// disables it otherwise, so every test run checks the pipeline at
+	// no cost to production runs.
 	CheckAuto CheckMode = iota
 	// CheckOn always checks.
 	CheckOn
@@ -101,20 +112,16 @@ const (
 	CheckOff
 )
 
-// ValidateMode selects whether the symbolic translation validator
-// (internal/validate) gates each compile.
+// ValidateMode is ignored: the symbolic translation validator
+// (internal/validate) gates every compile, because its proof is what
+// lets a scheme be measured by replay (runScheme). The type and its two
+// values remain only because the benchmark harness (cmd/bench) still
+// sets them.
 type ValidateMode int
 
 const (
-	// ValidateAuto (the zero value) enables validation under `go test`
-	// and disables it otherwise, mirroring CheckAuto: every test run
-	// proves each compile semantically equivalent to its pristine input
-	// at no cost to production measurement runs.
-	ValidateAuto ValidateMode = iota
-	// ValidateOn always validates.
-	ValidateOn
-	// ValidateOff never validates.
-	ValidateOff
+	ValidateOn  ValidateMode = iota + 1 // ignored: every compile is validated
+	ValidateOff                         // ignored: every compile is validated
 )
 
 // ProfilerScheme selects which path-profiling scheme gathers the
@@ -181,14 +188,9 @@ type Options struct {
 	// checked again. Checking is purely observational — it never
 	// changes results, so it deliberately does not enter compile keys.
 	Check CheckMode
-	// Validate gates every compile with the symbolic translation
-	// validator (check.Equiv): each compiled procedure must prove
-	// semantically equivalent to its pristine input, with budget
-	// fallbacks reported as explicit Bounded counts in
-	// Measurement.Validation. Unlike Check, validation enters the
-	// compile key: a store entry compiled without validation carries no
-	// proof or stats, so validated and unvalidated runs must not share
-	// entries.
+	// Validate is ignored: every compile is validated (see
+	// ValidateMode). The field remains only because the benchmark
+	// harness (cmd/bench) still sets it.
 	Validate ValidateMode
 }
 
@@ -223,10 +225,10 @@ type Measurement struct {
 	Gap *sched.GapStats `json:"Gap,omitempty"`
 
 	// Validation is the translation-validator verdict tally of the
-	// measured build's compile, present only when Options.Validate
-	// resolves on. A binary read from the artifact store carries the
-	// stats recorded when it was built and validated. Excluded from
-	// JSON output, which is pinned to measurement data.
+	// measured build's compile; every compile is validated, so it is
+	// always present. A binary read from the artifact store carries the
+	// stats recorded when it was built. Excluded from JSON output, which
+	// is pinned to measurement data.
 	Validation *validate.Stats `json:"-"`
 }
 
@@ -251,10 +253,13 @@ type Result struct {
 // Runner runs the pipeline under one set of Options. Each benchmark is
 // profiled once, and every scheme it measures reuses that training run.
 type Runner struct {
-	opts     Options
-	check    bool // resolved CheckMode
-	validate bool // resolved ValidateMode
-	stats    stageStats
+	opts  Options
+	check bool // resolved CheckMode
+	// budgets bounds the translation validator's proofs; the zero value
+	// (the validator's defaults) outside tests, which force Bounded
+	// verdicts through it.
+	budgets validate.Options
+	stats   stageStats
 	// diskHits and builds count the scheme builds read from and built
 	// for ArtifactStore (see CacheStats).
 	diskHits, builds atomic.Int64
@@ -263,8 +268,8 @@ type Runner struct {
 // stageStats accumulates wall time per compile stage across all of a
 // runner's (possibly concurrent) compiles.
 type stageStats struct {
-	formNS, compactNS, checkNS, validateNS, layoutNS atomic.Int64
-	compiles, layoutRuns                             atomic.Int64
+	formNS, compactNS, checkNS, validateNS, layoutNS, measureNS atomic.Int64
+	compiles, layoutRuns, measureReplays, measureRuns           atomic.Int64
 }
 
 // CompileStats reports where a runner's compile time went, summed over
@@ -275,11 +280,18 @@ type CompileStats struct {
 	Compiles   int64 // compileWith invocations (store misses only, with a store)
 	LayoutRuns int64 // layout-weight replays (profile.Replay): one per compile
 
+	// MeasureReplays counts measurements walked against the reference
+	// run's trace (profile.Measure), MeasureRuns those executed instead
+	// because their compile has a Bounded procedure.
+	MeasureReplays int64
+	MeasureRuns    int64
+
 	FormSeconds     float64 // superblock formation
 	CompactSeconds  float64 // sched.Compact / CompactBasicBlocks
 	CheckSeconds    float64 // semantic checker gates (0 when checking is off)
-	ValidateSeconds float64 // translation validation (0 when validation is off)
+	ValidateSeconds float64 // translation validation
 	LayoutSeconds   float64 // layout-weight replays
+	MeasureSeconds  float64 // measurements, walked and executed
 }
 
 // CompileStats returns the per-stage compile wall-time counters
@@ -288,11 +300,14 @@ func (r *Runner) CompileStats() CompileStats {
 	return CompileStats{
 		Compiles:        r.stats.compiles.Load(),
 		LayoutRuns:      r.stats.layoutRuns.Load(),
+		MeasureReplays:  r.stats.measureReplays.Load(),
+		MeasureRuns:     r.stats.measureRuns.Load(),
 		FormSeconds:     float64(r.stats.formNS.Load()) / 1e9,
 		CompactSeconds:  float64(r.stats.compactNS.Load()) / 1e9,
 		CheckSeconds:    float64(r.stats.checkNS.Load()) / 1e9,
 		ValidateSeconds: float64(r.stats.validateNS.Load()) / 1e9,
 		LayoutSeconds:   float64(r.stats.layoutNS.Load()) / 1e9,
+		MeasureSeconds:  float64(r.stats.measureNS.Load()) / 1e9,
 	}
 }
 
@@ -312,14 +327,6 @@ func NewRunner(opts Options) *Runner {
 		r.check = false
 	default:
 		r.check = testing.Testing()
-	}
-	switch opts.Validate {
-	case ValidateOn:
-		r.validate = true
-	case ValidateOff:
-		r.validate = false
-	default:
-		r.validate = testing.Testing()
 	}
 	return r
 }
@@ -384,11 +391,15 @@ func (r *Runner) RunBenchmark(b *bench.Benchmark, schemes []Scheme) (*Result, er
 		base = check.BaselineOf(testProg)
 	}
 
-	// Reference output for the correctness cross-check. The pristine
-	// testing build doubles as the reference program: nothing below
+	// The reference run: the pristine testing build on the testing
+	// input, recording its branch decisions. Every proved compile is
+	// measured by walking it against that trace; its output is the
+	// cross-check for a compile that must be executed instead. The
+	// pristine build doubles as the reference program: nothing below
 	// mutates it (compileWith clones before compacting), so no extra
 	// build is needed.
-	ref, err := interp.Run(testProg, interp.Config{})
+	var ref reference
+	ref.res, ref.trace, err = profile.RecordRun(testProg)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s: reference run: %w", b.Name, err)
 	}
@@ -554,14 +565,12 @@ func (r *Runner) compileWith(prog *ir.Program, base check.Baseline, cfg core.Con
 // validator: every procedure of bin must prove semantically equivalent
 // to its pristine counterpart in prog, or the compile fails the same
 // way a structural check failure does. Budget-bounded procedures are
-// not failures — they fall back to the structural gates above and are
-// tallied explicitly in the returned stats.
+// not failures — they are tallied explicitly in the returned stats,
+// and their compile is measured by execution, output-checked, instead
+// of by replay (runScheme).
 func (r *Runner) validateCompiled(prog, bin *ir.Program) (*validate.Stats, error) {
-	if !r.validate {
-		return nil, nil
-	}
 	t0 := time.Now()
-	rep, vs := check.Equiv(prog, bin, validate.Options{})
+	rep, vs := check.Equiv(prog, bin, r.budgets)
 	r.stats.validateNS.Add(int64(time.Since(t0)))
 	if err := check.Err("validate", vs); err != nil {
 		return nil, err
@@ -607,11 +616,13 @@ func (r *Runner) compileKey(progFP, trainFP ir.Digest, cfg core.Config, haveCfg 
 	e := ir.NewEncoder("pathsched-pipeline-compile-v4")
 	e.Digest(progFP)
 	e.Digest(trainFP)
-	// Validation never changes the compiled bytes, but validated
-	// entries carry proof stats that unvalidated ones lack, so the two
-	// kinds must not share store entries (contrast Check, which stores
-	// nothing on the entry and stays out of the key).
-	e.Bool(r.validate)
+	// Every compile is validated, and its entry carries the proof
+	// stats a hit measures on (runScheme). The bit is constant now; it
+	// stays so that entries validated by earlier runs keep their keys,
+	// and entries built without validation, whose keys carry false,
+	// are never read (contrast Check, which stores nothing on the entry
+	// and stays out of the key).
+	e.Bool(true)
 	e.Bool(haveCfg) // false: the BB baseline, which has no formation config
 	if haveCfg {
 		e.Digest(cfg.Fingerprint())
@@ -745,26 +756,20 @@ func (r *Runner) layoutWeights(trainProg, bin *ir.Program, tr *profile.BranchTra
 // are the benchmark's shared pristine builds and tp its training
 // profiles; runScheme only reads them (compileWith clones), so
 // concurrent scheme runs can share them.
-func (r *Runner) runScheme(s Scheme, trainProg, testProg *ir.Program, tp *profile.TrainingProfiles, ref *interp.Result, keys benchKeys, base check.Baseline) (*Measurement, error) {
+func (r *Runner) runScheme(s Scheme, trainProg, testProg *ir.Program, tp *profile.TrainingProfiles, ref reference, keys benchKeys, base check.Baseline) (*Measurement, error) {
 	c, err := r.buildScheme(s, trainProg, testProg, tp, keys, base)
 	if err != nil {
 		return nil, err
 	}
-
-	// Measurement run, straight on the binary (the run decodes it and
-	// keeps nothing on it).
-	cfg := interp.Config{}
 	var cache *machine.ICache
+	var fetch interp.FetchSink // nil, not a typed nil, without a cache
 	if r.opts.Cache != nil {
 		cache = machine.NewICache(*r.opts.Cache)
-		cfg.Fetch = cache
+		fetch = cache
 	}
-	got, err := interp.Run(c.bin, cfg)
+	got, err := r.measure(c, testProg, ref, fetch)
 	if err != nil {
-		return nil, fmt.Errorf("measurement run: %w", err)
-	}
-	if err := sameBehaviour(ref, got); err != nil {
-		return nil, fmt.Errorf("transformed program diverged: %w", err)
+		return nil, err
 	}
 
 	m := &Measurement{
@@ -790,6 +795,43 @@ func (r *Runner) runScheme(s Scheme, trainProg, testProg *ir.Program, tp *profil
 		m.MissRate = cache.MissRate()
 	}
 	return m, nil
+}
+
+// reference is a benchmark's reference run: the pristine testing
+// build's Result on the testing input and its branch decisions.
+type reference struct {
+	res   *interp.Result
+	trace *profile.BranchTrace
+}
+
+// measure returns c's Result on the testing input, feeding fetch (nil:
+// no I-cache). A compile whose every procedure the validator proved
+// cannot branch other than its pristine input does, so its departures
+// follow from the reference run's trace, and the walk
+// (profile.Measure) yields exactly the Result executing it would; a
+// store hit replays on the proof its entry records. A compile with a
+// Bounded procedure carries no such proof: it is executed, and its
+// output checked against the reference run's.
+func (r *Runner) measure(c *compiled, testProg *ir.Program, ref reference, fetch interp.FetchSink) (*interp.Result, error) {
+	t0 := time.Now()
+	defer func() { r.stats.measureNS.Add(int64(time.Since(t0))) }()
+	if c.vstats != nil && c.vstats.Bounded == 0 {
+		r.stats.measureReplays.Add(1)
+		got, err := profile.Measure(testProg, c.bin, ref.trace, fetch)
+		if err != nil {
+			return nil, fmt.Errorf("measurement replay: %w", err)
+		}
+		return got, nil
+	}
+	r.stats.measureRuns.Add(1)
+	got, err := interp.Run(c.bin, interp.Config{Fetch: fetch})
+	if err != nil {
+		return nil, fmt.Errorf("measurement run: %w", err)
+	}
+	if err := sameBehaviour(ref.res, got); err != nil {
+		return nil, fmt.Errorf("transformed program diverged: %w", err)
+	}
+	return got, nil
 }
 
 // RunSuite measures every named benchmark (nil means the whole suite).

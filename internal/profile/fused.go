@@ -118,20 +118,19 @@ type pathTrainer interface {
 	AutomatonStats() []ProcAutomatonStats
 }
 
-// train is the one training driver behind Train and TrainBL. The path
-// profiler's batched edge stream is teed into the run's BranchTrace.
+// train is the one training driver behind Train and TrainBL: the path
+// profiler observes the run's batched edge stream, and the engine's
+// counters and decision record give the rest.
 func train(prog *ir.Program, pp pathTrainer, scheme string) (*TrainingProfiles, error) {
-	tee := newTraceTee(prog, pp)
-	res, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: tee})
+	res, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{Batch: pp})
 	if err != nil {
 		return nil, err
 	}
-	tee.tr.blocks = res.DynBlocks
 	tp := &TrainingProfiles{
 		Edge:  EdgeProfileFromCounts(prog, ec),
 		Path:  pp.Profile(),
 		Calls: CallCountsFromCounts(ec),
-		Trace: tee.tr,
+		Trace: traceOf(res, ec),
 		Stats: TrainStats{Scheme: scheme, Automaton: pp.AutomatonStats()},
 	}
 	tp.Stats.Batches, tp.Stats.Records = pp.BatchStats()

@@ -190,6 +190,41 @@ func requireOracleProfile(t *testing.T, ctx string, pf *PathProfile, op *OracleP
 	}
 }
 
+// traceOracle is the per-event reference for the branch trace the
+// engine records (interp.EdgeCounts.Decisions): at every edge out of a
+// block whose terminator has two or more distinct successors, it
+// appends the index of the edge's target among them.
+type traceOracle struct {
+	succs [][][]ir.BlockID // per proc, per block: distinct successors
+	data  []byte
+}
+
+func newTraceOracle(prog *ir.Program) *traceOracle {
+	o := &traceOracle{succs: make([][][]ir.BlockID, len(prog.Procs))}
+	for pid, p := range prog.Procs {
+		o.succs[pid] = make([][]ir.BlockID, len(p.Blocks))
+		for _, b := range p.Blocks {
+			o.succs[pid][b.ID] = appendDistinct(nil, b.Terminator())
+		}
+	}
+	return o
+}
+
+func (o *traceOracle) EnterProc(p ir.ProcID, entry ir.BlockID) {}
+func (o *traceOracle) ExitProc(p ir.ProcID)                    {}
+func (o *traceOracle) Block(p ir.ProcID, b ir.BlockID)         {}
+
+func (o *traceOracle) Edge(p ir.ProcID, from, to ir.BlockID) {
+	if ss := o.succs[p][from]; len(ss) >= 2 {
+		for k, s := range ss {
+			if s == to {
+				o.data = interp.AppendDecision(o.data, k)
+				return
+			}
+		}
+	}
+}
+
 // CallGraphProfiler is the per-event reference for the call-graph
 // profile that CallCountsFromCounts reconstructs from engine counters:
 // it counts dynamic caller→callee invocation edges, deriving the

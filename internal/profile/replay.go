@@ -1,44 +1,41 @@
 package profile
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pathsched/internal/interp"
 	"pathsched/internal/ir"
 )
 
-// Layout weights by replay (DESIGN.md §17). Pettis–Hansen placement
-// wants the point profile of the *transformed* program on the training
-// input. The training run has already made every branch decision, and
-// a compiled block's UnitOrigins name the pristine block each of its
-// units implements, so that profile follows from the decisions alone:
-// Train records them once as a BranchTrace, and Replay walks a compile
-// unit by unit against them. No compiled program is executed.
+// Replay (DESIGN.md §17). A compiled block's UnitOrigins name the
+// pristine block each of its units implements, so once a pristine run
+// has made every branch decision, the departures a compile of that
+// program makes on the same input follow from the decisions alone:
+// a pristine run records them once as a BranchTrace, and one walker
+// steps a compile unit by unit against them. No compiled program is
+// executed. The walk feeds three consumers:
+//
+//   - Replay: the layout weights Pettis–Hansen placement wants, the
+//     point profile of the transformed program on the training input,
+//     from the training run's trace;
+//   - Measure: the measurement Result of a proved compile on the
+//     testing input (paper §3.2), from the reference run's trace, each
+//     departure charged its ir.ExitCharge;
+//   - the I-cache, which Measure feeds every departure's fetch range
+//     in execution order.
 
-// BranchTrace is the branch-decision record of one training run: one
+// BranchTrace is the branch-decision record of one pristine run, as
+// the engine records it (interp.EdgeCounts.Decisions): one
 // distinct-successor index per executed Br or Switch that has at least
 // two distinct targets, in execution order. An index is one byte; an
 // index of 255 or more (only a terminator with more than 255 distinct
 // successors can produce one) is the escape byte 255 followed by the
 // uvarint of index-255. The trace also keeps the run's block count,
-// which bounds a replay. It is immutable once Train returns, so any
-// number of replays may read it at once.
+// which bounds a walk. It is immutable once recorded, so any number of
+// walks may read it at once.
 type BranchTrace struct {
 	data   []byte
 	blocks int64 // pristine block executions of the recorded run
-}
-
-// traceEscape introduces a multi-byte decision index.
-const traceEscape = 255
-
-func (t *BranchTrace) put(k int) {
-	if k < traceEscape {
-		t.data = append(t.data, byte(k))
-		return
-	}
-	t.data = append(t.data, traceEscape)
-	t.data = binary.AppendUvarint(t.data, uint64(k-traceEscape))
 }
 
 // appendDistinct appends ins's distinct targets to dst in
@@ -58,66 +55,58 @@ next:
 	return dst
 }
 
-// traceTee forwards a training run's batched edge stream to the path
-// profiler and records the run's branch decisions on the way. Only a
-// block whose terminator has two or more distinct successors decides
-// anything; every other edge is implied by the CFG.
-type traceTee struct {
-	interp.BatchObserver
-	tr    *BranchTrace
-	succs [][][]ir.BlockID // per proc, per block: distinct successors, nil when < 2
+// traceOf returns the branch trace of a completed counted run of a
+// pristine program: its decision record and block count.
+func traceOf(res *interp.Result, ec *interp.EdgeCounts) *BranchTrace {
+	return &BranchTrace{data: ec.Decisions(), blocks: res.DynBlocks}
 }
 
-func newTraceTee(prog *ir.Program, pp interp.BatchObserver) *traceTee {
-	t := &traceTee{BatchObserver: pp, tr: &BranchTrace{}, succs: make([][][]ir.BlockID, len(prog.Procs))}
-	for pid, p := range prog.Procs {
-		ps := make([][]ir.BlockID, len(p.Blocks))
-		for _, b := range p.Blocks {
-			if ds := appendDistinct(nil, b.Terminator()); len(ds) >= 2 {
-				ps[b.ID] = ds
-			}
-		}
-		t.succs[pid] = ps
+// RecordRun executes prog once, as a measurement's reference run, and
+// returns the run's Result and its branch trace, recorded the way Train
+// records the training run's. Measure walks any proved compile of prog
+// against the trace. Errors are returned as by interp.Run.
+func RecordRun(prog *ir.Program) (*interp.Result, *BranchTrace, error) {
+	res, ec, err := interp.EngineFor(prog).RunCounted(interp.Config{})
+	if err != nil {
+		return nil, nil, err
 	}
-	return t
+	return res, traceOf(res, ec), nil
 }
 
-// EdgeBatch records the decisions among recs, then forwards them.
-func (t *traceTee) EdgeBatch(p ir.ProcID, recs []interp.EdgeRec) {
-	ps := t.succs[p]
-	for _, r := range recs {
-		for k, s := range ps[r.From] {
-			if s == r.To {
-				t.tr.put(k)
-				break
-			}
-		}
-	}
-	t.BatchObserver.EdgeBatch(p, recs)
-}
-
-// A replay step is what the pristine terminator of a unit's origin
-// does.
+// A unit's kind is what the pristine terminator of its origin does,
+// and says where the unit's arcs live. A branching unit has one arc per
+// pristine distinct successor, which a decision k selects.
 const (
-	stepBranch = iota // Jmp/Br/Switch: continue at a successor
-	stepCall          // run a callee activation, then continue
-	stepRet           // end the activation
+	unitJump   = iota // one successor: arcs[0], no decision read
+	unitBranch        // two successors: arcs[k] for a decision byte k
+	unitSwitch        // more: replayProc.arcs[site+k]
+	unitCall          // run callee activation site, then arcs[0], the continuation
+	unitRet           // arcs[0], the return's departure; end the activation
 )
 
 // replayUnit is one unit of a compiled block.
 type replayUnit struct {
-	step uint8
-	site int32 // stepCall: the call site, indexing replayProc.callee and callN
-	// stepBranch: one arc per pristine distinct successor, which a
-	// decision k selects (a single arc reads no decision). stepCall:
-	// the continuation. stepRet: none.
-	arcs []replayArc
+	arcs  [2]replayArc
+	kind  uint8
+	site  int32 // unitCall: the call site, indexing replayProc.callee and callN; unitSwitch: its first arc
+	narcs int32 // unitSwitch: its arc count
 }
 
-// replayArc is where a unit's step leads.
+// replayArc is where a unit's step leads: past skip units that only
+// fall through to the next unit of their block (a pristine jump the
+// compile left on the trace), which the walk counts but does not step,
+// to unit.
 type replayArc struct {
-	unit int32 // index into replayProc.units
+	unit int32 // index into replayProc.units; -1 for a return
 	edge int32 // the departure taken, or -1 when control stays in the block
+	skip int32
+}
+
+// departure is one departure's walk counter and the code it fetches,
+// [lo, hi).
+type departure struct {
+	n      int64
+	lo, hi int64
 }
 
 // replayProc holds one compiled procedure's units and counters. The
@@ -125,13 +114,18 @@ type replayArc struct {
 // (the procedure's entry) comes first.
 type replayProc struct {
 	units []replayUnit
+	arcs  []replayArc // switch units' arcs
+	entry replayArc   // an activation's start: unit 0, past its skips
 	// Departures in (block, instruction, target) order: the order the
 	// engine's counters list edges in, so the profile built from them
-	// matches PointProfiles entry for entry.
+	// matches PointProfiles entry for entry. Block from departs through
+	// its instruction exit, fetching [Addr, Addr+4·(exit+1)); to is the
+	// block control lands on, ir.NoBlock for a return.
+	deps     []departure
 	from, to []ir.BlockID
+	exit     []int32
 	callee   []ir.ProcID // per call site
 
-	edgeN []int64 // per departure
 	callN []int64 // per call site
 	acts  int64
 }
@@ -158,25 +152,10 @@ type replayProc struct {
 // over, and a walk that outruns the recorded run's block count or
 // falls short of it.
 func Replay(pristine, bin *ir.Program, tr *BranchTrace) (*EdgeProfile, map[[2]ir.ProcID]int64, error) {
-	if tr == nil {
-		return nil, nil, fmt.Errorf("profile: replay: no branch trace")
+	procs, _, err := replay(pristine, bin, tr, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(bin.Procs) != len(pristine.Procs) || bin.Main != pristine.Main {
-		return nil, nil, fmt.Errorf("profile: replay: compile has %d procedures (main %d), pristine program %d (main %d)",
-			len(bin.Procs), bin.Main, len(pristine.Procs), pristine.Main)
-	}
-	procs := make([]*replayProc, len(bin.Procs))
-	for i, p := range bin.Procs {
-		rp, err := replayTables(pristine.Procs[i], p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("profile: replay: %s: %w", p.Name, err)
-		}
-		procs[i] = rp
-	}
-	if err := replayWalk(procs, bin.Main, tr); err != nil {
-		return nil, nil, fmt.Errorf("profile: replay: %w", err)
-	}
-
 	ep := newEdgeProfile(bin)
 	calls := map[[2]ir.ProcID]int64{}
 	for pid, rp := range procs {
@@ -186,12 +165,10 @@ func Replay(pristine, bin *ir.Program, tr *BranchTrace) (*EdgeProfile, map[[2]ir
 		// counts are the entries, i.e. activations into the entry block
 		// plus the departures landing on each block.
 		pe.block[0] = rp.acts
-		for e, n := range rp.edgeN {
-			pe.block[rp.to[e]] += n
-		}
-		for e, n := range rp.edgeN {
-			if n != 0 {
-				pe.addEdge(rp.from[e], rp.to[e], n)
+		for e, d := range rp.deps {
+			if to := rp.to[e]; to != ir.NoBlock && d.n != 0 {
+				pe.block[to] += d.n
+				pe.addEdge(rp.from[e], to, d.n)
 			}
 		}
 		for s, n := range rp.callN {
@@ -201,6 +178,66 @@ func Replay(pristine, bin *ir.Program, tr *BranchTrace) (*EdgeProfile, map[[2]ir
 		}
 	}
 	return ep, calls, nil
+}
+
+// Measure returns the Result interp.Run(bin) would give on the input
+// of the pristine run tr recorded (RecordRun), without running bin:
+// every counter is the sum of the walked departures' ir.ExitCharges,
+// and fetch, when non-nil, receives each departure's fetch range in
+// execution order and charges its stalls, as it would from the engine.
+// Ret and Output stay zero; they are the recorded run's.
+//
+// The walk is exact only for a compile whose every exit is proved to
+// branch as its pristine terminator does (internal/validate); Measure
+// checks the premises Replay checks, not the proof.
+func Measure(pristine, bin *ir.Program, tr *BranchTrace, fetch interp.FetchSink) (*interp.Result, error) {
+	procs, stall, err := replay(pristine, bin, tr, fetch)
+	if err != nil {
+		return nil, err
+	}
+	res := &interp.Result{Cycles: stall, FetchStall: stall}
+	var charges []ir.ExitCharge
+	for pid, rp := range procs {
+		blocks := bin.Procs[pid].Blocks
+		last := ir.NoBlock
+		for e, d := range rp.deps {
+			if d.n == 0 {
+				continue
+			}
+			if rp.from[e] != last {
+				last = rp.from[e]
+				charges = blocks[last].AppendExitCharges(charges[:0])
+			}
+			res.Charge(charges[rp.exit[e]], d.n)
+		}
+	}
+	return res, nil
+}
+
+// replay builds bin's unit tables against pristine and walks them over
+// tr, feeding fetch (nil: none). It returns the counted tables and the
+// stall cycles fetch charged.
+func replay(pristine, bin *ir.Program, tr *BranchTrace, fetch interp.FetchSink) ([]*replayProc, int64, error) {
+	if tr == nil {
+		return nil, 0, fmt.Errorf("profile: replay: no branch trace")
+	}
+	if len(bin.Procs) != len(pristine.Procs) || bin.Main != pristine.Main {
+		return nil, 0, fmt.Errorf("profile: replay: compile has %d procedures (main %d), pristine program %d (main %d)",
+			len(bin.Procs), bin.Main, len(pristine.Procs), pristine.Main)
+	}
+	procs := make([]*replayProc, len(bin.Procs))
+	for i, p := range bin.Procs {
+		rp, err := replayTables(pristine.Procs[i], p)
+		if err != nil {
+			return nil, 0, fmt.Errorf("profile: replay: %s: %w", p.Name, err)
+		}
+		procs[i] = rp
+	}
+	stall, err := walk(procs, bin.Main, tr, fetch)
+	if err != nil {
+		return nil, 0, fmt.Errorf("profile: replay: %w", err)
+	}
+	return procs, stall, nil
 }
 
 // replayTables builds the unit tables of bin, a compile of pristine
@@ -295,15 +332,19 @@ func replayTables(pp, bp *ir.Proc) (*replayProc, error) {
 			}
 			return first[t], nil
 		}
-		// arc is the arc to unit next through compiled target t; a
-		// departure gets the next edge counter.
-		arc := func(next int32, t ir.BlockID) replayArc {
-			if t == ir.NoBlock {
-				return replayArc{unit: next, edge: -1}
+		// arc returns the arc to unit next through compiled target t of
+		// instruction instr; a departure (t real, or a return) gets the
+		// next departure counter.
+		arc := func(next int32, instr int, t ir.BlockID) replayArc {
+			a := replayArc{unit: next, edge: -1}
+			if t != ir.NoBlock || next < 0 {
+				a.edge = int32(len(rp.deps))
+				rp.deps = append(rp.deps, departure{lo: b.Addr, hi: b.Addr + 4*int64(instr+1)})
+				rp.from = append(rp.from, b.ID)
+				rp.to = append(rp.to, t)
+				rp.exit = append(rp.exit, int32(instr))
 			}
-			rp.from = append(rp.from, b.ID)
-			rp.to = append(rp.to, t)
-			return replayArc{unit: next, edge: int32(len(rp.from) - 1)}
+			return a
 		}
 
 		for u := 0; u < nu; u++ {
@@ -323,7 +364,8 @@ func replayTables(pp, bp *ir.Proc) (*replayProc, error) {
 				if u != nu-1 {
 					return nil, fmt.Errorf("b%d unit %d: return before the block's last unit", b.ID, u)
 				}
-				un.step = stepRet
+				un.kind = unitRet
+				un.arcs[0] = arc(-1, i, ir.NoBlock)
 				continue
 			case ir.OpCall:
 				if ci == nil || ci.Op != ir.OpCall || ci.Callee != pt.Callee || len(ci.Targets) != 1 {
@@ -333,20 +375,29 @@ func replayTables(pp, bp *ir.Proc) (*replayProc, error) {
 				if err != nil {
 					return nil, err
 				}
-				un.step, un.site = stepCall, int32(len(rp.callee))
+				un.kind, un.site = unitCall, int32(len(rp.callee))
 				rp.callee = append(rp.callee, pt.Callee)
-				un.arcs = []replayArc{arc(next, ci.Targets[0])}
+				un.arcs[0] = arc(next, i, ci.Targets[0])
 				continue
 			}
 			succs := psuccs[o]
+			if len(succs) == 0 {
+				return nil, fmt.Errorf("b%d unit %d: pristine b%d's %s has no successor", b.ID, u, o, pt.Op)
+			}
 			if ci != nil && (ci.Op == ir.OpCall || ci.Op == ir.OpRet ||
 				len(succs) > 1 && (ci.Op != pt.Op || len(ci.Targets) != len(pt.Targets))) {
 				return nil, fmt.Errorf("b%d unit %d: control %s/%d does not mirror pristine b%d's %s/%d",
 					b.ID, u, ci.Op, len(ci.Targets), o, pt.Op, len(pt.Targets))
 			}
-			un.step = stepBranch
-			un.arcs = make([]replayArc, 0, len(succs))
-			for _, s := range succs {
+			switch len(succs) {
+			case 1:
+				un.kind = unitJump
+			case 2:
+				un.kind = unitBranch
+			default:
+				un.kind, un.site, un.narcs = unitSwitch, int32(len(rp.arcs)), int32(len(succs))
+			}
+			for k, s := range succs {
 				next, target := int32(-1), ir.NoBlock
 				// visit checks one compiled slot leading to s. A decision
 				// names the successor, not the slot, so every slot to it
@@ -387,11 +438,37 @@ func replayTables(pp, bp *ir.Proc) (*replayProc, error) {
 						}
 					}
 				}
-				un.arcs = append(un.arcs, arc(next, target))
+				if a := arc(next, i, target); un.kind == unitSwitch {
+					rp.arcs = append(rp.arcs, a)
+				} else {
+					un.arcs[k] = a
+				}
 			}
 		}
 	}
-	rp.edgeN = make([]int64, len(rp.from))
+	// Point every arc past the fall-through jumps it lands on. Such a
+	// unit stays at the next unit of its block, so every chain ends.
+	skipJumps := func(a *replayArc) {
+		for a.unit >= 0 {
+			v := &rp.units[a.unit]
+			if v.kind != unitJump || v.arcs[0].edge >= 0 {
+				return
+			}
+			a.skip += 1 + v.arcs[0].skip
+			a.unit = v.arcs[0].unit
+		}
+	}
+	skipJumps(&rp.entry)
+	for u := range rp.units {
+		un := &rp.units[u]
+		skipJumps(&un.arcs[0])
+		if un.kind == unitBranch {
+			skipJumps(&un.arcs[1])
+		}
+	}
+	for k := range rp.arcs {
+		skipJumps(&rp.arcs[k])
+	}
 	rp.callN = make([]int64, len(rp.callee))
 	return rp, nil
 }
@@ -402,73 +479,95 @@ type replayFrame struct {
 	unit int32
 }
 
-// replayWalk runs main's activation over the unit tables, consuming
-// tr's decisions and counting departures, call sites and activations.
-func replayWalk(procs []*replayProc, main ir.ProcID, tr *BranchTrace) error {
+// walk runs main's activation over the unit tables, consuming tr's
+// decisions and counting departures, call sites and activations. Each
+// departure's fetch range goes to fetch (nil: none) in execution
+// order: a call that ends its block departs when the callee returns,
+// after the callee's own fetches, as in the engine. walk returns the
+// stall cycles fetch charged.
+func walk(procs []*replayProc, main ir.ProcID, tr *BranchTrace, fetch interp.FetchSink) (int64, error) {
 	data := tr.data
 	pos := 0
-	left := tr.blocks // steps the recorded run allows
+	left := tr.blocks // unit steps the recorded run allows
+	var stall int64
 	p := main
 	rp := procs[p]
 	rp.acts++
-	cur := int32(0)
+	cur := rp.entry.unit
+	left -= int64(rp.entry.skip)
 	stack := make([]replayFrame, 0, 64)
 	for {
-		if left == 0 {
-			return fmt.Errorf("walk outruns the training run's %d blocks", tr.blocks)
+		if left <= 0 {
+			return 0, fmt.Errorf("walk outruns the recorded run's %d blocks", tr.blocks)
 		}
 		left--
 		un := &rp.units[cur]
 		var a replayArc
-		switch un.step {
-		case stepBranch:
-			k := 0
-			if nd := len(un.arcs); nd > 1 {
-				if pos == len(data) {
-					return fmt.Errorf("branch trace runs out after %d blocks", tr.blocks-left)
-				}
-				k = int(data[pos])
-				pos++
-				if k == traceEscape {
-					v, n := binary.Uvarint(data[pos:])
-					if n <= 0 || v >= uint64(nd) {
-						return fmt.Errorf("malformed decision at trace byte %d", pos-1)
-					}
-					pos += n
-					k += int(v)
-				}
-				if k >= nd {
-					return fmt.Errorf("decision %d at trace byte %d exceeds %d successors", k, pos-1, nd)
-				}
+		switch un.kind {
+		case unitJump:
+			a = un.arcs[0]
+		case unitBranch:
+			// A decision below interp.DecisionEscape is one byte.
+			if pos == len(data) {
+				return 0, fmt.Errorf("branch trace runs out after %d blocks", tr.blocks-left)
 			}
-			a = un.arcs[k]
-		case stepCall:
+			k := data[pos]
+			if k > 1 {
+				return 0, fmt.Errorf("decision %d at trace byte %d exceeds 2 successors", k, pos)
+			}
+			pos++
+			a = un.arcs[k&1]
+		case unitSwitch:
+			k, n := interp.ReadDecision(data[pos:])
+			switch {
+			case n == 0:
+				return 0, fmt.Errorf("branch trace runs out after %d blocks", tr.blocks-left)
+			case n < 0:
+				return 0, fmt.Errorf("malformed decision at trace byte %d", pos)
+			case k >= int(un.narcs):
+				return 0, fmt.Errorf("decision %d at trace byte %d exceeds %d successors", k, pos, un.narcs)
+			}
+			pos += n
+			a = rp.arcs[un.site+int32(k)]
+		case unitCall:
 			rp.callN[un.site]++
 			stack = append(stack, replayFrame{proc: p, unit: cur})
 			p = rp.callee[un.site]
 			rp = procs[p]
 			rp.acts++
-			cur = 0
+			cur = rp.entry.unit
+			left -= int64(rp.entry.skip)
 			continue
-		default: // stepRet
+		default: // unitRet
+			a = un.arcs[0]
+		}
+	depart:
+		if a.edge >= 0 {
+			d := &rp.deps[a.edge]
+			d.n++
+			if fetch != nil {
+				stall += fetch.FetchRange(d.lo, d.hi)
+			}
+		}
+		if a.unit < 0 {
+			// A return: resume the caller, whose call departs now.
 			if len(stack) == 0 {
 				if pos != len(data) {
-					return fmt.Errorf("branch trace has %d bytes left over after main returns", len(data)-pos)
+					return 0, fmt.Errorf("branch trace has %d bytes left over after main returns", len(data)-pos)
 				}
 				if left != 0 {
-					return fmt.Errorf("walk covers %d blocks, the training run %d", tr.blocks-left, tr.blocks)
+					return 0, fmt.Errorf("walk covers %d blocks, the recorded run %d", tr.blocks-left, tr.blocks)
 				}
-				return nil
+				return stall, nil
 			}
 			f := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			p = f.proc
 			rp = procs[p]
 			a = rp.units[f.unit].arcs[0] // the call's continuation
+			goto depart
 		}
-		if a.edge >= 0 {
-			rp.edgeN[a.edge]++
-		}
+		left -= int64(a.skip)
 		cur = a.unit
 	}
 }

@@ -3,13 +3,18 @@ package profile_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"pathsched/internal/bench"
 	"pathsched/internal/core"
+	"pathsched/internal/interp"
 	"pathsched/internal/ir"
 	"pathsched/internal/ir/irtest"
+	"pathsched/internal/layout"
+	"pathsched/internal/machine"
+	"pathsched/internal/pipeline"
 	"pathsched/internal/profile"
 	"pathsched/internal/sched"
 )
@@ -141,6 +146,120 @@ func TestReplayMatchesExecution(t *testing.T) {
 	}
 }
 
+// fetchLog is a FetchSink that passes every range on to a cache and
+// either records it, in order, or, given the record of another run,
+// checks it against that record.
+type fetchLog struct {
+	cache  *machine.ICache
+	ranges []int64 // recorded ranges, or the record to check against
+	check  bool
+	n      int // ranges seen
+	bad    int // the first range that differs from the record, or -1
+}
+
+func (f *fetchLog) FetchRange(start, end int64) int64 {
+	if !f.check {
+		f.ranges = append(f.ranges, start, end)
+	} else if f.bad < 0 && (2*f.n+1 >= len(f.ranges) || f.ranges[2*f.n] != start || f.ranges[2*f.n+1] != end) {
+		f.bad = f.n
+	}
+	f.n++
+	return f.cache.FetchRange(start, end)
+}
+
+// sameMeasurement executes bin, a laid-out compile of pristine, and
+// walks it against refTrace, the trace of pristine's run ref: with no
+// I-cache (cc nil) and with a cache of configuration cc, every Result
+// counter, the sequence of FetchRange calls and the cache's accesses
+// and misses must agree.
+func sameMeasurement(pristine, bin *ir.Program, ref *interp.Result, refTrace *profile.BranchTrace, cc *machine.ICacheConfig) error {
+	var execLog, walkLog *fetchLog
+	var execFetch, walkFetch interp.FetchSink // nil, not a typed nil, without a cache
+	if cc != nil {
+		execLog = &fetchLog{cache: machine.NewICache(*cc)}
+		execFetch = execLog
+	}
+	want, err := interp.Run(bin, interp.Config{Fetch: execFetch})
+	if err != nil {
+		return fmt.Errorf("measurement run: %w", err)
+	}
+	if want.Ret != ref.Ret || !slices.Equal(want.Output, ref.Output) {
+		return fmt.Errorf("compile diverges from the reference run")
+	}
+	if cc != nil {
+		walkLog = &fetchLog{cache: machine.NewICache(*cc), ranges: execLog.ranges, check: true, bad: -1}
+		walkFetch = walkLog
+	}
+	got, err := profile.Measure(pristine, bin, refTrace, walkFetch)
+	if err != nil {
+		return fmt.Errorf("measurement walk: %w", err)
+	}
+	want.Ret, want.Output = 0, nil
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("cache %+v: walked %+v, executed %+v", cc, *got, *want)
+	}
+	if cc == nil {
+		return nil
+	}
+	if walkLog.bad >= 0 || walkLog.n != execLog.n {
+		return fmt.Errorf("cache %+v: fetch sequences differ from range %d on, of %d walked and %d executed",
+			cc, walkLog.bad, walkLog.n, execLog.n)
+	}
+	if w, g := execLog.cache, walkLog.cache; w.Accesses() != g.Accesses() || w.Misses() != g.Misses() {
+		return fmt.Errorf("cache %+v: walked %d accesses / %d misses, executed %d / %d",
+			cc, g.Accesses(), g.Misses(), w.Accesses(), w.Misses())
+	}
+	return nil
+}
+
+// TestMeasureReplayMatchesExecution pins the measurement walk to the
+// measurement run it replaces, over every benchmark and scheme, each
+// laid-out testing compile built as the pipeline builds it: walked
+// against the reference run's trace and executed, with no I-cache, the
+// default cache and a two-way one, and on the realistic machine with
+// the default cache, every Result counter and the exact FetchRange
+// sequence must agree.
+func TestMeasureReplayMatchesExecution(t *testing.T) {
+	realistic := machine.Default()
+	realistic.Realistic = true
+	def, twoWay := machine.DefaultICache(), machine.DefaultICache()
+	twoWay.Ways = 2
+	arms := []struct {
+		mc     machine.Config
+		caches []*machine.ICacheConfig
+	}{
+		{machine.Default(), []*machine.ICacheConfig{nil, &def, &twoWay}},
+		{realistic, []*machine.ICacheConfig{&def}},
+	}
+	for _, name := range bench.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			b := bench.ByName(name)
+			train, test := b.Build(b.Train), b.Build(b.Test)
+			tp := trainWith(t, train, "window")
+			ref, refTrace, err := profile.RecordRun(test)
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			for _, arm := range arms {
+				r := pipeline.NewRunner(pipeline.Options{Parallelism: 1, Sched: sched.Options{Machine: arm.mc}})
+				for _, s := range pipeline.AllSchemes() {
+					bin, err := r.Build(s, train, test, tp)
+					if err != nil {
+						t.Fatalf("%s realistic=%v: %v", s, arm.mc.Realistic, err)
+					}
+					for _, cc := range arm.caches {
+						if err := sameMeasurement(test, bin, ref, refTrace, cc); err != nil {
+							t.Fatalf("%s realistic=%v: %v", s, arm.mc.Realistic, err)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // replayFixture trains on a benchmark's training build with the window
 // profiler and compiles its testing build under scheme s.
 func replayFixture(t testing.TB, name string, s replayScheme) (train, bin *ir.Program, tp *profile.TrainingProfiles) {
@@ -169,14 +288,17 @@ func findInstr(bin *ir.Program, ok func(p *ir.Proc, ins *ir.Instr) bool) *ir.Ins
 	return nil
 }
 
-// TestReplayRejectsMutations pins Replay's self-checks: each broken
-// premise — in the compile's trace metadata, in its control flow, or
-// in the trace itself — must fail the replay rather than return a
-// profile.
+// TestReplayRejectsMutations pins the walker's self-checks: each
+// broken premise — in the compile's trace metadata, in its control
+// flow, or in the trace itself — must fail both Replay and Measure
+// rather than return a profile or a Result.
 func TestReplayRejectsMutations(t *testing.T) {
 	train, bin, tp := replayFixture(t, "gcc", replaySchemes[4])
 	if _, _, err := profile.Replay(train, bin, tp.Trace); err != nil {
 		t.Fatalf("unmutated compile rejected: %v", err)
+	}
+	if _, err := profile.Measure(train, bin, tp.Trace, nil); err != nil {
+		t.Fatalf("unmutated compile rejected by the measurement walk: %v", err)
 	}
 	ds, blocks := profile.TraceDecisions(tp.Trace), profile.TraceBlocks(tp.Trace)
 	if len(ds) == 0 {
@@ -291,6 +413,16 @@ func TestReplayRejectsMutations(t *testing.T) {
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want it to mention %q", err, c.want)
 			}
+			res, err := profile.Measure(train, mbin, tr, machine.NewICache(machine.DefaultICache()))
+			if err == nil {
+				t.Fatal("mutation accepted by the measurement walk")
+			}
+			if res != nil {
+				t.Error("rejected measurement walk still returned a result")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("measurement walk: err = %v, want it to mention %q", err, c.want)
+			}
 		})
 	}
 }
@@ -319,6 +451,44 @@ func wideSwitchProg(arms int) *ir.Program {
 	latch.Br(4, head.ID(), exit.ID())
 	exit.Ret(1)
 	return bd.Finish()
+}
+
+// TestTracesMatchOracle pins the trace the engine records to the
+// per-event oracle: RecordRun's over both builds of every benchmark and
+// a switch wide enough to need the escape byte, and Train's over the
+// training builds and the switch.
+func TestTracesMatchOracle(t *testing.T) {
+	type build struct {
+		prog  *ir.Program
+		train bool
+	}
+	builds := []build{{wideSwitchProg(320), true}}
+	for _, b := range bench.All() {
+		builds = append(builds, build{b.Build(b.Train), true}, build{b.Build(b.Test), false})
+	}
+	for _, b := range builds {
+		want, err := profile.OracleTrace(b.prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := profile.RecordRun(b.prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the reference run's trace differs from the oracle's", b.prog.Name)
+		}
+		if !b.train {
+			continue
+		}
+		tp, err := profile.Train(b.prog, profile.PathConfig{Depth: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tp.Trace, want) {
+			t.Errorf("%s: the training run's trace differs from the oracle's", b.prog.Name)
+		}
+	}
 }
 
 func TestReplayWideSwitch(t *testing.T) {
@@ -352,8 +522,10 @@ func TestReplayWideSwitch(t *testing.T) {
 	}
 }
 
-// FuzzReplay pins replay to execution over random executable programs
-// under basic-block, edge-based and path-based compiles.
+// FuzzReplay pins both walks to execution over random executable
+// programs under basic-block, edge-based and path-based compiles: the
+// layout replay against the compile's point profile, and the
+// measurement walk against executing the laid-out compile.
 func FuzzReplay(f *testing.F) {
 	f.Add(int64(1), uint8(8))
 	f.Add(int64(2), uint8(12))
@@ -365,6 +537,14 @@ func FuzzReplay(f *testing.F) {
 		tp, err := profile.Train(prog, profile.PathConfig{})
 		if err != nil {
 			t.Skipf("training run rejected: %v", err)
+		}
+		ref, refTrace, err := profile.RecordRun(prog)
+		if err != nil {
+			t.Fatalf("reference run: %v", err)
+		}
+		if !slices.Equal(profile.TraceDecisions(refTrace), profile.TraceDecisions(tp.Trace)) ||
+			profile.TraceBlocks(refTrace) != profile.TraceBlocks(tp.Trace) {
+			t.Fatal("the reference run records another trace than the training run of the same program")
 		}
 		for _, s := range []replayScheme{replaySchemes[0], replaySchemes[1], replaySchemes[4]} {
 			bin, err := compileFor(prog, tp, s)
@@ -382,12 +562,20 @@ func FuzzReplay(f *testing.F) {
 			if err := sameProfile(bin, want, got, wantCalls, gotCalls); err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
+			// The program is its own testing build: lay the compile out
+			// and measure it on a cache small enough to miss.
+			layout.Assign(bin, layout.Input{CallCounts: gotCalls, BlockFreq: got.BlockFreq, EdgeFreq: got.EdgeFreq})
+			if err := sameMeasurement(prog, bin, ref, refTrace, &machine.ICacheConfig{SizeBytes: 256, LineBytes: 16, Penalty: 6, Ways: 2}); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
 		}
 	})
 }
 
-// BenchmarkReplay races replay against executing the compile
-// (PointProfiles) on gcc's P4 compile of its training build.
+// BenchmarkReplay races each walk against the execution it replaces:
+// layout replay against PointProfiles on gcc's P4 compile of its
+// training build, and the measurement walk against the measurement run
+// on gcc's laid-out P4 compile of its testing build.
 func BenchmarkReplay(b *testing.B) {
 	gcc := bench.ByName("gcc")
 	train := gcc.Build(gcc.Train)
@@ -406,6 +594,33 @@ func BenchmarkReplay(b *testing.B) {
 	b.Run("execute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := profile.PointProfiles(bin); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	// The measurement arms: gcc's laid-out P4 testing compile on the
+	// default I-cache, walked against the reference run's trace and
+	// executed.
+	test := gcc.Build(gcc.Test)
+	testBin, err := pipeline.NewRunner(pipeline.Options{Parallelism: 1}).Build(pipeline.SchemeP4, train, test, tp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, refTrace, err := profile.RecordRun(test)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("measure-replay", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := profile.Measure(test, testBin, refTrace, machine.NewICache(machine.DefaultICache())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("measure-execute", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := interp.Run(testBin, interp.Config{Fetch: machine.NewICache(machine.DefaultICache())}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -251,6 +251,7 @@ func runStoreGC(st *store.Store, maxBytes int64) {
 func printCompileStats(cs pipeline.CompileStats) {
 	fmt.Println("\n# compile-stage wall time (summed across workers)")
 	fmt.Printf("  compiles: %d, layout replays: %d\n", cs.Compiles, cs.LayoutRuns)
+	fmt.Printf("  procedures: %d compiled / %d shared\n", cs.ProcsCompiled, cs.ProcsShared)
 	fmt.Printf("  measure: %d replayed / %d executed, %.3f s\n", cs.MeasureReplays, cs.MeasureRuns, cs.MeasureSeconds)
 	fmt.Printf("  %-8s %8.3fs\n", "form", cs.FormSeconds)
 	fmt.Printf("  %-8s %8.3fs\n", "compact", cs.CompactSeconds)

@@ -19,9 +19,21 @@ import (
 // explicit Bounded count is acceptable.
 func Equiv(pristine, transformed *ir.Program, opts validate.Options) (*validate.Report, []Violation) {
 	rep := validate.Program(pristine, transformed, opts)
+	return rep, divergences(rep.Issues)
+}
+
+// EquivProc is Equiv for one procedure pair (validate.Proc), with scr
+// the validator's reusable working memory.
+func EquivProc(pristine, transformed *ir.Proc, opts validate.Options, scr *validate.Scratch) (validate.ProcReport, []Violation) {
+	pr, issues := validate.Proc(pristine, transformed, opts, scr)
+	return pr, divergences(issues)
+}
+
+// divergences converts validator issues to Violations.
+func divergences(issues []validate.Issue) []Violation {
 	var vs []Violation
-	for _, is := range rep.Issues {
+	for _, is := range issues {
 		vs = append(vs, Violation{Proc: is.Proc, Block: is.Block, Instr: is.Instr, Msg: is.Msg})
 	}
-	return rep, vs
+	return vs
 }

@@ -328,22 +328,21 @@ func CheckInvariants(res *Result) error {
 	for _, pid := range pids {
 		sbs := res.Superblocks[pid]
 		p := res.Prog.Proc(pid)
-		inSB := map[ir.BlockID]struct {
-			sb  *Superblock
-			idx int
-		}{}
+		// sbOf and idxOf place each block in its superblock, by block id.
+		sbOf := make([]*Superblock, len(p.Blocks))
+		idxOf := make([]int, len(p.Blocks))
 		for _, sb := range sbs {
 			for i, b := range sb.Blocks {
-				if _, dup := inSB[b]; dup {
+				if p.Block(b) == nil {
+					return fmt.Errorf("core: %s: superblock %d names b%d, which does not exist", p.Name, sb.ID, b)
+				}
+				if sbOf[b] != nil {
 					return fmt.Errorf("core: %s/b%d in two superblocks", p.Name, b)
 				}
-				inSB[b] = struct {
-					sb  *Superblock
-					idx int
-				}{sb, i}
+				sbOf[b], idxOf[b] = sb, i
 			}
 		}
-		if e, ok := inSB[p.Entry().ID]; !ok || e.idx != 0 {
+		if entry := p.Entry().ID; sbOf[entry] == nil || idxOf[entry] != 0 {
 			return fmt.Errorf("core: %s: procedure entry must head a superblock", p.Name)
 		}
 		g := ir.NewCFG(p)
@@ -351,21 +350,19 @@ func CheckInvariants(res *Result) error {
 			if !g.Reachable(b.ID) {
 				continue
 			}
-			if _, ok := inSB[b.ID]; !ok {
+			if sbOf[b.ID] == nil {
 				return fmt.Errorf("core: %s/b%d reachable but not in any superblock", p.Name, b.ID)
 			}
 			for _, s := range g.Succs(b.ID) {
-				ts, ok := inSB[s]
-				if !ok {
+				if sbOf[s] == nil {
 					continue // target unreachable? impossible, but harmless
 				}
-				if ts.idx == 0 {
+				if idxOf[s] == 0 {
 					continue // edges into heads are always fine
 				}
-				fs := inSB[b.ID]
-				if fs.sb != ts.sb || fs.idx != ts.idx-1 {
+				if sbOf[b.ID] != sbOf[s] || idxOf[b.ID] != idxOf[s]-1 {
 					return fmt.Errorf("core: %s: edge b%d→b%d enters superblock %d mid-body",
-						p.Name, b.ID, s, ts.sb.ID)
+						p.Name, b.ID, s, sbOf[s].ID)
 				}
 			}
 		}

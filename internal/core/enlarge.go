@@ -219,7 +219,7 @@ func (f *former) peelLoop(sb *Superblock, k int) {
 		inSB[b] = true
 	}
 	var outside []ir.BlockID
-	for _, p := range buildPreds(f.proc)[head] {
+	for _, p := range predsOf(buildPreds(f.proc), head) {
 		if !inSB[p] {
 			outside = append(outside, p)
 		}

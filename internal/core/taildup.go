@@ -49,7 +49,7 @@ func (f *former) fixSideEntrances() {
 			for i := 1; i < len(sb.Blocks); i++ {
 				cur := sb.Blocks[i]
 				prev := sb.Blocks[i-1]
-				for _, p := range preds[cur] {
+				for _, p := range predsOf(preds, cur) {
 					if p == prev {
 						continue
 					}
@@ -95,15 +95,25 @@ func (f *former) cloneTail(sb *Superblock, i int) *Superblock {
 	return chain
 }
 
-// buildPreds computes the predecessor lists of the current procedure.
-func buildPreds(p *ir.Proc) map[ir.BlockID][]ir.BlockID {
-	preds := map[ir.BlockID][]ir.BlockID{}
+// buildPreds computes the predecessor lists of the current procedure,
+// indexed by block id, each in block order.
+func buildPreds(p *ir.Proc) [][]ir.BlockID {
+	preds := make([][]ir.BlockID, len(p.Blocks))
 	for _, b := range p.Blocks {
 		for _, s := range b.Succs() {
 			preds[s] = append(preds[s], b.ID)
 		}
 	}
 	return preds
+}
+
+// predsOf returns id's predecessors in preds; a block added after
+// preds was built has none there.
+func predsOf(preds [][]ir.BlockID, id ir.BlockID) []ir.BlockID {
+	if int(id) >= len(preds) {
+		return nil
+	}
+	return preds[id]
 }
 
 // markLoops classifies each trace-derived superblock as a superblock

@@ -13,7 +13,10 @@
 // reordered freely by layout.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Reg names an integer register. Registers 0..PhysRegs-1 are physical;
 // anything at or above VirtBase is a virtual register introduced by
@@ -233,19 +236,60 @@ func (b *Block) Terminator() *Instr {
 // deduplicated in first-occurrence order. For ordinary blocks only the
 // terminator contributes; merged superblocks also contribute their
 // mid-block exit targets. NoBlock continuation slots are skipped.
+//
+// Duplicates are found by scanning the result itself, which is cheaper
+// than any set for the one to three successors of a typical block;
+// past succsScanMax successors (a wide switch, a merged superblock's
+// exits) a bitset over the ids below succsBitsetIDs takes over.
 func (b *Block) Succs() []BlockID {
 	var out []BlockID
-	seen := map[BlockID]bool{}
+	var seen []uint64 // bitset of out's ids in [0, succsBitsetIDs), once out is long
 	for i := range b.Instrs {
 		for _, t := range b.Instrs[i].Targets {
-			if t == NoBlock || seen[t] {
+			if t == NoBlock {
 				continue
 			}
-			seen[t] = true
+			if seen == nil || t < 0 || t >= succsBitsetIDs {
+				if slices.Contains(out, t) {
+					continue
+				}
+			} else if w := int(t) >> 6; w < len(seen) && seen[w]&(1<<(uint(t)&63)) != 0 {
+				continue
+			}
 			out = append(out, t)
+			switch {
+			case seen != nil:
+				seen = markBlock(seen, t)
+			case len(out) > succsScanMax:
+				for _, s := range out {
+					seen = markBlock(seen, s)
+				}
+			}
 		}
 	}
 	return out
+}
+
+// succsScanMax is the successor count up to which Succs deduplicates
+// by scanning; succsBitsetIDs bounds the ids its bitset covers (8 KB),
+// so a malformed target id cannot make it allocate more.
+const (
+	succsScanMax   = 32
+	succsBitsetIDs = 1 << 16
+)
+
+// markBlock sets id's bit in set, growing it as needed; ids outside
+// [0, succsBitsetIDs) are left to the scan.
+func markBlock(set []uint64, id BlockID) []uint64 {
+	if id < 0 || id >= succsBitsetIDs {
+		return set
+	}
+	w := int(id) >> 6
+	for len(set) <= w {
+		set = append(set, 0)
+	}
+	set[w] |= 1 << (uint(id) & 63)
+	return set
 }
 
 // NumInstrs returns the number of instructions in the block.

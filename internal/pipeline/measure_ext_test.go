@@ -38,6 +38,10 @@ func TestBoundedCompilesAreExecuted(t *testing.T) {
 	}
 	if cs := executed.CompileStats(); cs.MeasureReplays != 0 || cs.MeasureRuns != n {
 		t.Errorf("bounded compiles: %d replayed / %d executed, want 0 / %d", cs.MeasureReplays, cs.MeasureRuns, n)
+	} else if cs.ProcsShared == 0 {
+		// Shares carry their Bounded verdicts: every compile still
+		// executes.
+		t.Error("bounded compiles shared no procedure")
 	}
 	for _, s := range schemes {
 		w, g := want.ByScheme[s], got.ByScheme[s]

@@ -44,6 +44,14 @@
 // identical output. Options.Parallelism controls the pool (1 reproduces the
 // historical serial order).
 //
+// Formation is the only stage that differs between schemes, and most
+// of the procedures the schemes form for one benchmark are equal to a
+// procedure another scheme formed (edge- and path-based formation treat
+// hot code alike). Compaction and proof are deterministic functions of
+// the procedure they are given, so RunBenchmark compacts and proves
+// each distinct formed procedure once, and a scheme forming an equal
+// one takes that compile and its verdict (procs.go).
+//
 // Determinism also makes each laid-out binary a function of its
 // inputs alone, so an artifact store (Options.ArtifactStore, disk.go)
 // can file it under a content address built from structural
@@ -270,6 +278,7 @@ type Runner struct {
 type stageStats struct {
 	formNS, compactNS, checkNS, validateNS, layoutNS, measureNS atomic.Int64
 	compiles, layoutRuns, measureReplays, measureRuns           atomic.Int64
+	procsCompiled, procsShared                                  atomic.Int64
 }
 
 // CompileStats reports where a runner's compile time went, summed over
@@ -286,10 +295,16 @@ type CompileStats struct {
 	MeasureReplays int64
 	MeasureRuns    int64
 
+	// ProcsCompiled counts procedures compacted and proved, ProcsShared
+	// those a compile took from an equal procedure another scheme of
+	// the same benchmark compiled (compileProc).
+	ProcsCompiled int64
+	ProcsShared   int64
+
 	FormSeconds     float64 // superblock formation
-	CompactSeconds  float64 // sched.Compact / CompactBasicBlocks
+	CompactSeconds  float64 // compaction of each procedure compiled, and procedure-table lookups
 	CheckSeconds    float64 // semantic checker gates (0 when checking is off)
-	ValidateSeconds float64 // translation validation
+	ValidateSeconds float64 // translation validation of each procedure compiled
 	LayoutSeconds   float64 // layout-weight replays
 	MeasureSeconds  float64 // measurements, walked and executed
 }
@@ -302,6 +317,8 @@ func (r *Runner) CompileStats() CompileStats {
 		LayoutRuns:      r.stats.layoutRuns.Load(),
 		MeasureReplays:  r.stats.measureReplays.Load(),
 		MeasureRuns:     r.stats.measureRuns.Load(),
+		ProcsCompiled:   r.stats.procsCompiled.Load(),
+		ProcsShared:     r.stats.procsShared.Load(),
 		FormSeconds:     float64(r.stats.formNS.Load()) / 1e9,
 		CompactSeconds:  float64(r.stats.compactNS.Load()) / 1e9,
 		CheckSeconds:    float64(r.stats.checkNS.Load()) / 1e9,
@@ -361,58 +378,9 @@ func (r *Runner) CacheStats() (stats CacheStats, ok bool) {
 // further scheme starts, and the error of the first failing scheme in
 // the given order is returned.
 func (r *Runner) RunBenchmark(b *bench.Benchmark, schemes []Scheme) (*Result, error) {
-	trainProg := b.Build(b.Train)
-	testProg := b.Build(b.Test)
-	if err := checkSameShape(trainProg, testProg); err != nil {
-		return nil, fmt.Errorf("pipeline: %s: train/test builds diverge: %w", b.Name, err)
-	}
-
-	// One training run feeds all profile consumers: batched path
-	// profiling plus counter-fused edge and call-graph reconstruction,
-	// exact counts of every event of the run.
-	tp, err := r.train(trainProg)
+	br, err := r.prepare(b)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: %s: training run: %w", b.Name, err)
-	}
-	eprof, pprof := tp.Edge, tp.Path
-	var base check.Baseline
-	if r.check {
-		vs := check.EdgeFlow(trainProg, eprof)
-		vs = append(vs, check.PathFlow(trainProg, pprof, eprof)...)
-		if tp.BL != nil {
-			vs = append(vs, check.BLFlow(trainProg, tp.BL, eprof)...)
-		}
-		if err := check.Err("profile", vs); err != nil {
-			return nil, fmt.Errorf("pipeline: %s: %w", b.Name, err)
-		}
-		// The def-before-use baseline is a function of the pristine
-		// testing build alone, so compute it once here rather than
-		// inside every scheme compile.
-		base = check.BaselineOf(testProg)
-	}
-
-	// The reference run: the pristine testing build on the testing
-	// input, recording its branch decisions. Every proved compile is
-	// measured by walking it against that trace; its output is the
-	// cross-check for a compile that must be executed instead. The
-	// pristine build doubles as the reference program: nothing below
-	// mutates it (compileWith clones before compacting), so no extra
-	// build is needed.
-	var ref reference
-	ref.res, ref.trace, err = profile.RecordRun(testProg)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: %s: reference run: %w", b.Name, err)
-	}
-
-	// Pristine-build fingerprints key the artifact store, so they are
-	// computed only when one is attached, once per benchmark rather
-	// than per scheme; the training fingerprint rides along in every
-	// key because the profiles that feed formation, and the trace that
-	// layout replays, derive from the training build.
-	var keys benchKeys
-	if r.opts.ArtifactStore != nil {
-		keys.train = ir.Fingerprint(trainProg)
-		keys.test = ir.Fingerprint(testProg)
+		return nil, fmt.Errorf("pipeline: %s: %w", b.Name, err)
 	}
 
 	// Fan the schemes out. Each worker only reads the shared builds and
@@ -420,7 +388,7 @@ func (r *Runner) RunBenchmark(b *bench.Benchmark, schemes []Scheme) (*Result, er
 	// assembly order is independent of completion order.
 	ms := make([]*Measurement, len(schemes))
 	err = forEachLimited(len(schemes), r.opts.Parallelism, func(i int) error {
-		m, err := r.runScheme(schemes[i], trainProg, testProg, tp, ref, keys, base)
+		m, err := r.runScheme(schemes[i], br)
 		if err != nil {
 			return fmt.Errorf("pipeline: %s/%s: %w", b.Name, schemes[i], err)
 		}
@@ -431,15 +399,15 @@ func (r *Runner) RunBenchmark(b *bench.Benchmark, schemes []Scheme) (*Result, er
 		return nil, err
 	}
 
-	// A copy of the statistics, not a pointer into tp: the result must
-	// not keep the training profiles and trace alive once the schemes
-	// are done.
-	profStats := tp.Stats
+	// A copy of the statistics, not a pointer into the profiles: the
+	// result must not keep the training profiles and trace alive once
+	// the schemes are done.
+	profStats := br.tp.Stats
 	res := &Result{
 		Name:          b.Name,
 		Description:   b.Description,
 		Category:      b.Category,
-		OrigCodeBytes: testProg.CodeBytes(),
+		OrigCodeBytes: br.test.CodeBytes(),
 		ByScheme:      map[Scheme]*Measurement{},
 		ProfStats:     &profStats,
 	}
@@ -447,6 +415,76 @@ func (r *Runner) RunBenchmark(b *bench.Benchmark, schemes []Scheme) (*Result, er
 		res.ByScheme[s] = ms[i]
 	}
 	return res, nil
+}
+
+// benchRun is what one RunBenchmark call's scheme workers share: the
+// pristine builds, the training profiles, the reference run, the
+// builds' store fingerprints, the def-before-use baseline and the
+// table of compiled procedures. Workers only read it; the table
+// synchronizes itself.
+type benchRun struct {
+	train, test *ir.Program
+	tp          *profile.TrainingProfiles
+	ref         reference
+	keys        benchKeys
+	base        check.Baseline // nil when checking is off
+	procs       *procTable
+}
+
+// prepare builds b's pristine programs, profiles the training build
+// and records the reference run: everything its schemes share.
+func (r *Runner) prepare(b *bench.Benchmark) (*benchRun, error) {
+	br := &benchRun{train: b.Build(b.Train), test: b.Build(b.Test)}
+	if err := checkSameShape(br.train, br.test); err != nil {
+		return nil, fmt.Errorf("train/test builds diverge: %w", err)
+	}
+
+	// One training run feeds all profile consumers: batched path
+	// profiling plus counter-fused edge and call-graph reconstruction,
+	// exact counts of every event of the run.
+	tp, err := r.train(br.train)
+	if err != nil {
+		return nil, fmt.Errorf("training run: %w", err)
+	}
+	br.tp = tp
+	if r.check {
+		vs := check.EdgeFlow(br.train, tp.Edge)
+		vs = append(vs, check.PathFlow(br.train, tp.Path, tp.Edge)...)
+		if tp.BL != nil {
+			vs = append(vs, check.BLFlow(br.train, tp.BL, tp.Edge)...)
+		}
+		if err := check.Err("profile", vs); err != nil {
+			return nil, err
+		}
+		// The def-before-use baseline is a function of the pristine
+		// testing build alone, so compute it once here rather than
+		// inside every scheme compile.
+		br.base = check.BaselineOf(br.test)
+	}
+
+	// The reference run: the pristine testing build on the testing
+	// input, recording its branch decisions. Every proved compile is
+	// measured by walking it against that trace; its output is the
+	// cross-check for a compile that must be executed instead. The
+	// pristine build doubles as the reference program: nothing below
+	// mutates it (compileWith clones before compacting), so no extra
+	// build is needed.
+	br.ref.res, br.ref.trace, err = profile.RecordRun(br.test)
+	if err != nil {
+		return nil, fmt.Errorf("reference run: %w", err)
+	}
+
+	// Pristine-build fingerprints key the artifact store, so they are
+	// computed only when one is attached, once per benchmark rather
+	// than per scheme; the training fingerprint rides along in every
+	// key because the profiles that feed formation, and the trace that
+	// layout replays, derive from the training build.
+	if r.opts.ArtifactStore != nil {
+		br.keys.train = ir.Fingerprint(br.train)
+		br.keys.test = ir.Fingerprint(br.test)
+	}
+	br.procs = newProcTable(len(br.test.Procs))
+	return br, nil
 }
 
 // schemeConfig maps scheme s to its formation config over the given
@@ -491,92 +529,77 @@ func (r *Runner) formConfig(s Scheme, eprof *profile.EdgeProfile, pprof *profile
 	return cfg, true, nil
 }
 
-// compileWith forms and compacts prog under the config formConfig
-// resolved for a scheme (haveCfg false selects the BB baseline). prog
-// is treated as read-only — formation clones internally and the BB
-// baseline clones explicitly — so one shared build can feed concurrent
-// scheme compiles. base is prog's precomputed def-before-use baseline
-// (nil when checking is off).
-func (r *Runner) compileWith(prog *ir.Program, base check.Baseline, cfg core.Config, haveCfg bool) (*ir.Program, core.Stats, *sched.GapStats, *validate.Stats, error) {
+// compileWith forms prog under the config formConfig resolved for a
+// scheme (haveCfg false selects the BB baseline, whose superblocks are
+// its reachable basic blocks), then compacts each formed procedure and
+// proves it against its pristine counterpart (compileProc): through
+// procs, one benchmark's table of compiled procedures, when it is
+// non-nil. prog is treated as read-only — formation clones internally
+// and the BB baseline clones explicitly — so one shared build can feed
+// concurrent scheme compiles. base is prog's precomputed
+// def-before-use baseline (nil when checking is off).
+func (r *Runner) compileWith(prog *ir.Program, base check.Baseline, cfg core.Config, haveCfg bool, procs *procTable) (*ir.Program, core.Stats, *sched.GapStats, *validate.Stats, error) {
 	r.stats.compiles.Add(1)
-	// Checked compiles record the scheduler's own dependence edges so
-	// the schedule check consumes them instead of recomputing every
-	// block's dependences. The options copy keeps the recording map
-	// private to this compile (r.opts.Sched is shared across workers).
-	so := r.opts.Sched
-	if r.check {
-		so.RecordDeps = sched.BlockDeps{}
-	}
-	var gap *sched.GapStats
-	if so.Exact.Enabled {
-		// Gap accounting is private to this compile for the same reason
-		// the recording map is.
-		gap = &sched.GapStats{}
-		so.GapStats = gap
-	}
-	if !haveCfg {
+	var formed *core.Result
+	if haveCfg {
+		t0 := time.Now()
+		f, err := core.Form(prog, cfg)
+		r.stats.formNS.Add(int64(time.Since(t0)))
+		if err != nil {
+			return nil, core.Stats{}, nil, nil, err
+		}
+		if r.check {
+			t1 := time.Now()
+			err := check.Err("form", check.Superblocks(f))
+			r.stats.checkNS.Add(int64(time.Since(t1)))
+			if err != nil {
+				return nil, core.Stats{}, nil, nil, err
+			}
+		}
+		formed = f
+	} else {
 		bb := ir.CloneProgram(prog)
 		t0 := time.Now()
-		err := sched.CompactBasicBlocks(bb, so)
+		formed = sched.BasicBlockSuperblocks(bb)
 		r.stats.compactNS.Add(int64(time.Since(t0)))
-		if err != nil {
-			return nil, core.Stats{}, nil, nil, err
-		}
-		if err := r.checkCompacted(base, bb, so.RecordDeps); err != nil {
-			return nil, core.Stats{}, nil, nil, err
-		}
-		vstats, err := r.validateCompiled(prog, bb)
-		if err != nil {
-			return nil, core.Stats{}, nil, nil, err
-		}
-		return bb, core.Stats{}, gap, vstats, nil
 	}
-	t0 := time.Now()
-	formed, err := core.Form(prog, cfg)
-	r.stats.formNS.Add(int64(time.Since(t0)))
-	if err != nil {
-		return nil, core.Stats{}, nil, nil, err
-	}
+	bin := formed.Prog
+	var deps sched.BlockDeps // the checked schedules' recorded edges, by block
 	if r.check {
-		t1 := time.Now()
-		err := check.Err("form", check.Superblocks(formed))
-		r.stats.checkNS.Add(int64(time.Since(t1)))
+		deps = sched.BlockDeps{}
+	}
+	var gap *sched.GapStats
+	if r.opts.Sched.Exact.Enabled {
+		gap = &sched.GapStats{}
+	}
+	vstats := &validate.Stats{}
+	var sc procScratch
+	for i, p := range bin.Procs {
+		pc, err := r.compileProc(procs, prog.Procs[i], p, formed.Superblocks[p.ID], &sc)
 		if err != nil {
 			return nil, core.Stats{}, nil, nil, err
+		}
+		bin.Procs[i] = pc.proc
+		vstats.Count(pc.report)
+		if gap != nil {
+			gap.Add(pc.gap)
+		}
+		for j, d := range pc.deps {
+			if d != nil {
+				deps[pc.proc.Blocks[j]] = d
+			}
 		}
 	}
 	t2 := time.Now()
-	err = sched.Compact(formed, so)
+	err := ir.Verify(bin)
 	r.stats.compactNS.Add(int64(time.Since(t2)))
 	if err != nil {
+		return nil, core.Stats{}, nil, nil, fmt.Errorf("sched: compaction produced invalid IR: %w", err)
+	}
+	if err := r.checkCompacted(base, bin, deps); err != nil {
 		return nil, core.Stats{}, nil, nil, err
 	}
-	if err := r.checkCompacted(base, formed.Prog, so.RecordDeps); err != nil {
-		return nil, core.Stats{}, nil, nil, err
-	}
-	vstats, err := r.validateCompiled(prog, formed.Prog)
-	if err != nil {
-		return nil, core.Stats{}, nil, nil, err
-	}
-	return formed.Prog, formed.Stats, gap, vstats, nil
-}
-
-// validateCompiled gates a compile with the symbolic translation
-// validator: every procedure of bin must prove semantically equivalent
-// to its pristine counterpart in prog, or the compile fails the same
-// way a structural check failure does. Budget-bounded procedures are
-// not failures — they are tallied explicitly in the returned stats,
-// and their compile is measured by execution, output-checked, instead
-// of by replay (runScheme).
-func (r *Runner) validateCompiled(prog, bin *ir.Program) (*validate.Stats, error) {
-	t0 := time.Now()
-	rep, vs := check.Equiv(prog, bin, r.budgets)
-	r.stats.validateNS.Add(int64(time.Since(t0)))
-	if err := check.Err("validate", vs); err != nil {
-		return nil, err
-	}
-	stats := rep.Stats
-	return &stats, nil
+	return bin, formed.Stats, gap, vstats, nil
 }
 
 // checkCompacted gates a compaction result: the emitted schedules must
@@ -664,23 +687,21 @@ func (r *Runner) compileKey(progFP, trainFP ir.Digest, cfg core.Config, haveCfg 
 	return e.Sum()
 }
 
-// buildScheme returns a scheme's laid-out testing binary: it runs
+// buildScheme returns scheme s's laid-out testing binary: it runs
 // build, or, with an artifact store attached, reads the binary filed
-// under the scheme's compile key and builds only on a miss. base is
-// the testing build's def-before-use baseline (nil when checking is
-// off).
-func (r *Runner) buildScheme(s Scheme, trainProg, testProg *ir.Program, tp *profile.TrainingProfiles, keys benchKeys, base check.Baseline) (*compiled, error) {
-	cfg, haveCfg, err := r.formConfig(s, tp.Edge, tp.Path)
+// under the scheme's compile key and builds only on a miss.
+func (r *Runner) buildScheme(s Scheme, br *benchRun) (*compiled, error) {
+	cfg, haveCfg, err := r.formConfig(s, br.tp.Edge, br.tp.Path)
 	if err != nil {
 		return nil, err
 	}
 	build := func() (*compiled, error) {
-		return r.build(cfg, haveCfg, trainProg, testProg, tp.Trace, base)
+		return r.build(cfg, haveCfg, br.train, br.test, br.tp.Trace, br.base, br.procs)
 	}
 	if r.opts.ArtifactStore == nil {
 		return build()
 	}
-	return r.fromStore(r.compileKey(keys.test, keys.train, cfg, haveCfg), build)
+	return r.fromStore(r.compileKey(br.keys.test, br.keys.train, cfg, haveCfg), build)
 }
 
 // Build compiles prog under scheme s and lays it out, exactly as
@@ -704,7 +725,7 @@ func (r *Runner) Build(s Scheme, train, prog *ir.Program, tp *profile.TrainingPr
 	if r.check {
 		base = check.BaselineOf(prog)
 	}
-	c, err := r.build(cfg, haveCfg, train, prog, tp.Trace, base)
+	c, err := r.build(cfg, haveCfg, train, prog, tp.Trace, base, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -717,8 +738,8 @@ func (r *Runner) Build(s Scheme, train, prog *ir.Program, tp *profile.TrainingPr
 // over the compile for its layout weights, and assigns the compile's
 // code addresses from them. A nil tr leaves the compile unplaced.
 // base is prog's def-before-use baseline (nil when checking is off).
-func (r *Runner) build(cfg core.Config, haveCfg bool, train, prog *ir.Program, tr *profile.BranchTrace, base check.Baseline) (*compiled, error) {
-	bin, stats, gap, vstats, err := r.compileWith(prog, base, cfg, haveCfg)
+func (r *Runner) build(cfg core.Config, haveCfg bool, train, prog *ir.Program, tr *profile.BranchTrace, base check.Baseline, procs *procTable) (*compiled, error) {
+	bin, stats, gap, vstats, err := r.compileWith(prog, base, cfg, haveCfg, procs)
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
@@ -752,22 +773,27 @@ func (r *Runner) layoutWeights(trainProg, bin *ir.Program, tr *profile.BranchTra
 	return layout.Input{CallCounts: calls, BlockFreq: prof.BlockFreq, EdgeFreq: prof.EdgeFreq}, nil
 }
 
-// runScheme builds and measures one scheme. trainProg and testProg
-// are the benchmark's shared pristine builds and tp its training
-// profiles; runScheme only reads them (compileWith clones), so
-// concurrent scheme runs can share them.
-func (r *Runner) runScheme(s Scheme, trainProg, testProg *ir.Program, tp *profile.TrainingProfiles, ref reference, keys benchKeys, base check.Baseline) (*Measurement, error) {
-	c, err := r.buildScheme(s, trainProg, testProg, tp, keys, base)
+// runScheme builds and measures scheme s of br's benchmark. It only
+// reads br's builds (compileWith clones), so concurrent scheme runs
+// can share them.
+func (r *Runner) runScheme(s Scheme, br *benchRun) (*Measurement, error) {
+	c, err := r.buildScheme(s, br)
 	if err != nil {
 		return nil, err
 	}
+	return r.measurement(s, c, br)
+}
+
+// measurement measures c, scheme s's laid-out binary, on the testing
+// input.
+func (r *Runner) measurement(s Scheme, c *compiled, br *benchRun) (*Measurement, error) {
 	var cache *machine.ICache
 	var fetch interp.FetchSink // nil, not a typed nil, without a cache
 	if r.opts.Cache != nil {
 		cache = machine.NewICache(*r.opts.Cache)
 		fetch = cache
 	}
-	got, err := r.measure(c, testProg, ref, fetch)
+	got, err := r.measure(c, br.test, br.ref, fetch)
 	if err != nil {
 		return nil, err
 	}

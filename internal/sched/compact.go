@@ -72,13 +72,12 @@ func (o Options) withDefaults() Options {
 // returns, each superblock is a single merged block carrying Cycles,
 // Span, SBSize, and ExitUnits annotations, dead constituent blocks are
 // removed, and res.Superblocks reflects the new block ids. Procedures
-// compact in order on one scratch, so the first failing procedure's
-// error is the one returned.
+// compact in order (CompactProc) on one scratch, so the first failing
+// procedure's error is the one returned.
 func Compact(res *core.Result, opts Options) error {
-	opts = opts.withDefaults()
-	s := newScratch()
+	var s Scratch
 	for _, p := range res.Prog.Procs {
-		if err := compactProc(p, res.Superblocks[p.ID], opts, s); err != nil {
+		if err := CompactProc(p, res.Superblocks[p.ID], opts, &s); err != nil {
 			return err
 		}
 	}
@@ -88,12 +87,27 @@ func Compact(res *core.Result, opts Options) error {
 	return nil
 }
 
-// compactProc compacts one procedure's superblocks.
-func compactProc(p *ir.Proc, sbs []*core.Superblock, opts Options, s *scratch) error {
+// Scratch is compaction's reusable working memory (scratch.go). The
+// zero value is ready to use; one Scratch serves any number of
+// CompactProc calls in sequence, never two at once, and never changes
+// what they produce.
+type Scratch struct{ s *scratch }
+
+// CompactProc compacts one procedure's superblocks sbs in place, in
+// list order over one register pool, as Compact does for each
+// procedure. It reads nothing outside p and sbs, so equal procedures
+// with equal superblock lists (IDs and blocks, in order) compact to
+// equal results. It does not run ir.Verify, which checks calls against
+// the whole program.
+func CompactProc(p *ir.Proc, sbs []*core.Superblock, opts Options, sc *Scratch) error {
+	if sc.s == nil {
+		sc.s = newScratch()
+	}
+	opts = opts.withDefaults()
 	live := LiveIn(p)
 	pool := regalloc.FreePool(p)
 	for _, sb := range sbs {
-		if err := compactSuperblock(p, sb, live, pool, opts, s); err != nil {
+		if err := compactSuperblock(p, sb, live, pool, opts, sc.s); err != nil {
 			return fmt.Errorf("sched: %s sb%d: %w", p.Name, sb.ID, err)
 		}
 	}
@@ -108,12 +122,13 @@ func compactProc(p *ir.Proc, sbs []*core.Superblock, opts Options, s *scratch) e
 // "basic-block scheduled" configuration (Table 1). Each block becomes
 // a singleton superblock.
 func CompactBasicBlocks(prog *ir.Program, opts Options) error {
-	return Compact(basicBlockSuperblocks(prog), opts)
+	return Compact(BasicBlockSuperblocks(prog), opts)
 }
 
-// basicBlockSuperblocks wraps each reachable block of prog as a
-// singleton superblock.
-func basicBlockSuperblocks(prog *ir.Program) *core.Result {
+// BasicBlockSuperblocks wraps each reachable block of prog as a
+// singleton superblock, numbered in block order: the partition
+// CompactBasicBlocks compacts.
+func BasicBlockSuperblocks(prog *ir.Program) *core.Result {
 	res := &core.Result{Prog: prog, Superblocks: map[ir.ProcID][]*core.Superblock{}}
 	for _, p := range prog.Procs {
 		g := ir.NewCFG(p)

@@ -139,7 +139,7 @@ func TestCompactBasicBlocksWorkerDeterminism(t *testing.T) {
 		var base ir.Digest
 		for ai, arm := range compactArms() {
 			clone := ir.CloneProgram(prog)
-			if err := arm.compact(basicBlockSuperblocks(clone)); err != nil {
+			if err := arm.compact(BasicBlockSuperblocks(clone)); err != nil {
 				t.Fatalf("seed %d %s: %v", seed, arm.name, err)
 			}
 			fp := ir.Fingerprint(clone)

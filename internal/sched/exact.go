@@ -118,6 +118,17 @@ func (g *GapStats) PctOfOptimal() float64 {
 	return 100 * float64(g.ExactSpan) / float64(g.ListSpan)
 }
 
+// Add accumulates h into g.
+func (g *GapStats) Add(h GapStats) {
+	g.Blocks += h.Blocks
+	g.Proved += h.Proved
+	g.Bounded += h.Bounded
+	g.BoundedSearch += h.BoundedSearch
+	g.Improved += h.Improved
+	g.ListSpan += h.ListSpan
+	g.ExactSpan += h.ExactSpan
+}
+
 // gapRecord is one region's outcome, filled by scheduleNodes and folded
 // into Options.GapStats by compactSuperblock once the kept attempt is
 // known (the regalloc fallback reschedules, and only the final

@@ -483,7 +483,7 @@ type allocHead struct {
 	regs   []ir.Reg
 }
 
-// preallocHeads runs compactProc's steps up to allocation over every
+// preallocHeads runs CompactProc's steps up to allocation over every
 // superblock of res — merge, then scheduleNodes with renaming, then
 // install — and returns a clone of each installed head. It consumes
 // res.

@@ -9,10 +9,10 @@ import (
 // superblocks, so compiling a procedure allocates almost nothing per
 // superblock: the dependence tables, the DDG, the scheduler's ready
 // structure, the rename/VN/DCE working state, and the merge arenas all
-// live here. Each Compact call owns one scratch for all of its
-// superblocks, and no memory reachable from a scratch may outlive the
-// superblock it was used for unless the code explicitly copies it out
-// (install and the dependence recorder do).
+// live here. Each Scratch (one per Compact call) owns one scratch for
+// all of its superblocks, and no memory reachable from a scratch may
+// outlive the superblock it was used for unless the code explicitly
+// copies it out (install and the dependence recorder do).
 //
 // Ownership rules (DESIGN.md §12):
 //

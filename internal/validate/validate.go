@@ -201,39 +201,56 @@ type Report struct {
 }
 
 // Program validates transformed against pristine and reports per-proc
-// verdicts. It never mutates either program.
+// verdicts, procedure by procedure in order (Proc). It never mutates
+// either program.
 func Program(pristine, transformed *ir.Program, opts Options) *Report {
-	opts = opts.Normalized()
 	rep := &Report{}
 	if len(pristine.Procs) != len(transformed.Procs) {
 		rep.Issues = append(rep.Issues, Issue{Block: ir.NoBlock, Instr: NoInstr,
 			Msg: fmt.Sprintf("procedure count changed: original %d, transformed %d", len(pristine.Procs), len(transformed.Procs))})
 		return rep
 	}
-	scr := &scratch{}
-	for i := range transformed.Procs {
-		pp, tp := pristine.Procs[i], transformed.Procs[i]
-		rep.Stats.Procs++
-		if pp.Name != tp.Name {
-			rep.Issues = append(rep.Issues, Issue{Proc: tp.Name, Block: ir.NoBlock, Instr: NoInstr,
-				Msg: fmt.Sprintf("procedure %d renamed: original %q", i, pp.Name)})
-			rep.Stats.Failed++
-			continue
-		}
-		pr := validateProc(pp, tp, opts, &rep.Issues, scr)
+	var scr Scratch
+	for i, tp := range transformed.Procs {
+		pr, issues := Proc(pristine.Procs[i], tp, opts, &scr)
 		rep.Procs = append(rep.Procs, pr)
-		switch pr.Verdict {
-		case Proved:
-			rep.Stats.Proved++
-			rep.Stats.Cuts += int64(pr.Cuts)
-		case Bounded:
-			rep.Stats.Bounded++
-		case Failed:
-			rep.Stats.Failed++
-			rep.Stats.Cuts += int64(pr.Cuts)
-		}
+		rep.Issues = append(rep.Issues, issues...)
+		rep.Stats.Count(pr)
 	}
 	return rep
+}
+
+// Proc validates one transformed procedure against its pristine
+// counterpart and returns its report and issues (nil unless the
+// verdict is Failed). It reads nothing outside the two procedures, so
+// equal transformed procedures proved against the same pristine one
+// get the same verdict. scr is reused working memory, as for
+// Program's procedures; it never changes the outcome.
+func Proc(pristine, transformed *ir.Proc, opts Options, scr *Scratch) (ProcReport, []Issue) {
+	var issues []Issue
+	if pristine.Name != transformed.Name {
+		issues = append(issues, Issue{Proc: transformed.Name, Block: ir.NoBlock, Instr: NoInstr,
+			Msg: fmt.Sprintf("procedure %d renamed: original %q", transformed.ID, pristine.Name)})
+		return ProcReport{Proc: transformed.Name, Verdict: Failed}, issues
+	}
+	pr := validateProc(pristine, transformed, opts.Normalized(), &issues, scr)
+	return pr, issues
+}
+
+// Count adds one procedure's verdict to s: proved and failed
+// procedures contribute their cuts, Bounded ones none.
+func (s *Stats) Count(pr ProcReport) {
+	s.Procs++
+	switch pr.Verdict {
+	case Proved:
+		s.Proved++
+		s.Cuts += int64(pr.Cuts)
+	case Bounded:
+		s.Bounded++
+	case Failed:
+		s.Failed++
+		s.Cuts += int64(pr.Cuts)
+	}
 }
 
 // cut is one (exit → successor) edge of the cut-point decomposition:
@@ -257,14 +274,15 @@ type cut struct {
 	pairVars []uint64
 }
 
-// scratch pools the allocation-heavy per-block state (expression
+// Scratch pools the allocation-heavy per-block state (expression
 // graph, two symbolic machines) across the blocks and procedures of
-// one Program call. Each block still gets a logically fresh graph —
+// one Program call, or of the Proc calls sharing it. The zero value is
+// ready to use. Each block still gets a logically fresh graph —
 // entry nodes are region-relative, so sharing live nodes across
 // regions would be unsound — but the backing arrays and the memo map
 // survive, which matters because a big procedure resets this once per
 // block rather than re-growing maps from empty.
-type scratch struct {
+type Scratch struct {
 	g      graph
 	ts, ps symState
 }
@@ -274,7 +292,7 @@ type procV struct {
 	pp, tp *ir.Proc
 	opts   Options
 	issues *[]Issue
-	scr    *scratch
+	scr    *Scratch
 
 	nregs, words int
 	// origin[b] is transformed block b's first pristine trace block
@@ -294,7 +312,7 @@ func (pv *procV) bad(block ir.BlockID, instr int, format string, args ...any) {
 	})
 }
 
-func validateProc(pp, tp *ir.Proc, opts Options, issues *[]Issue, scr *scratch) ProcReport {
+func validateProc(pp, tp *ir.Proc, opts Options, issues *[]Issue, scr *Scratch) ProcReport {
 	pr := ProcReport{Proc: tp.Name}
 	nregs := max(int(ir.PhysRegs), maxRegIndex(pp)+1, maxRegIndex(tp)+1)
 	pv := &procV{
